@@ -16,7 +16,6 @@ from .cells import Lattice, PotentialCell, cell_smatrix
 from .chain import ChainState, bloch_parameter, chain_amplitudes, displace
 from .core import (
     MODULUS_FLOOR,
-    TWO_PI,
     PhaseCurve,
     ScatteringMatrix,
     WaveNumber,
@@ -263,14 +262,6 @@ def hartman_scan(
     return records
 
 
-def _continuize(values: Sequence[float]) -> np.ndarray:
-    """Remove 2*pi jumps along a sequence by nearest-branch reduction."""
-    out = [float(values[0])]
-    for v in values[1:]:
-        out.append(out[-1] + math.remainder(float(v) - out[-1], TWO_PI))
-    return np.array(out)
-
-
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
     """Fit the large-N laws of the reflection and transmission phases.
 
@@ -295,9 +286,9 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
     r_moduli = [abs(m.r) for m in chain.matrices]
     if min(r_moduli) < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("right reflection amplitude below floor")
-    comp_r = _continuize(
-        [principal_phase(m.r) + 2.0 * n * ka for n, m in zip(ns, chain.matrices)]
-    )
+    comp_r = unwrap(
+        [(n, principal_phase(m.r) + 2.0 * n * ka) for n, m in zip(ns, chain.matrices)], "r"
+    ).values
     comp_t = chain.t_phases + ns * ka
 
     upper = ns > n_max // 2

@@ -213,41 +213,88 @@ def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
 
 
 # Half-width of the |z| = 1 window where the trig/hyperbolic forms are 0/0
-# and the polynomial limit U_{n}(+-1) = (n+1)(+-1)^n takes over.
+# and the three-term recurrence takes over, exact at U_n(+-1) = (n+1)(+-1)^n.
 CHEBYSHEV_EDGE_WINDOW = 1e-8
 
 
-def _chebyshev_recurrence(n: int, z: float) -> float:
-    u_prev, u = 1.0, 2.0 * z
-    if n == 0:
-        return u_prev
-    for _ in range(n - 1):
-        u_prev, u = u, 2.0 * z * u - u_prev
-    return u
+def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
+    """U_{N-1}(z) and |t^(N)|^2 = 1 / (1 + rho U_{N-1}(z)^2), broadcast over (z, rho, N).
+
+    The one implementation of the closed form; N >= 1 is the chain length.
+    Band entries (|z| < 1 - w, w = CHEBYSHEV_EDGE_WINDOW) use sin(N g)/sin(g)
+    with g = arccos z.  Gap entries (|z| > 1 + w) use log|U| = (N-1) h
+    + log((1 - e^{-2Nh}) / (1 - e^{-2h})), h = arccosh|z|: |t^(N)|^2 stays
+    exact down to the double underflow threshold and then degrades
+    gracefully to 0.0, and U saturates to +-inf.  Edge entries run the
+    three-term recurrence, one pass per distinct z up to the largest N asked
+    of it.  Both results have the broadcast shape, at least one-dimensional.
+    """
+    z, rho, N = np.asarray(z, dtype=float), np.asarray(rho, dtype=float), np.asarray(N)
+    if (N < 1).any():
+        raise ValueError("cell counts must be >= 1")
+    # Adding zeros broadcasts at a fraction of np.broadcast_arrays' cost on
+    # length-1 calls; N becomes float, exact for any realistic chain length.
+    zeros = np.zeros(np.broadcast(z, rho, N).shape or (1,))
+    z, rho, N = z + zeros, rho + zeros, N + zeros
+    abs_z = np.abs(z)
+    band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
+    gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
+    edge = ~(band | gap)
+    u = np.zeros(z.shape)  # gap entries are filled last, with their own |t|^2
+
+    if band.any():
+        gamma = np.arccos(z[band])
+        u[band] = np.sin(N[band] * gamma) / np.sin(gamma)
+    if edge.any():
+        z_edge, orders = z[edge], N[edge].astype(int) - 1
+        distinct, which = np.unique(z_edge, return_inverse=True)
+        values = np.empty(z_edge.size)
+        for j, zj in enumerate(distinct.tolist()):
+            mine = which == j
+            seq = [1.0, 2.0 * zj]
+            for _ in range(int(orders[mine].max()) - 1):
+                seq.append(2.0 * zj * seq[-1] - seq[-2])
+            values[mine] = np.array(seq)[orders[mine]]
+        u[edge] = values
+    t = 1.0 / (1.0 + rho * u * u)
+    if gap.any():
+        z_gap, n_gap = z[gap], N[gap]
+        eta = np.arccosh(np.abs(z_gap))
+        # log(sinh(N eta) / sinh(eta)) in a form where nothing overflows
+        ratio = np.expm1(-2.0 * n_gap * eta) / np.expm1(-2.0 * eta)
+        log_u = (n_gap - 1.0) * eta + np.log(ratio)
+        sign = np.where((z_gap < 0.0) & (n_gap % 2 == 0), -1.0, 1.0)
+        with np.errstate(over="ignore", divide="ignore"):  # U -> inf; rho = 0 gives log 0
+            u[gap] = sign * np.exp(log_u)
+            t[gap] = np.exp(-np.logaddexp(0.0, np.log(rho[gap]) + 2.0 * log_u))
+    return u, t
 
 
 def chebyshev_U(n: int, z: float) -> float:
     """Chebyshev polynomial of the second kind U_n(z) on the whole real line.
 
-    sin((n+1)g)/sin(g) with g = arccos z inside (-1, 1); the hyperbolic
-    analogue sinh((n+1)h)/sinh(h), sign-adjusted for z < -1, outside; the
-    three-term recurrence within CHEBYSHEV_EDGE_WINDOW of z = +-1 where both
-    closed forms degenerate to 0/0.  Overflows saturate to +-inf.
+    A length-1 call of chebyshev_closed_form: exact at z = +-1, saturating
+    to +-inf where the gap value overflows.
     """
     if n < 0:
         raise ValueError(f"polynomial order must be >= 0, got {n}")
-    z = float(z)
-    if abs(z - 1.0) < CHEBYSHEV_EDGE_WINDOW or abs(z + 1.0) < CHEBYSHEV_EDGE_WINDOW:
-        return _chebyshev_recurrence(n, z)
-    if abs(z) < 1.0:
-        gamma = math.acos(z)
-        return math.sin((n + 1) * gamma) / math.sin(gamma)
-    eta = math.acosh(abs(z))
-    sign = 1.0 if z > 0.0 else (-1.0) ** (n % 2)
-    x = (n + 1) * eta
-    if x > _LOG_HUGE:
-        return math.inf * sign
-    return sign * math.sinh(x) / math.sinh(eta)
+    return float(chebyshev_closed_form(float(z), 0.0, n + 1)[0][0])
+
+
+def chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:
+    """(z, rho) of one cell for the closed form: z = cos(alpha_t + ka)/|t| and
+    rho = (1 - |t|^2)/|t|^2."""
+    mod2 = abs(s_cell.t) ** 2
+    if mod2 == 0.0:
+        raise UndefinedAmplitudeError("transmission amplitude below floor")
+    return bloch_parameter(s_cell, a), (1.0 - mod2) / mod2
+
+
+def chebyshev_grid(cell, a: float, k_values) -> tuple[np.ndarray, np.ndarray]:
+    """chebyshev_inputs of the cell at every wave number of k_values, as (z, rho) arrays."""
+    pairs = [chebyshev_inputs(cell_smatrix(cell, WaveNumber(float(kv))), a) for kv in k_values]
+    z, rho = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return z, rho
 
 
 def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
@@ -255,80 +302,19 @@ def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
 
         |t^(N)|^2 = 1 / (1 + U_{N-1}(z)^2 (1 - |t|^2)/|t|^2),
 
-    z = cos(alpha_t + ka)/|t| from the single cell.  Returns a value in
-    (0, 1]; deep in a gap the hyperbolic branch is evaluated in the log
-    domain, so the result stays exact down to the double-precision underflow
-    threshold and then degrades gracefully to 0.0.
+    z = cos(alpha_t + ka)/|t| from the single cell: a length-1 call of
+    chebyshev_closed_form.  Returns a value in [0, 1].
     """
-    if N < 1:
-        raise ValueError(f"cell count must be >= 1, got {N}")
-    mod2 = abs(s_cell.t) ** 2
-    if mod2 == 0.0:
-        raise UndefinedAmplitudeError("transmission amplitude below floor")
-    rho = (1.0 - mod2) / mod2
-    if rho == 0.0:
-        return 1.0
-    z = bloch_parameter(s_cell, a)
-    if abs(abs(z) - 1.0) > CHEBYSHEV_EDGE_WINDOW and abs(z) > 1.0:
-        eta = math.acosh(abs(z))
-        ne = N * eta
-        log_sinh_n = ne - math.log(2.0) if ne > 20.0 else math.log(math.sinh(ne))
-        log_x = math.log(rho) + 2.0 * (log_sinh_n - math.log(math.sinh(eta)))
-        if log_x > _LOG_HUGE:
-            return math.exp(-log_x)  # underflows to 0.0 past the double range
-        return 1.0 / (1.0 + math.exp(log_x))
-    u = chebyshev_U(N - 1, z)
-    return 1.0 / (1.0 + rho * u * u)
+    z, rho = chebyshev_inputs(s_cell, a)
+    return float(chebyshev_closed_form(z, rho, N)[1][0])
 
 
 def transmission_profile(
     cell, a: float, n_values: np.ndarray, k_values: np.ndarray
 ) -> np.ndarray:
-    """|t^(N)|^2 on a (N, k) grid via the closed form, vectorized over k.
+    """|t^(N)|^2 on a (N, k) grid via the closed form.
 
-    Returns an array of shape (len(n_values), len(k_values)).  Log-domain
-    evaluation keeps deep-gap entries finite (underflow to 0.0) for chain
-    lengths far beyond what the direct sinh form tolerates.
+    Returns an array of shape (len(n_values), len(k_values)).
     """
-    n_values = np.asarray(n_values, dtype=int)
-    k_values = np.asarray(k_values, dtype=float)
-    if np.any(n_values < 1):
-        raise ValueError("cell counts must be >= 1")
-
-    nk = k_values.size
-    z = np.empty(nk)
-    rho = np.empty(nk)
-    for i, kv in enumerate(k_values):
-        s = cell_smatrix(cell, WaveNumber(kv))
-        mod2 = abs(s.t) ** 2
-        z[i] = bloch_parameter(s, a)
-        rho[i] = (1.0 - mod2) / mod2
-
-    band = np.abs(z) < 1.0 - CHEBYSHEV_EDGE_WINDOW
-    gap = np.abs(z) > 1.0 + CHEBYSHEV_EDGE_WINDOW
-    edge = ~(band | gap)
-
-    gamma = np.arccos(np.clip(z, -1.0, 1.0))
-    sin_gamma = np.sin(gamma)
-    eta = np.arccosh(np.clip(np.abs(z), 1.0, None))
-    sinh_eta = np.sinh(eta)
-
-    out = np.empty((n_values.size, nk))
-    for row, n in enumerate(n_values):
-        t_row = np.empty(nk)
-        if np.any(band):
-            u_sq = (np.sin(n * gamma[band]) / sin_gamma[band]) ** 2
-            t_row[band] = 1.0 / (1.0 + rho[band] * u_sq)
-        if np.any(gap):
-            # 1/(1 + rho U^2) in the log domain: U = sinh(n eta)/sinh(eta).
-            ne = n * eta[gap]
-            log_sinh_n = np.where(
-                ne > 20.0, ne - math.log(2.0), np.log(np.sinh(np.minimum(ne, 25.0)))
-            )
-            log_x = np.log(rho[gap]) + 2.0 * (log_sinh_n - np.log(sinh_eta[gap]))
-            t_row[gap] = np.exp(-np.logaddexp(0.0, log_x))
-        for i in np.nonzero(edge)[0]:
-            u = _chebyshev_recurrence(int(n) - 1, z[i])
-            t_row[i] = 1.0 / (1.0 + rho[i] * u * u)
-        out[row] = t_row
-    return out
+    z, rho = chebyshev_grid(cell, a, k_values)
+    return chebyshev_closed_form(z, rho, np.asarray(n_values, dtype=int)[:, None])[1]

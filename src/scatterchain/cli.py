@@ -2,7 +2,8 @@
 
 Subcommands: cell | chain | bands | hartman | delay | packet.  Options come
 from an optional key=value config file plus flags; flags win.  Exit codes:
-0 success, 2 config error, 3 numerical-contract violation.
+0 success, 2 config error, 3 numerical-contract violation or arithmetic
+failure (overflow, vanished denominator, amplitude below floor).
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ from .cells import (
     RectBarrier,
     cell_smatrix,
 )
-from .chain import chain_amplitudes, chebyshev_transmission, transmission_profile
+from .chain import (
+    chain_amplitudes,
+    chebyshev_closed_form,
+    chebyshev_grid,
+    chebyshev_inputs,
+)
 from .core import ScatteringMatrix, WaveNumber, principal_phases, unitarity_defect
 from .errors import ConfigError, InBandWarning
 
@@ -368,57 +374,58 @@ def run_cell(cfg: ExperimentConfig):
     return _meta(cfg), rows
 
 
+def _chain_row(kv: float, n: int, s: ScatteringMatrix, t_rec: float, t_cheb: float,
+               cfg: ExperimentConfig) -> dict:
+    alpha_t, alpha_l, alpha_r = principal_phases(s)
+    return {
+        "k": kv, "N": n,
+        "T_recurrence": t_rec, "T_chebyshev": t_cheb,
+        "dual_path_diff": abs(t_rec - t_cheb),
+        "alpha_t": alpha_t, "alpha_l": alpha_l, "alpha_r": alpha_r,
+        "unitarity_defect": _check_defect(s, cfg, f"k={kv}, N={n}"),
+    }
+
+
 def run_chain(cfg: ExperimentConfig):
-    rows = []
     if cfg.n is not None:
-        for kv in cfg.k_grid():
-            k = WaveNumber(float(kv))
-            state = chain_amplitudes(cfg.lattice(cfg.n), k)
-            s = state.matrices[-1]
-            t_cheb = chebyshev_transmission(cell_smatrix(cfg.cell, k), cfg.period, cfg.n)
+        k_grid = cfg.k_grid().tolist()
+        z, rho = chebyshev_grid(cfg.cell, cfg.period, k_grid)
+        t_cheb = chebyshev_closed_form(z, rho, cfg.n)[1].tolist()
+        rows = []
+        for kv, t_ch in zip(k_grid, t_cheb):
+            state = chain_amplitudes(cfg.lattice(cfg.n), WaveNumber(kv))
             t_rec = float(state.transmissions[-1])
-            base = _smatrix_row(s, cfg, f"k={kv}, N={cfg.n}")
-            rows.append({
-                "k": float(kv), "N": cfg.n,
-                "T_recurrence": t_rec, "T_chebyshev": t_cheb,
-                "dual_path_diff": abs(t_rec - t_cheb),
-                "alpha_t": base["alpha_t"], "alpha_l": base["alpha_l"],
-                "alpha_r": base["alpha_r"],
-                "unitarity_defect": base["unitarity_defect"],
-            })
-    else:
-        k = WaveNumber(cfg.k0)
-        state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
-        s_cell = cell_smatrix(cfg.cell, k)
-        for i, s in enumerate(state.matrices):
-            n = i + 1
-            t_cheb = chebyshev_transmission(s_cell, cfg.period, n)
-            t_rec = float(state.transmissions[i])
-            alpha_t, alpha_l, alpha_r = principal_phases(s)
-            rows.append({
-                "k": cfg.k0, "N": n,
-                "T_recurrence": t_rec, "T_chebyshev": t_cheb,
-                "dual_path_diff": abs(t_rec - t_cheb),
-                "alpha_t": alpha_t, "alpha_l": alpha_l, "alpha_r": alpha_r,
-                "unitarity_defect": _check_defect(s, cfg, f"k={cfg.k0}, N={n}"),
-            })
+            rows.append(_chain_row(kv, cfg.n, state.matrices[-1], t_rec, t_ch, cfg))
+        return _meta(cfg), rows
+    k = WaveNumber(cfg.k0)
+    state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
+    z, rho = chebyshev_inputs(cell_smatrix(cfg.cell, k), cfg.period)
+    t_cheb = chebyshev_closed_form(z, rho, np.arange(1, cfg.n_max + 1))[1].tolist()
+    rows = [
+        _chain_row(cfg.k0, n, s, t_rec, t_ch, cfg)
+        for n, s, t_rec, t_ch in zip(range(1, cfg.n_max + 1), state.matrices,
+                                     state.transmissions.tolist(), t_cheb)
+    ]
     return _meta(cfg), rows
 
 
 def run_bands(cfg: ExperimentConfig):
-    rows = []
+    rows, inputs = [], []
     for kv in cfg.k_grid():
         k = WaveNumber(float(kv))
         s = cell_smatrix(cfg.cell, k)
         _check_defect(s, cfg, f"k={kv}")
         verdict = band_classify(s, cfg.period, tol=cfg.tol_edge)
+        inputs.append(chebyshev_inputs(s, cfg.period))
         rows.append({
             "k": float(kv),
             "z": verdict.z,
             "abs_z": abs(verdict.z),
             "verdict": verdict.kind.value,
-            "T_N_max": chebyshev_transmission(s, cfg.period, cfg.n_max),
         })
+    z, rho = np.array(inputs).T
+    for row, t in zip(rows, chebyshev_closed_form(z, rho, cfg.n_max)[1].tolist()):
+        row["T_N_max"] = t
     return _meta(cfg), rows
 
 
@@ -491,15 +498,15 @@ def run_packet(cfg: ExperimentConfig):
     if count % 2 == 0:
         count += 1
     k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
-    n_values = np.arange(1, cfg.n_max + 1)
-    profile = transmission_profile(cfg.cell, cfg.period, n_values, k_values)
+    z, rho = chebyshev_grid(cfg.cell, cfg.period, k_values)
     pointwise = chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions
     rows = []
-    for i, n in enumerate(n_values):
+    for n in range(1, cfg.n_max + 1):
+        profile_row = chebyshev_closed_form(z, rho, n)[1]
         rows.append({
-            "N": int(n),
-            "averaged_T": wavepacket_average(k_values, profile[i], k0, sigma),
-            "pointwise_T_k0": float(pointwise[i]),
+            "N": n,
+            "averaged_T": wavepacket_average(k_values, profile_row, k0, sigma),
+            "pointwise_T_k0": float(pointwise[n - 1]),
         })
     return _meta(cfg), rows
 
@@ -593,6 +600,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except _ContractViolation as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # the package's typed failures and float overflow
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = _render(meta, rows, cfg.fmt)
     if cfg.out:

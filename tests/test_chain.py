@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,3 +316,47 @@ class TestTransmissionProfile:
         s_edge = sc.cell_smatrix(COMB5, sc.WaveNumber(math.pi))
         rho = (1.0 - s_edge.transmission) / s_edge.transmission
         assert profile[0, 1] == pytest.approx(1.0 / (1.0 + 256.0 * rho), rel=1e-10)
+
+
+class TestClosedFormOracle:
+    """chebyshev_closed_form against mpmath.chebyu at 60 digits, on exact
+    double inputs, across band, near-edge, edge-window and gap points."""
+
+    Z = [
+        0.0, 0.3, -0.77, 0.999, -0.9999,  # band
+        1.0 + 2e-8, 1.0 - 2e-8, -1.0 + 2e-8, -1.0 - 2e-8,  # just outside the window
+        1.0 + 1e-6, 1.0 - 1e-6, -1.0 + 1e-6, -1.0 - 1e-6,
+        1.0, -1.0, 1.0 + 5e-9, 1.0 - 5e-9, -1.0 + 9e-9, -1.0 - 3e-9,  # edge window
+        1.06, -1.06, 1.5, -1.5,  # gap, down to underflow
+    ]
+    RHO = [1e-4, 0.5, 24.0]
+    N = [1, 2, 10, 100, 1000, 10000]
+
+    @staticmethod
+    def exact_u(n, z):
+        # U_n(-z) = (-1)^n U_n(z); the series for negative z cancels badly.
+        with mpmath.workdps(60):
+            u = mpmath.chebyu(n, mpmath.mpf(abs(z)), maxprec=100000, maxterms=10**6)
+            return u if z > 0.0 or n % 2 == 0 else -u
+
+    def test_transmission_against_mpmath(self):
+        z = np.array(self.Z)[:, None, None]
+        rho = np.array(self.RHO)[None, :, None]
+        n = np.array(self.N)[None, None, :]
+        t = sc.chebyshev_closed_form(z, rho, n)[1]
+        assert t.shape == (len(self.Z), len(self.RHO), len(self.N))
+        regimes = set()
+        for i, zv in enumerate(self.Z):
+            for m, nv in enumerate(self.N):
+                u = self.exact_u(nv - 1, zv)
+                for j, rv in enumerate(self.RHO):
+                    with mpmath.workdps(60):
+                        exact = 1 / (1 + mpmath.mpf(rv) * u * u)
+                    got = float(t[i, j, m])
+                    if exact >= mpmath.mpf("1e-300"):
+                        regimes.add("representable")
+                        assert float(abs(got - exact) / exact) < 1e-9, (zv, rv, nv, got)
+                    else:
+                        regimes.add("underflow")
+                        assert 0.0 <= got < 1e-300, (zv, rv, nv, got)
+        assert regimes == {"representable", "underflow"}

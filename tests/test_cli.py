@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import re
+import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +111,15 @@ class TestCellCommand:
         assert code == 3
         assert "unitarity" in err
 
+    def test_unrepresentable_amplitude_exit_code(self, capsys):
+        # cos of a complex argument past the double range inside the barrier
+        code, out, err = run_cli(
+            capsys, "cell", "--cell", "barrier:V0=1e6,w=10", "--k-min", "1",
+            "--k-max", "2", "--k-count", "2",
+        )
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "OverflowError" in err
+
 
 class TestChainCommand:
     def test_dual_path_agreement_column(self, capsys):
@@ -157,6 +170,33 @@ class TestChainCommand:
             "--k-min", "1", "--k-max", "2", "--k-count", "2",
         )
         assert code == 2 and "chain" in err
+
+    def test_per_n_mode_reads_transmissions_once(self, capsys, monkeypatch):
+        reads = []
+        original = sc.ChainState.transmissions
+
+        def counted(state):
+            reads.append(len(state))
+            return original.fget(state)
+
+        monkeypatch.setattr(sc.ChainState, "transmissions", property(counted))
+        code, out, _ = run_cli(
+            capsys, "chain", "--cell", "delta:g=5", "--period", "1",
+            "--k0", "1.0", "--N-max", "32",
+        )
+        assert code == 0 and len(parse_csv(out)) == 32
+        assert reads == [32]
+
+    def test_per_n_mode_at_band_edge_is_linear_in_n_max(self, capsys):
+        # ka = pi sits in the closed form's edge window, where the recurrence
+        # for U must run once up to N_max, not once per row.
+        start = time.perf_counter()
+        code, _, _ = run_cli(
+            capsys, "chain", "--cell", "delta:g=1", "--period", "1",
+            "--k0", "3.141592653589793", "--N-max", "10000",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0 and elapsed < 2.5
 
 
 class TestBandsCommand:
@@ -279,6 +319,19 @@ class TestPacketCommand:
         assert spread_point > 0.1
         assert spread_avg < spread_point / 3.0
 
+    def test_peak_memory_does_not_grow_with_the_profile(self, capsys):
+        # 400 rows x 12 801 wave numbers would be a 41 MB profile
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                capsys, "packet", "--cell", "delta:g=1", "--period", "1",
+                "--k0", "2", "--sigma", "0.02", "--N-max", "400",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 10e6
+
 
 class TestOutputFormats:
     def test_csv_uses_crlf_and_17_digits(self, capsys):
@@ -327,3 +380,9 @@ class TestOutputFormats:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload["rows"]) == 2
+
+
+def test_package_version_matches_project_metadata():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None and match.group(1) == sc.__version__
