@@ -13,17 +13,32 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cells import Lattice, PotentialCell, cell_smatrix
-from .chain import ChainState, bloch_parameter, chain_amplitudes, displace
+from .chain import (
+    ChainState,
+    bloch_parameter,
+    cell_lanes,
+    chain_amplitudes,
+    chain_end_amplitudes,
+    displace_lanes,
+)
 from .core import (
     MODULUS_FLOOR,
     PhaseCurve,
     ScatteringMatrix,
     WaveNumber,
+    math_map,
     principal_phase,
-    unwrap,
+    principal_phase_array,
+    unwrap_phases,
     wrap_to_principal,
 )
-from .errors import CoverageError, EdgeOfGridError, InBandWarning, UndefinedAmplitudeError
+from .errors import (
+    ConfigError,
+    CoverageError,
+    EdgeOfGridError,
+    InBandWarning,
+    UndefinedAmplitudeError,
+)
 
 DEFAULT_FD_STEP = 1e-4
 DEFAULT_EDGE_TOL = 1e-9
@@ -119,23 +134,56 @@ class AsymptoticFit:
     l_limit_modulus: float
 
 
+def _stencil_windows(k_centers, fd_step: float, half_points: int = 2) -> np.ndarray:
+    """The windows k + j*fd_step, j = -half_points..half_points, along a new
+    last axis."""
+    offsets = np.arange(-half_points, half_points + 1) * fd_step
+    ks = np.asarray(k_centers, dtype=float)[..., None] + offsets
+    if (ks[..., 0] <= 0.0).any():
+        k = np.atleast_1d(k_centers)[np.atleast_1d(ks[..., 0] <= 0.0)][0]
+        raise ConfigError(
+            f"field 'fd_step': finite-difference window around k={float(k)!r} "
+            "extends to k <= 0; lower fd_step"
+        )
+    return ks
+
+
+def _stencil_step(windows: np.ndarray) -> np.ndarray:
+    """Step h of every 5-point window along the last axis.
+
+    Raises ConfigError unless each window is uniform to 1e-9 relative: at
+    large k or small fd_step, rounding of k + j*fd_step breaks the stencil.
+    """
+    steps = np.diff(windows, axis=-1)
+    h = steps[..., 0]
+    uniform = (h > 0.0) & (np.abs(steps - h[..., None]).max(axis=-1) <= 1e-9 * h)
+    if not uniform.all():
+        k = np.atleast_1d(windows[..., 2])[~np.atleast_1d(uniform)][0]
+        raise ConfigError(
+            f"field 'fd_step': stencil around k={float(k)!r} is not uniformly spaced "
+            "after rounding; raise fd_step"
+        )
+    return h
+
+
+def _five_point(values: np.ndarray, h) -> np.ndarray:
+    """d/dk at the centre of 5-point windows along the last axis: central
+    differences at steps h and 2h combined by one Richardson step."""
+    d_h = (values[..., 3] - values[..., 1]) / (2.0 * h)
+    d_2h = (values[..., 4] - values[..., 0]) / (4.0 * h)
+    return (4.0 * d_h - d_2h) / 3.0
+
+
 def _stencil_derivative(curve: PhaseCurve, k: WaveNumber) -> float:
-    """d(phase)/dk at a grid point: central difference at steps h and 2h
-    combined by one Richardson step, i.e. the 5-point formula."""
+    """d(phase)/dk at a grid point by the 5-point formula."""
     grid = curve.grid
     idx = int(np.argmin(np.abs(grid - k.k)))
     if not math.isclose(float(grid[idx]), k.k, rel_tol=1e-12, abs_tol=1e-15):
         raise EdgeOfGridError(f"k={k.k!r} is not a sample point of the phase curve")
     if idx < 2 or idx > grid.size - 3:
         raise EdgeOfGridError("stencil needs at least two neighbors on each side of k")
-    steps = np.diff(grid[idx - 2 : idx + 3])
-    h = float(steps[0])
-    if float(np.max(np.abs(steps - h))) > 1e-9 * h:
-        raise ValueError("stencil requires uniform grid spacing around k")
-    v = curve.values
-    d_h = (v[idx + 1] - v[idx - 1]) / (2.0 * h)
-    d_2h = (v[idx + 2] - v[idx - 2]) / (4.0 * h)
-    return float((4.0 * d_h - d_2h) / 3.0)
+    window = slice(idx - 2, idx + 3)
+    return float(_five_point(curve.values[window], _stencil_step(grid[window])))
 
 
 def time_delays(
@@ -161,6 +209,32 @@ def time_delays(
     return DelayRecord(k=k, tau_t=taus[0], tau_l=taus[1], tau_r=taus[2], method=method)
 
 
+def _window_amplitudes(cell: PotentialCell, a: float, N: int, ks: np.ndarray):
+    """(t_log, t_phase, l, r) of the N-cell chain at every k of ks, in one
+    batched recurrence; for N = 1 the cell amplitudes directly, with
+    t_log = -inf where t vanishes."""
+    if N == 1:
+        t, l, r = cell_lanes(cell, ks)
+        mod = np.hypot(t.real, t.imag)
+        t_log = np.where(mod > 0.0, math_map(math.log, np.where(mod > 0.0, mod, 1.0)), -math.inf)
+        return t_log, principal_phase_array(t), l, r
+    t_log, t_phase, _, l, r = chain_end_amplitudes(Lattice(cell, a, N), ks)
+    return t_log, t_phase, l, r
+
+
+def _window_phases(ks, t_log, t_phase, l, r, displacement: float, floor: float):
+    """Raw (t, l, r) phases on the windows ks (window points along the last
+    axis), each with a per-window flag that its modulus stays >= floor;
+    displacement shifts the chain right, rotating l and r."""
+    if displacement != 0.0:
+        l, r = displace_lanes(ks, l, r, displacement)
+    log_floor = math.log(floor) if floor > 0.0 else -math.inf
+    t_ok = (t_log >= log_floor).all(axis=-1)
+    l_ok = (np.hypot(l.real, l.imag) >= floor).all(axis=-1)
+    r_ok = (np.hypot(r.real, r.imag) >= floor).all(axis=-1)
+    return (t_phase, t_ok), (principal_phase_array(l), l_ok), (principal_phase_array(r), r_ok)
+
+
 def chain_phase_curves(
     cell: PotentialCell,
     a: float,
@@ -178,43 +252,53 @@ def chain_phase_curves(
     if its amplitude modulus falls below floor anywhere on the window.  The
     t curve comes from the recurrence's accumulated phase, so it stays
     usable deep in a gap; displacement shifts the whole chain right by that
-    distance before phases are read off.
+    distance before phases are read off.  The one-centre case of
+    delay_scan's window phases.
     """
     if half_points < 2:
         raise ValueError("need at least two points on each side for the stencil")
-    ks = [k_center + j * fd_step for j in range(-half_points, half_points + 1)]
-    if ks[0] <= 0.0:
-        raise ValueError("fd window extends to k <= 0; reduce fd_step")
-    log_floor = math.log(floor) if floor > 0.0 else -math.inf
+    ks = _stencil_windows(float(k_center), fd_step, half_points)
+    amplitudes = _window_amplitudes(cell, a, N, ks)
+    return tuple(
+        PhaseCurve(grid=ks, values=unwrap_phases(phases, ks), label=label) if ok else None
+        for label, (phases, ok) in zip(
+            "tlr", _window_phases(ks, *amplitudes, displacement, floor)
+        )
+    )
 
-    t_ok = l_ok = r_ok = True
-    t_raw: list[tuple[float, float]] = []
-    l_raw: list[tuple[float, float]] = []
-    r_raw: list[tuple[float, float]] = []
-    for kv in ks:
-        k = WaveNumber(kv)
-        if N == 1:
-            s = cell_smatrix(cell, k)
-            mod = abs(s.t)
-            t_log = math.log(mod) if mod > 0.0 else -math.inf
-            t_phase = principal_phase(s.t)
-        else:
-            state = chain_amplitudes(Lattice(cell, a, N), k)
-            s = state.matrices[-1]
-            t_log = float(state.t_log_moduli[-1])
-            t_phase = float(state.t_phases[-1])
-        if displacement != 0.0:
-            s = displace(s, displacement)
-        t_ok = t_ok and t_log >= log_floor
-        l_ok = l_ok and abs(s.l) >= floor
-        r_ok = r_ok and abs(s.r) >= floor
-        t_raw.append((kv, t_phase))
-        l_raw.append((kv, principal_phase(s.l) if abs(s.l) >= floor else 0.0))
-        r_raw.append((kv, principal_phase(s.r) if abs(s.r) >= floor else 0.0))
-    curve_t = unwrap(t_raw, "t") if t_ok else None
-    curve_l = unwrap(l_raw, "l") if l_ok else None
-    curve_r = unwrap(r_raw, "r") if r_ok else None
-    return curve_t, curve_l, curve_r
+
+def delay_scan(
+    cell: PotentialCell,
+    a: float,
+    N: int,
+    k_values,
+    *,
+    fd_step: float = DEFAULT_FD_STEP,
+    displacements: Sequence[float] = (0.0,),
+    floor: float = MODULUS_FLOOR,
+) -> list[tuple[list[Optional[float]], ...]]:
+    """Time delays (tau_t, tau_l, tau_r) of the N-cell chain at every k of k_values.
+
+    One batched recurrence covers all 5-point stencil windows of the scan;
+    every displacement in displacements reuses the same amplitudes with l
+    and r rotated.  Returns one (tau_t, tau_l, tau_r) triple of lists per
+    displacement, None where the phase is undefined on the window; each
+    value equals time_delays(chain_phase_curves(...)) at that k.  Raises
+    ConfigError when a window is not uniformly spaced.
+    """
+    k = np.asarray(k_values, dtype=float)
+    ks = _stencil_windows(k, fd_step)
+    h = _stencil_step(ks)
+    amplitudes = _window_amplitudes(cell, a, N, ks)
+    tables = []
+    for displacement in displacements:
+        taus = []
+        for phases, ok in _window_phases(ks, *amplitudes, displacement, floor):
+            tau = np.zeros(k.shape)
+            tau[ok] = _five_point(unwrap_phases(phases[ok], ks[ok]), h[ok]) / k[ok]
+            taus.append([v if defined else None for v, defined in zip(tau.tolist(), ok.tolist())])
+        tables.append(tuple(taus))
+    return tables
 
 
 def traversal_time(N: int, a: float, k: WaveNumber, tau_t_N: float) -> HartmanRecord:
@@ -249,17 +333,12 @@ def hartman_scan(
                 "traversal time will grow with N instead of saturating"
             )
         )
-    ks = [k.k + j * fd_step for j in range(-2, 3)]
-    if ks[0] <= 0.0:
-        raise ValueError("fd window extends to k <= 0; reduce fd_step")
-    sweeps = [chain_amplitudes(Lattice(cell, a, n_max), WaveNumber(kv)) for kv in ks]
-    records = []
-    for n in range(1, n_max + 1):
-        raw = [(kv, float(sw.t_phases[n - 1])) for kv, sw in zip(ks, sweeps)]
-        curve = unwrap(raw, "t")
-        tau = _stencil_derivative(curve, k) / k.velocity
-        records.append(traversal_time(n, a, k, tau))
-    return records
+    ks = _stencil_windows(k.k, fd_step)
+    h = _stencil_step(ks)
+    sweeps = [chain_amplitudes(Lattice(cell, a, n_max), WaveNumber(kv)) for kv in ks.tolist()]
+    phases = np.stack([sweep.t_phases for sweep in sweeps], axis=-1)
+    taus = _five_point(unwrap_phases(phases, ks), h) / k.velocity
+    return [traversal_time(n, a, k, tau) for n, tau in enumerate(taus.tolist(), 1)]
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
@@ -286,9 +365,8 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
     r_moduli = [abs(m.r) for m in chain.matrices]
     if min(r_moduli) < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("right reflection amplitude below floor")
-    comp_r = unwrap(
-        [(n, principal_phase(m.r) + 2.0 * n * ka) for n, m in zip(ns, chain.matrices)], "r"
-    ).values
+    raw_r = np.array([principal_phase(m.r) for m in chain.matrices]) + 2.0 * ns * ka
+    comp_r = unwrap_phases(raw_r, ns)
     comp_t = chain.t_phases + ns * ka
 
     upper = ns > n_max // 2

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Lattice, cell_smatrix
-from .core import MODULUS_FLOOR, ScatteringMatrix, WaveNumber, principal_phase
+from .core import (
+    MODULUS_FLOOR,
+    ScatteringMatrix,
+    WaveNumber,
+    math_map,
+    principal_phase,
+    principal_phase_array,
+)
 from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
 
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
@@ -152,6 +159,114 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
         t_log_moduli=np.array(log_moduli),
         t_phases=np.array(phases),
     )
+
+
+def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, l, r) of the cell at every wave number of k_values, as complex
+    arrays of k_values' shape, filled one cell_smatrix call at a time."""
+    k_values = np.asarray(k_values, dtype=float)
+    lanes = np.empty((3, k_values.size), dtype=complex)
+    for i, kv in enumerate(k_values.ravel().tolist()):
+        s = cell_smatrix(cell, WaveNumber(kv))
+        lanes[:, i] = s.t, s.l, s.r
+    t, l, r = lanes.reshape((3, *k_values.shape))
+    return t, l, r
+
+
+# Complex + - * / on (real, imag) float arrays, in CPython's own formulas, so
+# every lane rounds exactly as the scalar recurrence does; numpy's complex
+# multiply, divide and abs round differently on some inputs.
+
+def _mul(ar, ai, br, bi):
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _quot(ar, ai, br, bi):
+    # _Py_c_quot: Smith's method, scaled by the larger part of b (b != 0).
+    # The branches differ only in the order of commuting operands.
+    real_big = np.abs(br) >= np.abs(bi)
+    p, q = np.where(real_big, br, bi), np.where(real_big, bi, br)
+    x, y = np.where(real_big, ar, ai), np.where(real_big, ai, ar)
+    ratio = q / p
+    denom = p + q * ratio
+    return (x + y * ratio) / denom, np.where(real_big, y - x * ratio, x * ratio - y) / denom
+
+
+def _complex(re, im) -> np.ndarray:
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _exp_lanes(log_mod, phase) -> np.ndarray:
+    # _safe_exp per lane; numpy's complex exp matches cmath.exp
+    out = np.zeros(log_mod.shape, dtype=complex)
+    keep = ~(log_mod < -_LOG_HUGE)
+    out[keep] = np.exp(_complex(log_mod[keep], phase[keep]))
+    return out
+
+
+def displace_lanes(k_values, l: np.ndarray, r: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """l and r of displace(s, a) in every lane of the arrays, bit for bit:
+    l e^{2ika} and r e^{-2ika}."""
+    k = np.asarray(k_values, dtype=float)
+    rot = _exp_lanes(np.zeros(k.shape), 2.0 * k * a)
+    l_re, l_im = _mul(l.real, l.imag, rot.real, rot.imag)
+    r_re, r_im = _mul(r.real, r.imag, rot.real, -rot.imag)
+    return _complex(l_re, l_im), _complex(r_re, r_im)
+
+
+def chain_end_amplitudes(
+    lattice: Lattice, k_values
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(t_log, t_phase, t, l, r) of the N-cell chain at every wave number of k_values.
+
+    The k-batched form of chain_amplitudes: the loop runs over n and each
+    step's arithmetic is vectorised over the k lanes.  Every lane equals
+    chain_amplitudes at n = N bit for bit (t_log_moduli[-1], t_phases[-1]
+    and matrices[-1].t, .l, .r), because the complex arithmetic follows
+    CPython's formulas and log and phase go through math.  The per-step
+    numpy overhead makes it slower than the scalar loop below ~20 lanes;
+    long chains at one k use chain_amplitudes.  Results have k_values'
+    shape.
+    """
+    k = np.asarray(k_values, dtype=float)
+    tc, lc, rc = (x.ravel() for x in cell_lanes(lattice.cell, k))
+    mod = np.hypot(tc.real, tc.imag)
+    if (mod < MODULUS_FLOOR).any():
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    lt_c, pt_c = math_map(math.log, mod), principal_phase_array(tc)
+
+    lt, pt, l, r = lt_c, pt_c, lc, rc
+    if lattice.N > 1:
+        lc_re, lc_im, rc_re, rc_im = lc.real, lc.imag, rc.real, rc.imag
+        l_re, l_im, r_re, r_im = lc_re, lc_im, rc_re, rc_im
+        tt_re, tt_im = _mul(tc.real, tc.imag, tc.real, tc.imag)
+        two_k = 2.0 * k.ravel()
+        for n in range(1, lattice.N):
+            pos = _exp_lanes(np.zeros(two_k.shape), two_k * n * lattice.a)
+            p_re, p_im = pos.real, pos.imag
+            w_re, w_im = _mul(*_mul(lc_re, lc_im, r_re, r_im), p_re, p_im)
+            d_re, d_im = 1.0 - w_re, 0.0 - w_im
+            abs_den = np.hypot(d_re, d_im)
+            if (abs_den < 1e-14).any():
+                raise ResonanceDivergenceError(
+                    f"recurrence denominator vanished at n={n}; inputs corrupted"
+                )
+            t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
+            dl_re, dl_im = _quot(*_mul(*_mul(t_sq.real, t_sq.imag, lc_re, lc_im), p_re, p_im),
+                                 d_re, d_im)
+            dr_re, dr_im = _quot(*_mul(tt_re, tt_im, r_re, r_im), d_re, d_im)
+            sr_re, sr_im = _mul(rc_re, rc_im, p_re, -p_im)
+            l_re, l_im = l_re + dl_re, l_im + dl_im
+            r_re, r_im = sr_re + dr_re, sr_im + dr_im
+            lt = lt + (lt_c - math_map(math.log, abs_den))
+            pt = pt + (pt_c - math_map(math.atan2, d_im, d_re))
+        l, r = _complex(l_re, l_im), _complex(r_re, r_im)
+        t = _exp_lanes(lt, pt)
+    else:
+        t = tc
+    return tuple(x.reshape(k.shape) for x in (lt, pt, t, l, r))
 
 
 def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:

@@ -23,9 +23,8 @@ import numpy as np
 from . import __version__
 from .analysis import (
     band_classify,
-    chain_phase_curves,
+    delay_scan,
     hartman_scan,
-    time_delays,
     wavepacket_average,
 )
 from .cells import (
@@ -38,6 +37,7 @@ from .cells import (
 )
 from .chain import (
     chain_amplitudes,
+    chain_end_amplitudes,
     chebyshev_closed_form,
     chebyshev_grid,
     chebyshev_inputs,
@@ -388,14 +388,17 @@ def _chain_row(kv: float, n: int, s: ScatteringMatrix, t_rec: float, t_cheb: flo
 
 def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
-        k_grid = cfg.k_grid().tolist()
+        k_grid = cfg.k_grid()
         z, rho = chebyshev_grid(cfg.cell, cfg.period, k_grid)
         t_cheb = chebyshev_closed_form(z, rho, cfg.n)[1].tolist()
-        rows = []
-        for kv, t_ch in zip(k_grid, t_cheb):
-            state = chain_amplitudes(cfg.lattice(cfg.n), WaveNumber(kv))
-            t_rec = float(state.transmissions[-1])
-            rows.append(_chain_row(kv, cfg.n, state.matrices[-1], t_rec, t_ch, cfg))
+        t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k_grid)
+        t_rec = np.exp(2.0 * t_log).tolist()
+        rows = [
+            _chain_row(kv, cfg.n, ScatteringMatrix(t=tv, l=lv, r=rv, k=WaveNumber(kv)),
+                       t_r, t_ch, cfg)
+            for kv, tv, lv, rv, t_r, t_ch in zip(k_grid.tolist(), t.tolist(), l.tolist(),
+                                                 r.tolist(), t_rec, t_cheb)
+        ]
         return _meta(cfg), rows
     k = WaveNumber(cfg.k0)
     state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
@@ -456,39 +459,28 @@ def run_hartman(cfg: ExperimentConfig):
 def run_delay(cfg: ExperimentConfig):
     assert cfg.n is not None
     period = cfg.period if cfg.period is not None else max(cfg.cell.support_width, 1.0)
-    lo = cfg.k_min - 2.0 * cfg.fd_step
-    if lo <= 0.0:
-        raise ConfigError(
-            "field 'k_min': finite-difference window extends to k <= 0; "
-            "raise k_min or lower fd_step"
-        )
-    rows = []
-    for kv in cfg.k_grid():
-        k = WaveNumber(float(kv))
-        curves = chain_phase_curves(
-            cfg.cell, period, cfg.n, float(kv), fd_step=cfg.fd_step
-        )
-        rec = time_delays(curves, k)
-        row = {"k": float(kv), "tau_t": rec.tau_t, "tau_l": rec.tau_l, "tau_r": rec.tau_r}
-        if cfg.displaced:
-            shifted = chain_phase_curves(
-                cfg.cell, period, cfg.n, float(kv),
-                fd_step=cfg.fd_step, displacement=period,
-            )
-            rec2 = time_delays(shifted, k)
+    k_grid = cfg.k_grid()
+    displacements = (0.0, period) if cfg.displaced else (0.0,)
+    tables = delay_scan(cfg.cell, period, cfg.n, k_grid, fd_step=cfg.fd_step,
+                        displacements=displacements)
+    rows = [
+        {"k": kv, "tau_t": tau_t, "tau_l": tau_l, "tau_r": tau_r}
+        for kv, tau_t, tau_l, tau_r in zip(k_grid.tolist(), *tables[0])
+    ]
+    if cfg.displaced:
 
-            def diff(x, y):
-                return None if x is None or y is None else y - x
+        def diff(x, y):
+            return None if x is None or y is None else y - x
 
+        for row, tau_t, tau_l, tau_r in zip(rows, *tables[1]):
             row.update({
-                "tau_t_displaced": rec2.tau_t,
-                "tau_l_displaced": rec2.tau_l,
-                "tau_r_displaced": rec2.tau_r,
-                "dtau_t": diff(rec.tau_t, rec2.tau_t),
-                "dtau_l": diff(rec.tau_l, rec2.tau_l),
-                "dtau_r": diff(rec.tau_r, rec2.tau_r),
+                "tau_t_displaced": tau_t,
+                "tau_l_displaced": tau_l,
+                "tau_r_displaced": tau_r,
+                "dtau_t": diff(row["tau_t"], tau_t),
+                "dtau_l": diff(row["tau_l"], tau_l),
+                "dtau_r": diff(row["tau_r"], tau_r),
             })
-        rows.append(row)
     return _meta(cfg), rows
 
 

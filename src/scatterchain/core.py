@@ -92,6 +92,26 @@ def principal_phase(z: complex) -> float:
     return p
 
 
+def math_map(fn, *arrays) -> np.ndarray:
+    """fn, a function of the math module, applied to every entry of the
+    broadcast float arrays.
+
+    numpy's vectorised log and arctan2 differ from the C library in the last
+    bit on some inputs; going through math keeps array code bit-identical to
+    the scalar code it replaces.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in arrays))
+    values = map(fn, *(x.ravel().tolist() for x in arrays))
+    return np.array(list(values), dtype=float).reshape(arrays[0].shape)
+
+
+def principal_phase_array(z) -> np.ndarray:
+    """principal_phase of every entry of a complex array, bit for bit."""
+    z = np.asarray(z, dtype=complex)
+    p = math_map(math.atan2, z.imag, z.real)
+    return np.where(p <= -math.pi, p + TWO_PI, p)
+
+
 def wrap_to_principal(angle: float) -> float:
     """Reduce an angle to the (-pi, pi] branch."""
     r = math.remainder(angle, TWO_PI)
@@ -173,6 +193,32 @@ class PhaseCurve:
         return int(self.grid.size)
 
 
+def unwrap_phases(phases, grid) -> np.ndarray:
+    """Nearest-branch unwrapping of phase sequences along the last axis.
+
+    Each first value is kept; every following one is shifted by a multiple
+    of 2*pi so the adjacent difference falls in (-pi, pi), i.e. the
+    difference becomes math.remainder(delta, 2*pi): fmod, then the exact
+    fold f - copysign(2*pi, f) where |f| > pi (Sterbenz), then a running
+    sum.  A reduced difference within 1e-12 of +-pi is ambiguous and raises
+    BranchAmbiguityError naming the two grid points (grid broadcasts
+    against phases).
+    """
+    phases = np.asarray(phases, dtype=float)
+    f = np.fmod(np.diff(phases, axis=-1), TWO_PI)
+    reduced = np.where(np.abs(f) > math.pi, f - np.copysign(TWO_PI, f), f)
+    ambiguous = np.abs(np.abs(reduced) - math.pi) < 1e-12
+    if ambiguous.any():
+        where = tuple(np.argwhere(ambiguous)[0])
+        ks = np.broadcast_to(grid, phases.shape)[where[:-1]]
+        i = where[-1] + 1
+        raise BranchAmbiguityError(
+            f"phase jump of pi between k={float(ks[i - 1])!r} and k={float(ks[i])!r}: "
+            "branch cannot be resolved, refine the grid"
+        )
+    return np.add.accumulate(np.concatenate((phases[..., :1], reduced), axis=-1), axis=-1)
+
+
 def unwrap(raw: Sequence[tuple[float, float]], label: str) -> PhaseCurve:
     """Continuize raw (k, phase) samples by adding multiples of 2*pi.
 
@@ -180,20 +226,10 @@ def unwrap(raw: Sequence[tuple[float, float]], label: str) -> PhaseCurve:
     adjacent difference falls in (-pi, pi).  A raw difference that sits at pi
     within 1e-12 is ambiguous (either branch is equally near) and raises
     BranchAmbiguityError.  Applying unwrap to already continuous data is a
-    no-op, so the operation is idempotent.
+    no-op, so the operation is idempotent.  One row of unwrap_phases.
     """
     if len(raw) == 0:
         raise ValueError("cannot unwrap an empty sample list")
-    ks = [float(k) for k, _ in raw]
-    phases = [float(p) for _, p in raw]
-    out = [phases[0]]
-    for i in range(1, len(phases)):
-        delta = phases[i] - phases[i - 1]
-        reduced = math.remainder(delta, TWO_PI)
-        if abs(abs(reduced) - math.pi) < 1e-12:
-            raise BranchAmbiguityError(
-                f"phase jump of pi between k={ks[i - 1]!r} and k={ks[i]!r}: "
-                "branch cannot be resolved, refine the grid"
-            )
-        out.append(out[-1] + reduced)
-    return PhaseCurve(grid=np.array(ks), values=np.array(out), label=label)
+    ks = np.array([float(k) for k, _ in raw])
+    phases = np.array([float(p) for _, p in raw])
+    return PhaseCurve(grid=ks, values=unwrap_phases(phases, ks), label=label)

@@ -110,6 +110,32 @@ class TestHartmanScan:
         T = [rec.T_t_N for rec in records]
         assert T[23] > 10.0 * T[3]  # no saturation: grows with N
 
+    @pytest.mark.parametrize("k", [1.0, 2.5], ids=["gap", "band"])
+    def test_equals_per_n_loop_reference(self, k):
+        # Five scalar sweeps, then per N: unwrap the window and apply the
+        # 5-point formula, as hartman_scan did one N at a time.
+        h, n_max = 1e-4, 40
+        ks = [k + j * h for j in range(-2, 3)]
+        sweeps = [sc.chain_amplitudes(sc.Lattice(COMB5, 1.0, n_max), sc.WaveNumber(kv))
+                  for kv in ks]
+        expected = []
+        for n in range(1, n_max + 1):
+            v = sc.unwrap([(kv, float(sw.t_phases[n - 1])) for kv, sw in zip(ks, sweeps)],
+                          "t").values
+            step = ks[1] - ks[0]
+            d_h = (v[3] - v[1]) / (2.0 * step)
+            d_2h = (v[4] - v[0]) / (4.0 * step)
+            expected.append(float((4.0 * d_h - d_2h) / 3.0) / k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sc.InBandWarning)
+            records = sc.hartman_scan(COMB5, 1.0, sc.WaveNumber(k), n_max, fd_step=h)
+        assert [rec.tau_t_N for rec in records] == expected
+
+    def test_nonuniform_window_is_a_config_error(self):
+        with warnings.catch_warnings(), pytest.raises(sc.ConfigError, match="fd_step"):
+            warnings.simplefilter("ignore", sc.InBandWarning)
+            sc.hartman_scan(COMB5, 1.0, sc.WaveNumber(1e5), 4)
+
     def test_gap_point_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", sc.InBandWarning)

@@ -178,6 +178,57 @@ class TestAddLeft:
         assert worst < 1e-10
 
 
+class TestChainEndAmplitudes:
+    """The k-batched kernel against the scalar recurrence, lane by lane, with ==."""
+
+    CELLS = {
+        "delta": (DELTA, 1.0),
+        "deep_gap_delta": (COMB5, 1.0),
+        "well": (sc.RectBarrier(-1.5, 0.5), 1.2),
+        "piecewise": (sc.PiecewiseConstant(((0.4, 1.2), (0.3, -2.0), (0.5, 0.8))), 1.5),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 64, 400])
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_equals_scalar_recurrence_in_every_lane(self, name, n):
+        cell, a = self.CELLS[name]
+        k_values = np.linspace(0.3, 4.0, 24)
+        if name == "deep_gap_delta":
+            k_values = np.linspace(0.8, 1.2, 9)  # mid first gap of the g = 5 comb
+        lattice = sc.Lattice(cell, a, n)
+        t_log, t_phase, t, l, r = sc.chain_end_amplitudes(lattice, k_values.reshape(-1, 3))
+        assert t_log.shape == (k_values.size // 3, 3)
+        for i, kv in enumerate(k_values.tolist()):
+            state = sc.chain_amplitudes(lattice, sc.WaveNumber(kv))
+            last = state.matrices[-1]
+            got = (x.flat[i] for x in (t_log, t_phase, t, l, r))
+            expected = (state.t_log_moduli[-1], state.t_phases[-1], last.t, last.l, last.r)
+            for g, e in zip(got, expected):
+                assert g == e, (name, n, kv)
+        if name == "deep_gap_delta" and n == 400:
+            assert (2.0 * t_log < -700.0).all() and (t == 0.0).all()
+
+    def test_cell_below_floor_is_typed(self):
+        # |t| ~ 5.6e-307 for this barrier at k = 1
+        lattice = sc.Lattice(sc.RectBarrier(245000.0, 1.0), 1.0, 3)
+        with pytest.raises(sc.UndefinedAmplitudeError):
+            sc.chain_amplitudes(lattice, K1)
+        with pytest.raises(sc.UndefinedAmplitudeError):
+            sc.chain_end_amplitudes(lattice, [0.9, 1.0])
+
+    def test_vanished_denominator_is_typed(self, monkeypatch):
+        # l = r = 1 is not unitary: at ka = pi, D_1 = 1 - e^{2i pi} vanishes
+        def corrupted(cell, k):
+            return sc.ScatteringMatrix(t=1e-8, l=1.0, r=1.0, k=k)
+
+        monkeypatch.setattr(sc.chain, "cell_smatrix", corrupted)
+        lattice = sc.Lattice(DELTA, 1.0, 4)
+        with pytest.raises(sc.ResonanceDivergenceError):
+            sc.chain_amplitudes(lattice, sc.WaveNumber(math.pi))
+        with pytest.raises(sc.ResonanceDivergenceError, match="n=1"):
+            sc.chain_end_amplitudes(lattice, [1.0, math.pi])
+
+
 class TestBlochParameter:
     def test_free_cell(self):
         for kv in (0.4, 1.0, 2.9):

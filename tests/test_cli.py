@@ -27,6 +27,68 @@ def parse_csv(text):
     return [dict(zip(header, row)) for row in rows[1:]]
 
 
+def reference_delay_rows(cell, a, n, k_grid, fd_step, displaced):
+    """delay rows by the scalar loop: per k and stencil point one chain_amplitudes
+    run, then displace, unwrap and the 5-point formula; None below the floor."""
+
+    def taus(amplitudes, ks, kv):
+        out = []
+        for slot in range(3):  # t, l, r
+            raw, defined = [], True
+            for kj, (t_log, t_phase, s) in zip(ks, amplitudes):
+                if slot == 0:
+                    defined = defined and t_log >= math.log(sc.MODULUS_FLOOR)
+                    raw.append((kj, t_phase))
+                else:
+                    z = s.l if slot == 1 else s.r
+                    defined = defined and abs(z) >= sc.MODULUS_FLOOR
+                    raw.append((kj, sc.principal_phase(z)))
+            if not defined:
+                out.append(None)
+                continue
+            v = sc.unwrap(raw, "tlr"[slot]).values
+            h = ks[1] - ks[0]
+            d_h = (v[3] - v[1]) / (2.0 * h)
+            d_2h = (v[4] - v[0]) / (4.0 * h)
+            out.append(float((4.0 * d_h - d_2h) / 3.0) / kv)
+        return out
+
+    rows = []
+    for kv in k_grid:
+        ks = [kv + j * fd_step for j in range(-2, 3)]
+        amplitudes = []
+        for kj in ks:
+            if n == 1:
+                s = sc.cell_smatrix(cell, sc.WaveNumber(kj))
+                amplitudes.append((math.log(abs(s.t)), sc.principal_phase(s.t), s))
+            else:
+                state = sc.chain_amplitudes(sc.Lattice(cell, a, n), sc.WaveNumber(kj))
+                amplitudes.append((state.t_log_moduli[-1], state.t_phases[-1],
+                                   state.matrices[-1]))
+        row = dict(zip(("tau_t", "tau_l", "tau_r"), taus(amplitudes, ks, kv)))
+        if displaced:
+            moved = [(lt, pt, sc.displace(s, a)) for lt, pt, s in amplitudes]
+            for name, x, y in zip("tlr", row.copy().values(), taus(moved, ks, kv)):
+                row[f"tau_{name}_displaced"] = y
+                row[f"dtau_{name}"] = None if x is None or y is None else y - x
+        rows.append(row)
+    return rows
+
+
+def count_cell_smatrix(monkeypatch):
+    """Count cell_smatrix calls made through every module that looks it up."""
+    calls = []
+    original = sc.cell_smatrix
+
+    def counted(cell, k):
+        calls.append(k.k)
+        return original(cell, k)
+
+    for module in (sc.chain, sc.analysis, sc.cli):
+        monkeypatch.setattr(module, "cell_smatrix", counted)
+    return calls
+
+
 class TestCellSpecParsing:
     def test_delta(self):
         cell = parse_cell_spec("delta:g=1.5")
@@ -199,6 +261,28 @@ class TestChainCommand:
         assert code == 0 and elapsed < 2.5
 
 
+    @pytest.mark.parametrize("cell, period, n", [
+        ("barrier:V0=-1.5,w=0.5", "1.2", "1"),
+        ("barrier:V0=-1.5,w=0.5", "1.2", "32"),
+        ("delta:g=5", "1", "64"),
+        ("piecewise:0.4:1.2,0.3:-2.0,0.5:0.8", "1.5", "5"),
+    ])
+    def test_per_k_rows_equal_the_scalar_loop(self, capsys, cell, period, n):
+        code, out, _ = run_cli(
+            capsys, "chain", "--cell", cell, "--period", period, "--N", n,
+            "--k-min", "0.3", "--k-max", "4.0", "--k-count", "37", "--format", "json",
+        )
+        assert code == 0
+        lattice = sc.Lattice(parse_cell_spec(cell), float(period), int(n))
+        for row in json.loads(out)["rows"]:
+            state = sc.chain_amplitudes(lattice, sc.WaveNumber(row["k"]))
+            last = state.matrices[-1]
+            alpha_t, alpha_l, alpha_r = sc.principal_phases(last)
+            assert row["T_recurrence"] == float(state.transmissions[-1])
+            assert (row["alpha_t"], row["alpha_l"], row["alpha_r"]) == (alpha_t, alpha_l, alpha_r)
+            assert row["unitarity_defect"] == sc.unitarity_defect(last)
+
+
 class TestBandsCommand:
     def test_delta_comb_band_gap_structure(self, capsys):
         code, out, _ = run_cli(
@@ -265,6 +349,16 @@ class TestHartmanCommand:
         assert all("not in a gap" in row["warning"] for row in rows)
 
 
+    @pytest.mark.parametrize("k0", ["1e5", "1e-5"])
+    def test_unresolvable_stencil_is_a_config_error(self, capsys, k0):
+        code, out, err = run_cli(
+            capsys, "hartman", "--cell", "delta:g=1", "--period", "1",
+            "--k0", k0, "--N-max", "4",
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "fd_step" in err
+
+
 class TestDelayCommand:
     def test_displaced_pair_columns(self, capsys):
         code, out, _ = run_cli(
@@ -286,6 +380,42 @@ class TestDelayCommand:
         for row in parse_csv(out):
             assert abs(float(row["tau_t"])) < 1e-9
             assert row["tau_l"] == "" and row["tau_r"] == ""
+
+
+    @pytest.mark.parametrize("cell, period, n, displaced", [
+        ("barrier:V0=-1.5,w=0.5", "1.2", 32, True),
+        ("delta:g=5", "1", 64, True),  # deep gap: tau_t from the accumulated phase
+        ("delta:g=0", "1", 4, True),  # free cell: reflections undefined
+        ("piecewise:0.4:1.2,0.3:-2.0,0.5:0.8", "1.5", 1, False),
+    ])
+    def test_rows_equal_the_scalar_loop(self, capsys, cell, period, n, displaced):
+        argv = ["delay", "--cell", cell, "--period", period, "--N", str(n), "--k-min", "0.3",
+                "--k-max", "4.0", "--k-count", "23", "--format", "json"]
+        code, out, _ = run_cli(capsys, *argv, *(["--displaced"] if displaced else []))
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        k_grid = [row.pop("k") for row in rows]
+        expected = reference_delay_rows(parse_cell_spec(cell), float(period), n, k_grid,
+                                        1e-4, displaced)
+        assert rows == expected
+
+    def test_displaced_scan_builds_each_cell_once(self, capsys, monkeypatch):
+        calls = count_cell_smatrix(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "delay", "--cell", "barrier:V0=-1.5,w=0.5", "--period", "1.2",
+            "--N", "32", "--k-min", "0.5", "--k-max", "2.0", "--k-count", "7", "--displaced",
+        )
+        assert code == 0
+        assert len(calls) == 5 * 7  # one per stencil point, shared by both tables
+
+    @pytest.mark.parametrize("grid", [
+        ("--k-min", "100", "--k-max", "101", "--k-count", "3", "--fd-step", "1e-7"),
+        ("--k-min", "1e5", "--k-max", "1.0001e5", "--k-count", "3"),
+    ])
+    def test_unresolvable_stencil_is_a_config_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "delay", "--cell", "delta:g=1", *grid)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "fd_step" in err
 
 
 class TestPacketCommand:

@@ -127,6 +127,32 @@ class TestUnwrap:
         assert np.allclose(once.values, twice.values, rtol=0.0, atol=0.0)
 
 
+def remainder_loop_unwrap(phases):
+    """The scalar unwrap loop: each step adds math.remainder(delta, 2 pi)."""
+    out = [phases[0]]
+    for prev, cur in zip(phases, phases[1:]):
+        out.append(out[-1] + math.remainder(cur - prev, 2.0 * math.pi))
+    return out
+
+
+class TestUnwrapPhases:
+    def test_rows_equal_the_remainder_loop(self):
+        rng = np.random.default_rng(7)
+        steps = rng.uniform(-3.1, 3.1, (300, 7)) + 2.0 * math.pi * rng.integers(-40, 41, (300, 7))
+        rows = np.cumsum(steps, axis=-1) * rng.choice([1e-3, 1.0, 1e3], (300, 1))
+        rows[:, 1] = rows[:, 0] + 2.0 * math.pi  # exact multiples fold to +-0
+        unwrapped = sc.unwrap_phases(rows, np.arange(7.0))
+        long_row = np.cumsum(rng.uniform(-3.0, 3.0, 20000)) + rng.uniform(-1e4, 1e4, 20000)
+        assert unwrapped.tolist() == [remainder_loop_unwrap(row) for row in rows.tolist()]
+        assert (sc.unwrap_phases(long_row, np.arange(20000.0)).tolist()
+                == remainder_loop_unwrap(long_row.tolist()))
+
+    def test_ambiguity_names_the_grid_points(self):
+        rows = np.array([[0.0, 0.1, 0.2], [0.0, 0.1, 0.1 + math.pi]])
+        with pytest.raises(sc.BranchAmbiguityError, match="k=1.5 and k=2.5"):
+            sc.unwrap_phases(rows, np.array([0.5, 1.5, 2.5]))
+
+
 class TestPhaseCurve:
     def test_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
