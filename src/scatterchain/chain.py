@@ -216,6 +216,11 @@ def displace_lanes(k_values, l: np.ndarray, r: np.ndarray, a: float) -> tuple[np
     return _complex(l_re, l_im), _complex(r_re, r_im)
 
 
+# Lanes per pass of the recurrence: bounds its temporaries to ~1 MB at any
+# k count, for one more round of per-step numpy overhead per 1024 lanes.
+_LANE_CHUNK = 1024
+
+
 def chain_end_amplitudes(
     lattice: Lattice, k_values
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -235,38 +240,44 @@ def chain_end_amplitudes(
     mod = np.hypot(tc.real, tc.imag)
     if (mod < MODULUS_FLOOR).any():
         raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    lt_c, pt_c = math_map(math.log, mod), principal_phase_array(tc)
-
-    lt, pt, l, r = lt_c, pt_c, lc, rc
+    lt, pt, t, l, r = math_map(math.log, mod), principal_phase_array(tc), tc, lc, rc
     if lattice.N > 1:
-        lc_re, lc_im, rc_re, rc_im = lc.real, lc.imag, rc.real, rc.imag
-        l_re, l_im, r_re, r_im = lc_re, lc_im, rc_re, rc_im
-        tt_re, tt_im = _mul(tc.real, tc.imag, tc.real, tc.imag)
-        two_k = 2.0 * k.ravel()
-        for n in range(1, lattice.N):
-            pos = _exp_lanes(np.zeros(two_k.shape), two_k * n * lattice.a)
-            p_re, p_im = pos.real, pos.imag
-            w_re, w_im = _mul(*_mul(lc_re, lc_im, r_re, r_im), p_re, p_im)
-            d_re, d_im = 1.0 - w_re, 0.0 - w_im
-            abs_den = np.hypot(d_re, d_im)
-            if (abs_den < 1e-14).any():
-                raise ResonanceDivergenceError(
-                    f"recurrence denominator vanished at n={n}; inputs corrupted"
-                )
-            t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
-            dl_re, dl_im = _quot(*_mul(*_mul(t_sq.real, t_sq.imag, lc_re, lc_im), p_re, p_im),
-                                 d_re, d_im)
-            dr_re, dr_im = _quot(*_mul(tt_re, tt_im, r_re, r_im), d_re, d_im)
-            sr_re, sr_im = _mul(rc_re, rc_im, p_re, -p_im)
-            l_re, l_im = l_re + dl_re, l_im + dl_im
-            r_re, r_im = sr_re + dr_re, sr_im + dr_im
-            lt = lt + (lt_c - math_map(math.log, abs_den))
-            pt = pt + (pt_c - math_map(math.atan2, d_im, d_re))
-        l, r = _complex(l_re, l_im), _complex(r_re, r_im)
-        t = _exp_lanes(lt, pt)
-    else:
-        t = tc
+        t, l, r = t.copy(), l.copy(), r.copy()
+        for start in range(0, k.size, _LANE_CHUNK):
+            lanes = slice(start, start + _LANE_CHUNK)
+            lt[lanes], pt[lanes], t[lanes], l[lanes], r[lanes] = _grow_lanes(
+                lattice, k.ravel()[lanes], lt[lanes], pt[lanes], tc[lanes], lc[lanes], rc[lanes]
+            )
     return tuple(x.reshape(k.shape) for x in (lt, pt, t, l, r))
+
+
+def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc):
+    # chain_amplitudes' loop, one vectorised step per n over the lanes
+    lt, pt = lt_c, pt_c
+    lc_re, lc_im, rc_re, rc_im = lc.real, lc.imag, rc.real, rc.imag
+    l_re, l_im, r_re, r_im = lc_re, lc_im, rc_re, rc_im
+    tt_re, tt_im = _mul(tc.real, tc.imag, tc.real, tc.imag)
+    two_k = 2.0 * k
+    for n in range(1, lattice.N):
+        pos = _exp_lanes(np.zeros(two_k.shape), two_k * n * lattice.a)
+        p_re, p_im = pos.real, pos.imag
+        w_re, w_im = _mul(*_mul(lc_re, lc_im, r_re, r_im), p_re, p_im)
+        d_re, d_im = 1.0 - w_re, 0.0 - w_im
+        abs_den = np.hypot(d_re, d_im)
+        if (abs_den < 1e-14).any():
+            raise ResonanceDivergenceError(
+                f"recurrence denominator vanished at n={n}; inputs corrupted"
+            )
+        t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
+        dl_re, dl_im = _quot(*_mul(*_mul(t_sq.real, t_sq.imag, lc_re, lc_im), p_re, p_im),
+                             d_re, d_im)
+        dr_re, dr_im = _quot(*_mul(tt_re, tt_im, r_re, r_im), d_re, d_im)
+        sr_re, sr_im = _mul(rc_re, rc_im, p_re, -p_im)
+        l_re, l_im = l_re + dl_re, l_im + dl_im
+        r_re, r_im = sr_re + dr_re, sr_im + dr_im
+        lt = lt + (lt_c - math_map(math.log, abs_den))
+        pt = pt + (pt_c - math_map(math.atan2, d_im, d_re))
+    return lt, pt, _exp_lanes(lt, pt), _complex(l_re, l_im), _complex(r_re, r_im)
 
 
 def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:

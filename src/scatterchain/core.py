@@ -101,8 +101,8 @@ def math_map(fn, *arrays) -> np.ndarray:
     the scalar code it replaces.
     """
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in arrays))
-    values = map(fn, *(x.ravel().tolist() for x in arrays))
-    return np.array(list(values), dtype=float).reshape(arrays[0].shape)
+    values = map(fn, *(x.ravel() for x in arrays))  # no lists: bounded memory
+    return np.fromiter(values, dtype=float, count=arrays[0].size).reshape(arrays[0].shape)
 
 
 def principal_phase_array(z) -> np.ndarray:

@@ -208,6 +208,16 @@ class TestChainEndAmplitudes:
         if name == "deep_gap_delta" and n == 400:
             assert (2.0 * t_log < -700.0).all() and (t == 0.0).all()
 
+    def test_lanes_beyond_one_chunk(self):
+        k_values = np.linspace(0.3, 4.0, 2500)  # three passes of the lane loop
+        lattice = sc.Lattice(sc.RectBarrier(-1.5, 0.5), 1.2, 3)
+        t_log, t_phase, t, l, r = sc.chain_end_amplitudes(lattice, k_values)
+        for i, kv in enumerate(k_values.tolist()):
+            state = sc.chain_amplitudes(lattice, sc.WaveNumber(kv))
+            last = state.matrices[-1]
+            assert (t_log[i], t_phase[i], t[i], l[i], r[i]) == (
+                state.t_log_moduli[-1], state.t_phases[-1], last.t, last.l, last.r)
+
     def test_cell_below_floor_is_typed(self):
         # |t| ~ 5.6e-307 for this barrier at k = 1
         lattice = sc.Lattice(sc.RectBarrier(245000.0, 1.0), 1.0, 3)
