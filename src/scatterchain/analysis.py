@@ -140,9 +140,9 @@ def _stencil_windows(k_centers, fd_step: float, half_points: int = 2) -> np.ndar
     offsets = np.arange(-half_points, half_points + 1) * fd_step
     ks = np.asarray(k_centers, dtype=float)[..., None] + offsets
     if (ks[..., 0] <= 0.0).any():
-        k = np.atleast_1d(k_centers)[np.atleast_1d(ks[..., 0] <= 0.0)][0]
+        k = float(np.min(k_centers))
         raise ConfigError(
-            f"field 'fd_step': finite-difference window around k={float(k)!r} "
+            f"field 'fd_step': finite-difference window around k={k!r} "
             "extends to k <= 0; lower fd_step"
         )
     return ks
@@ -216,7 +216,7 @@ def _window_amplitudes(cell: PotentialCell, a: float, N: int, ks: np.ndarray):
     if N == 1:
         t, l, r = cell_lanes(cell, ks)
         mod = np.hypot(t.real, t.imag)
-        t_log = np.where(mod > 0.0, math_map(math.log, np.where(mod > 0.0, mod, 1.0)), -math.inf)
+        t_log = math_map(lambda m: math.log(m) if m > 0.0 else -math.inf, mod)
         return t_log, principal_phase_array(t), l, r
     t_log, t_phase, _, l, r = chain_end_amplitudes(Lattice(cell, a, N), ks)
     return t_log, t_phase, l, r

@@ -206,7 +206,9 @@ def _exp_lanes(log_mod, phase) -> np.ndarray:
     return out
 
 
-def displace_lanes(k_values, l: np.ndarray, r: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+def displace_lanes(
+    k_values, l: np.ndarray, r: np.ndarray, a: float
+) -> tuple[np.ndarray, np.ndarray]:
     """l and r of displace(s, a) in every lane of the arrays, bit for bit:
     l e^{2ika} and r e^{-2ika}."""
     k = np.asarray(k_values, dtype=float)
