@@ -27,7 +27,6 @@ from .core import (
     ScatteringMatrix,
     WaveNumber,
     math_map,
-    principal_phase,
     principal_phase_array,
     unwrap_phases,
     wrap_to_principal,
@@ -134,10 +133,9 @@ class AsymptoticFit:
     l_limit_modulus: float
 
 
-def _stencil_windows(k_centers, fd_step: float, half_points: int = 2) -> np.ndarray:
-    """The windows k + j*fd_step, j = -half_points..half_points, along a new
-    last axis."""
-    offsets = np.arange(-half_points, half_points + 1) * fd_step
+def _stencil_windows(k_centers, fd_step: float) -> np.ndarray:
+    """The 5-point windows k + j*fd_step, j = -2..2, along a new last axis."""
+    offsets = np.arange(-2, 3) * fd_step
     ks = np.asarray(k_centers, dtype=float)[..., None] + offsets
     if (ks[..., 0] <= 0.0).any():
         k = float(np.min(k_centers))
@@ -222,16 +220,15 @@ def _window_amplitudes(cell: PotentialCell, a: float, N: int, ks: np.ndarray):
     return t_log, t_phase, l, r
 
 
-def _window_phases(ks, t_log, t_phase, l, r, displacement: float, floor: float):
+def _window_phases(ks, t_log, t_phase, l, r, displacement: float):
     """Raw (t, l, r) phases on the windows ks (window points along the last
-    axis), each with a per-window flag that its modulus stays >= floor;
+    axis), each with a per-window flag that its modulus stays >= MODULUS_FLOOR;
     displacement shifts the chain right, rotating l and r."""
     if displacement != 0.0:
         l, r = displace_lanes(ks, l, r, displacement)
-    log_floor = math.log(floor) if floor > 0.0 else -math.inf
-    t_ok = (t_log >= log_floor).all(axis=-1)
-    l_ok = (np.hypot(l.real, l.imag) >= floor).all(axis=-1)
-    r_ok = (np.hypot(r.real, r.imag) >= floor).all(axis=-1)
+    t_ok = (t_log >= math.log(MODULUS_FLOOR)).all(axis=-1)
+    l_ok = (np.hypot(l.real, l.imag) >= MODULUS_FLOOR).all(axis=-1)
+    r_ok = (np.hypot(r.real, r.imag) >= MODULUS_FLOOR).all(axis=-1)
     return (t_phase, t_ok), (principal_phase_array(l), l_ok), (principal_phase_array(r), r_ok)
 
 
@@ -242,27 +239,23 @@ def chain_phase_curves(
     k_center: float,
     *,
     fd_step: float = DEFAULT_FD_STEP,
-    half_points: int = 2,
     displacement: float = 0.0,
-    floor: float = MODULUS_FLOOR,
 ) -> tuple[Optional[PhaseCurve], Optional[PhaseCurve], Optional[PhaseCurve]]:
     """Phases of the N-cell chain on a uniform window around k_center.
 
     Returns the (t, l, r) curve triple ready for time_delays; a slot is None
-    if its amplitude modulus falls below floor anywhere on the window.  The
-    t curve comes from the recurrence's accumulated phase, so it stays
-    usable deep in a gap; displacement shifts the whole chain right by that
-    distance before phases are read off.  The one-centre case of
+    if its amplitude modulus falls below MODULUS_FLOOR anywhere on the
+    window.  The t curve comes from the recurrence's accumulated phase, so
+    it stays usable deep in a gap; displacement shifts the whole chain right
+    by that distance before phases are read off.  The one-centre case of
     delay_scan's window phases.
     """
-    if half_points < 2:
-        raise ValueError("need at least two points on each side for the stencil")
-    ks = _stencil_windows(float(k_center), fd_step, half_points)
+    ks = _stencil_windows(float(k_center), fd_step)
     amplitudes = _window_amplitudes(cell, a, N, ks)
     return tuple(
         PhaseCurve(grid=ks, values=unwrap_phases(phases, ks), label=label) if ok else None
         for label, (phases, ok) in zip(
-            "tlr", _window_phases(ks, *amplitudes, displacement, floor)
+            "tlr", _window_phases(ks, *amplitudes, displacement)
         )
     )
 
@@ -275,7 +268,6 @@ def delay_scan(
     *,
     fd_step: float = DEFAULT_FD_STEP,
     displacements: Sequence[float] = (0.0,),
-    floor: float = MODULUS_FLOOR,
 ) -> list[tuple[list[Optional[float]], ...]]:
     """Time delays (tau_t, tau_l, tau_r) of the N-cell chain at every k of k_values.
 
@@ -293,7 +285,7 @@ def delay_scan(
     tables = []
     for displacement in displacements:
         taus = []
-        for phases, ok in _window_phases(ks, *amplitudes, displacement, floor):
+        for phases, ok in _window_phases(ks, *amplitudes, displacement):
             tau = np.zeros(k.shape)
             tau[ok] = _five_point(unwrap_phases(phases[ok], ks[ok]), h[ok]) / k[ok]
             taus.append([v if defined else None for v, defined in zip(tau.tolist(), ok.tolist())])
@@ -362,10 +354,9 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
     ka = k.k * a
     ns = np.arange(1, n_max + 1)
 
-    r_moduli = [abs(m.r) for m in chain.matrices]
-    if min(r_moduli) < MODULUS_FLOOR:
+    if np.hypot(chain.r.real, chain.r.imag).min() < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("right reflection amplitude below floor")
-    raw_r = np.array([principal_phase(m.r) for m in chain.matrices]) + 2.0 * ns * ka
+    raw_r = principal_phase_array(chain.r) + 2.0 * ns * ka
     comp_r = unwrap_phases(raw_r, ns)
     comp_t = chain.t_phases + ns * ka
 
@@ -377,7 +368,7 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
     resid_t = float(np.sqrt(np.mean((comp_t[upper] - beta_mean) ** 2)))
 
     slope_r = float(np.polyfit(ns[upper], comp_r[upper] - 2.0 * ns[upper] * ka, 1)[0])
-    slope_t = float(np.polyfit(ns[upper], np.asarray(chain.t_phases)[upper], 1)[0])
+    slope_t = float(np.polyfit(ns[upper], chain.t_phases[upper], 1)[0])
 
     return AsymptoticFit(
         alpha=wrap_to_principal(alpha_mean),
@@ -386,7 +377,7 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
         N_range=(n_lo, n_max),
         slope_r=slope_r,
         slope_t=slope_t,
-        l_limit_modulus=abs(chain.matrices[-1].l),
+        l_limit_modulus=abs(complex(chain.l[-1])),
     )
 
 

@@ -69,28 +69,45 @@ def compose(sA: ScatteringMatrix, sB: ScatteringMatrix) -> ScatteringMatrix:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Per-N scattering matrices s^(1)..s^(N) of a growing chain at fixed k.
+    """Amplitudes of a growing chain at fixed k, for n = 1..N, as read-only arrays.
 
-    t_log_moduli and t_phases track ln|t^(n)| and the continuously
-    accumulated arg t^(n) from the recurrence itself, so transmission phases
-    stay meaningful deep in a gap where the complex t underflows, and carry
-    no mod-2pi ambiguity between successive n.
+    t, l and r hold t^(n), l^(n) and r^(n); t_log_moduli and t_phases track
+    ln|t^(n)| and the continuously accumulated arg t^(n) from the recurrence
+    itself, so transmission phases stay meaningful deep in a gap where the
+    complex t underflows, and carry no mod-2pi ambiguity between successive
+    n.  l and r must be finite: the recurrences' one finiteness check runs
+    here (t^(n) cannot turn non-finite before l or r does).
     """
 
     lattice: Lattice
     k: WaveNumber
-    matrices: tuple[ScatteringMatrix, ...]
+    t: np.ndarray
+    l: np.ndarray
+    r: np.ndarray
     t_log_moduli: np.ndarray
     t_phases: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("t_log_moduli", "t_phases"):
-            arr = np.array(getattr(self, name), dtype=float)
+        for name, dtype in (("t", complex), ("l", complex), ("r", complex),
+                            ("t_log_moduli", float), ("t_phases", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        finite = np.isfinite(np.stack((self.l, self.r)))
+        if not finite.all():  # name the first non-finite amplitude in (n, l/r) order
+            n = int(np.argmin(finite.all(axis=0)))
+            name = "lr"[int(np.argmin(finite[:, n]))]
+            value = complex(getattr(self, name)[n])
+            raise ValueError(f"amplitude {name!r} must be finite, got {value!r}")
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.t)
+
+    @property
+    def matrices(self) -> tuple[ScatteringMatrix, ...]:
+        """s^(1)..s^(N) as ScatteringMatrix objects, built on each read."""
+        return tuple(ScatteringMatrix(t=t, l=l, r=r, k=self.k)
+                     for t, l, r in zip(self.t.tolist(), self.l.tolist(), self.r.tolist()))
 
     @property
     def transmissions(self) -> np.ndarray:
@@ -98,18 +115,37 @@ class ChainState:
         return np.exp(2.0 * self.t_log_moduli)
 
 
-def _cell_polar(s_cell: ScatteringMatrix) -> tuple[float, float]:
-    mod = abs(s_cell.t)
-    if mod < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    return math.log(mod), principal_phase(s_cell.t)
-
-
 def _safe_exp(log_mod: float, phase: float) -> complex:
     # Underflows to 0 for very negative log moduli instead of raising.
     if log_mod < -_LOG_HUGE:
         return 0.0 + 0.0j
     return cmath.exp(complex(log_mod, phase))
+
+
+def _checked(den: complex, n: int) -> complex:
+    if abs(den) < 1e-14:
+        raise ResonanceDivergenceError(
+            f"recurrence denominator vanished at n={n}; inputs corrupted"
+        )
+    return den
+
+
+def _grow(lattice: Lattice, s_cell: ScatteringMatrix, step) -> ChainState:
+    # The loop both recurrences share: step(n, l, r, (t^(n))^2) gives D_n and
+    # the next l, r; t^(n+1) = t^(n) t / D_n accumulates in log-polar form.
+    mod = abs(s_cell.t)
+    if mod < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    lt_c, pt_c = math.log(mod), principal_phase(s_cell.t)
+    lt, pt, l, r = lt_c, pt_c, s_cell.l, s_cell.r
+    rows = [(s_cell.t, l, r, lt, pt)]
+    for n in range(1, lattice.N):
+        den, l, r = step(n, l, r, _safe_exp(2.0 * lt, 2.0 * pt))
+        lt += lt_c - math.log(abs(den))
+        pt += pt_c - cmath.phase(den)
+        rows.append((_safe_exp(lt, pt), l, r, lt, pt))
+    t, l, r, lt, pt = zip(*rows)
+    return ChainState(lattice=lattice, k=s_cell.k, t=t, l=l, r=r, t_log_moduli=lt, t_phases=pt)
 
 
 def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
@@ -125,40 +161,16 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     Every s^(n) is unitary; t^(n) is tracked in log-polar form.
     """
     s_cell = cell_smatrix(lattice.cell, k)
-    lt_c, pt_c = _cell_polar(s_cell)
     tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
-    kk = k.k
-    a = lattice.a
+    kk, a = k.k, lattice.a
 
-    lt, pt = lt_c, pt_c
-    l, r = lc, rc
-    matrices = [s_cell]
-    log_moduli = [lt]
-    phases = [pt]
-    for n in range(1, lattice.N):
+    def step(n, l, r, t_sq):
         pos_phase = cmath.exp(2.0j * kk * n * a)
-        den = 1.0 - lc * r * pos_phase
-        if abs(den) < 1e-14:
-            raise ResonanceDivergenceError(
-                f"recurrence denominator vanished at n={n}; inputs corrupted"
-            )
-        t_sq = _safe_exp(2.0 * lt, 2.0 * pt)
-        l, r = (
-            l + t_sq * lc * pos_phase / den,
-            rc * pos_phase.conjugate() + tc * tc * r / den,
-        )
-        lt += lt_c - math.log(abs(den))
-        pt += pt_c - cmath.phase(den)
-        matrices.append(ScatteringMatrix(t=_safe_exp(lt, pt), l=l, r=r, k=k))
-        log_moduli.append(lt)
-        phases.append(pt)
-    return ChainState(
-        lattice=lattice,
-        k=k,
-        matrices=tuple(matrices),
-        t_log_moduli=np.array(log_moduli),
-        t_phases=np.array(phases),
-    )
+        den = _checked(1.0 - lc * r * pos_phase, n)
+        return (den, l + t_sq * lc * pos_phase / den,
+                rc * pos_phase.conjugate() + tc * tc * r / den)
+
+    return _grow(lattice, s_cell, step)
 
 
 def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,8 +242,8 @@ def chain_end_amplitudes(
 
     The k-batched form of chain_amplitudes: the loop runs over n and each
     step's arithmetic is vectorised over the k lanes.  Every lane equals
-    chain_amplitudes at n = N bit for bit (t_log_moduli[-1], t_phases[-1]
-    and matrices[-1].t, .l, .r), because the complex arithmetic follows
+    chain_amplitudes at n = N bit for bit (t_log_moduli[-1], t_phases[-1],
+    t[-1], l[-1] and r[-1]), because the complex arithmetic follows
     CPython's formulas and log and phase go through math.  The per-step
     numpy overhead makes it slower than the scalar loop below ~20 lanes;
     long chains at one k use chain_amplitudes.  Results have k_values'
@@ -292,38 +304,14 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
     Must reproduce chain_amplitudes exactly up to rounding.
     """
     s_cell = cell_smatrix(lattice.cell, k)
-    lt_c, pt_c = _cell_polar(s_cell)
     tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
     shift = cmath.exp(2.0j * k.k * lattice.a)
 
-    lt, pt = lt_c, pt_c
-    l, r = lc, rc
-    matrices = [s_cell]
-    log_moduli = [lt]
-    phases = [pt]
-    for n in range(1, lattice.N):
-        den = 1.0 - l * shift * rc
-        if abs(den) < 1e-14:
-            raise ResonanceDivergenceError(
-                f"recurrence denominator vanished at n={n}; inputs corrupted"
-            )
-        t_sq = _safe_exp(2.0 * lt, 2.0 * pt)
-        l, r = (
-            lc + tc * tc * l * shift / den,
-            r * shift.conjugate() + t_sq * rc / den,
-        )
-        lt += lt_c - math.log(abs(den))
-        pt += pt_c - cmath.phase(den)
-        matrices.append(ScatteringMatrix(t=_safe_exp(lt, pt), l=l, r=r, k=k))
-        log_moduli.append(lt)
-        phases.append(pt)
-    return ChainState(
-        lattice=lattice,
-        k=k,
-        matrices=tuple(matrices),
-        t_log_moduli=np.array(log_moduli),
-        t_phases=np.array(phases),
-    )
+    def step(n, l, r, t_sq):
+        den = _checked(1.0 - l * shift * rc, n)
+        return den, lc + tc * tc * l * shift / den, r * shift.conjugate() + t_sq * rc / den
+
+    return _grow(lattice, s_cell, step)
 
 
 def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:

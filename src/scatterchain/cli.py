@@ -210,7 +210,7 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
             origins[key] = origin
     for key in _FIELD_TYPES:
         flag_value = getattr(args, key, None)
-        if flag_value is not None and not (key == "displaced" and flag_value is False):
+        if flag_value is not None:
             values[key] = flag_value
             origins[key] = _flag_name(key)
 
@@ -389,25 +389,21 @@ def _chain_row(kv: float, n: int, s: ScatteringMatrix, t_rec: float, t_cheb: flo
 def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
         k_grid = cfg.k_grid()
+        ks, ns = k_grid.tolist(), [cfg.n] * k_grid.size
         z, rho = chebyshev_grid(cfg.cell, cfg.period, k_grid)
-        t_cheb = chebyshev_closed_form(z, rho, cfg.n)[1].tolist()
         t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k_grid)
-        t_rec = np.exp(2.0 * t_log).tolist()
-        rows = [
-            _chain_row(kv, cfg.n, ScatteringMatrix(t=tv, l=lv, r=rv, k=WaveNumber(kv)),
-                       t_r, t_ch, cfg)
-            for kv, tv, lv, rv, t_r, t_ch in zip(k_grid.tolist(), t.tolist(), l.tolist(),
-                                                 r.tolist(), t_rec, t_cheb)
-        ]
-        return _meta(cfg), rows
-    k = WaveNumber(cfg.k0)
-    state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
-    z, rho = chebyshev_inputs(cell_smatrix(cfg.cell, k), cfg.period)
-    t_cheb = chebyshev_closed_form(z, rho, np.arange(1, cfg.n_max + 1))[1].tolist()
+        t_rec = np.exp(2.0 * t_log)
+    else:
+        k = WaveNumber(cfg.k0)
+        ks, ns = [cfg.k0] * cfg.n_max, list(range(1, cfg.n_max + 1))
+        state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
+        t, l, r, t_rec = state.t, state.l, state.r, state.transmissions
+        z, rho = chebyshev_inputs(cell_smatrix(cfg.cell, k), cfg.period)
+    t_cheb = chebyshev_closed_form(z, rho, ns)[1]
     rows = [
-        _chain_row(cfg.k0, n, s, t_rec, t_ch, cfg)
-        for n, s, t_rec, t_ch in zip(range(1, cfg.n_max + 1), state.matrices,
-                                     state.transmissions.tolist(), t_cheb)
+        _chain_row(kv, n, ScatteringMatrix(t=tv, l=lv, r=rv, k=WaveNumber(kv)), t_r, t_ch, cfg)
+        for kv, n, tv, lv, rv, t_r, t_ch in zip(ks, ns, t.tolist(), l.tolist(), r.tolist(),
+                                                t_rec.tolist(), t_cheb.tolist())
     ]
     return _meta(cfg), rows
 
@@ -486,9 +482,7 @@ def run_delay(cfg: ExperimentConfig):
 
 def run_packet(cfg: ExperimentConfig):
     k0, sigma = cfg.k0, cfg.sigma
-    count = cfg.k_count if cfg.k_count is not None else max(2001, 32 * cfg.n_max + 1)
-    if count % 2 == 0:
-        count += 1
+    count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
     k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
     z, rho = chebyshev_grid(cfg.cell, cfg.period, k_values)
     pointwise = chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions

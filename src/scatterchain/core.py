@@ -126,32 +126,30 @@ def branch_distance(angle: float, period: float = TWO_PI) -> float:
 
 
 def principal_phases(
-    s: ScatteringMatrix, floor: float = MODULUS_FLOOR
+    s: ScatteringMatrix,
 ) -> tuple[Optional[float], Optional[float], Optional[float]]:
     """Principal phases (alpha_t, alpha_l, alpha_r) of the three amplitudes.
 
-    An amplitude whose modulus is below ``floor`` has no meaningful phase;
-    its slot is returned as None rather than as a number.
+    An amplitude whose modulus is below MODULUS_FLOOR has no meaningful
+    phase; its slot is returned as None rather than as a number.
     """
 
     def arg_or_none(z: complex) -> Optional[float]:
-        if abs(z) < floor:
+        if abs(z) < MODULUS_FLOOR:
             return None
         return principal_phase(z)
 
     return arg_or_none(s.t), arg_or_none(s.l), arg_or_none(s.r)
 
 
-def phase_relation_residual(
-    s: ScatteringMatrix, floor: float = MODULUS_FLOOR
-) -> Optional[float]:
+def phase_relation_residual(s: ScatteringMatrix) -> Optional[float]:
     """Distance of (alpha_l + alpha_r)/2 - alpha_t from the nearest pi/2 + n*pi.
 
     Vanishes in exact arithmetic for every unitary s; no branch is chosen,
     only the distance to the closest one is reported.  Returns None when any
-    amplitude modulus is below ``floor``.
+    amplitude modulus is below MODULUS_FLOOR.
     """
-    alpha_t, alpha_l, alpha_r = principal_phases(s, floor=floor)
+    alpha_t, alpha_l, alpha_r = principal_phases(s)
     if alpha_t is None or alpha_l is None or alpha_r is None:
         return None
     x = 0.5 * (alpha_l + alpha_r) - alpha_t - 0.5 * math.pi

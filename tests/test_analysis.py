@@ -191,6 +191,32 @@ class TestAsymptoticFit:
         for p0, p1 in zip(phases, phases[1:]):
             assert sc.branch_distance(p1 - p0 + 2.0 * ka) < 1e-8
 
+    @pytest.mark.parametrize("k", [1.0, math.pi])
+    def test_equals_per_matrix_reference(self, k):
+        # the fit as computed from the per-N matrices with scalar calls
+        state = sc.chain_amplitudes(sc.Lattice(COMB5, 1.0, 64), sc.WaveNumber(k))
+        ka = k * 1.0
+        ns = np.arange(1, 65)
+        assert min(abs(m.r) for m in state.matrices) >= sc.MODULUS_FLOOR
+        raw_r = np.array([sc.principal_phase(m.r) for m in state.matrices]) + 2.0 * ns * ka
+        comp_r = sc.unwrap_phases(raw_r, ns)
+        comp_t = state.t_phases + ns * ka
+        upper = ns > 32
+        alpha_mean = float(np.mean(comp_r[upper]))
+        beta_mean = float(np.mean(comp_t[upper]))
+        resid_r = float(np.sqrt(np.mean((comp_r[upper] - alpha_mean) ** 2)))
+        resid_t = float(np.sqrt(np.mean((comp_t[upper] - beta_mean) ** 2)))
+        expected = sc.AsymptoticFit(
+            alpha=sc.wrap_to_principal(alpha_mean),
+            beta=sc.wrap_to_principal(beta_mean),
+            residual=max(resid_r, resid_t),
+            N_range=(33, 64),
+            slope_r=float(np.polyfit(ns[upper], comp_r[upper] - 2.0 * ns[upper] * ka, 1)[0]),
+            slope_t=float(np.polyfit(ns[upper], state.t_phases[upper], 1)[0]),
+            l_limit_modulus=abs(state.matrices[-1].l),
+        )
+        assert sc.asymptotic_phase_fit(state) == expected
+
     def test_refuses_in_band(self):
         state = sc.chain_amplitudes(sc.Lattice(COMB5, 1.0, 32), sc.WaveNumber(2.5))
         with pytest.raises(ValueError, match="band"):

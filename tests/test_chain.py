@@ -178,6 +178,53 @@ class TestAddLeft:
         assert worst < 1e-10
 
 
+RECURRENCES = [sc.chain_amplitudes, sc.chain_amplitudes_addleft]
+
+
+class TestChainState:
+    """The recurrences' array-native result: columns, not per-step objects."""
+
+    @pytest.mark.parametrize("recurrence", RECURRENCES)
+    def test_builds_at_most_the_cell_matrix(self, recurrence, monkeypatch):
+        built = []
+        original = sc.ScatteringMatrix.__post_init__
+
+        def counted(s):
+            built.append(s)
+            original(s)
+
+        monkeypatch.setattr(sc.ScatteringMatrix, "__post_init__", counted)
+        state = recurrence(sc.Lattice(DELTA, 1.0, 400), sc.WaveNumber(1.3))
+        assert len(state) == 400
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize("recurrence", RECURRENCES)
+    def test_columns_equal_matrices_and_are_read_only(self, recurrence):
+        state = recurrence(sc.Lattice(sc.RectBarrier(-1.5, 0.5), 1.2, 40), sc.WaveNumber(1.7))
+        matrices = state.matrices
+        assert len(matrices) == len(state) == 40
+        for n, s in enumerate(matrices):
+            assert (state.t[n], state.l[n], state.r[n]) == (s.t, s.l, s.r)
+            assert s.k == state.k
+        for column in (state.t, state.l, state.r, state.t_log_moduli, state.t_phases):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    @pytest.mark.parametrize("recurrence", RECURRENCES)
+    @pytest.mark.parametrize("name", ["l", "r"])
+    def test_overflowing_reflection_is_a_value_error(self, recurrence, name, monkeypatch):
+        # |t| = 2 is not unitary: the reflection amplitude named grows past
+        # the double range within a few cells, and the other one stays 0
+        amplitudes = {"l": 0.0, "r": 0.0, name: 1e308}
+
+        def corrupted(cell, k):
+            return sc.ScatteringMatrix(t=2.0, **amplitudes, k=k)
+
+        monkeypatch.setattr(sc.chain, "cell_smatrix", corrupted)
+        with pytest.raises(ValueError, match=f"amplitude '{name}' must be finite"):
+            recurrence(sc.Lattice(DELTA, 1.0, 50), sc.WaveNumber(1.3))
+
+
 class TestChainEndAmplitudes:
     """The k-batched kernel against the scalar recurrence, lane by lane, with ==."""
 
