@@ -389,21 +389,21 @@ def _chain_row(kv: float, n: int, s: ScatteringMatrix, t_rec: float, t_cheb: flo
 def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
         k_grid = cfg.k_grid()
-        ks, ns = k_grid.tolist(), [cfg.n] * k_grid.size
+        ks, ns = [WaveNumber(kv) for kv in k_grid.tolist()], [cfg.n] * k_grid.size
         z, rho = chebyshev_grid(cfg.cell, cfg.period, k_grid)
         t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k_grid)
         t_rec = np.exp(2.0 * t_log)
     else:
         k = WaveNumber(cfg.k0)
-        ks, ns = [cfg.k0] * cfg.n_max, list(range(1, cfg.n_max + 1))
+        ks, ns = [k] * cfg.n_max, list(range(1, cfg.n_max + 1))
         state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
         t, l, r, t_rec = state.t, state.l, state.r, state.transmissions
         z, rho = chebyshev_inputs(cell_smatrix(cfg.cell, k), cfg.period)
     t_cheb = chebyshev_closed_form(z, rho, ns)[1]
     rows = [
-        _chain_row(kv, n, ScatteringMatrix(t=tv, l=lv, r=rv, k=WaveNumber(kv)), t_r, t_ch, cfg)
-        for kv, n, tv, lv, rv, t_r, t_ch in zip(ks, ns, t.tolist(), l.tolist(), r.tolist(),
-                                                t_rec.tolist(), t_cheb.tolist())
+        _chain_row(k.k, n, ScatteringMatrix(t=tv, l=lv, r=rv, k=k), t_r, t_ch, cfg)
+        for k, n, tv, lv, rv, t_r, t_ch in zip(ks, ns, t.tolist(), l.tolist(), r.tolist(),
+                                               t_rec.tolist(), t_cheb.tolist())
     ]
     return _meta(cfg), rows
 
