@@ -138,18 +138,6 @@ class TransferMatrix:
             abs(self.m21 - self.m12.conjugate()),
         )
 
-    def matmul(self, other: "TransferMatrix") -> "TransferMatrix":
-        """Matrix product self @ other (other acts first, i.e. sits to the left)."""
-        if self.k.k != other.k.k:
-            raise ValueError("transfer matrices must share the same wave number")
-        return TransferMatrix(
-            m11=self.m11 * other.m11 + self.m12 * other.m21,
-            m12=self.m11 * other.m12 + self.m12 * other.m22,
-            m21=self.m21 * other.m11 + self.m22 * other.m21,
-            m22=self.m21 * other.m12 + self.m22 * other.m22,
-            k=self.k,
-        )
-
 
 def _delta_smatrix(g: float, k: WaveNumber) -> ScatteringMatrix:
     # Matching psi'(0+) - psi'(0-) = 2 g psi(0) gives t = 1/(1 + i g/k).
@@ -293,20 +281,3 @@ def transfer_to_smatrix(m: TransferMatrix) -> ScatteringMatrix:
         t=1.0 / m.m22, l=-m.m21 / m.m22, r=m.m12 / m.m22, k=m.k
     )
 
-
-def smatrix_to_transfer(s: ScatteringMatrix) -> TransferMatrix:
-    """Inverse of transfer_to_smatrix; requires |t| > 0.
-
-    Deep-gap composite chains with underflowed t cannot be converted, which
-    is why chain composition works in scattering form throughout.
-    """
-    if abs(s.t) < MODULUS_FLOOR:
-        raise SingularConversionError("cannot build transfer matrix: |t| below floor")
-    # m11 follows from det = 1.
-    return TransferMatrix(
-        m11=s.t - s.l * s.r / s.t,
-        m12=s.r / s.t,
-        m21=-s.l / s.t,
-        m22=1.0 / s.t,
-        k=s.k,
-    )

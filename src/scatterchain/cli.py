@@ -100,24 +100,67 @@ def _parse_params(rest: str, required: tuple[str, ...]) -> dict[str, float]:
     return params
 
 
-# config keys with their parsers; flags use the same names with dashes
-_FIELD_TYPES = {
-    "cell": str,
-    "period": float,
-    "n": int,
-    "n_max": int,
-    "k_min": float,
-    "k_max": float,
-    "k_count": int,
-    "k0": float,
-    "sigma": float,
-    "format": str,
-    "out": str,
-    "tol_edge": float,
-    "fd_step": float,
-    "tol_unitarity": float,
-    "displaced": bool,
+_FORMATS = ("csv", "json")
+
+# key: (type, default, flag help), in the order the JSON meta echoes them
+# ("out" is not echoed).  Every key is a config-file key and, by _flag_name,
+# a flag.
+_FIELDS = {
+    "cell": (str, None, 'cell spec, e.g. "delta:g=1" or "barrier:V0=2,w=1"'),
+    "period": (float, None, "lattice period a"),
+    "n": (int, None, "fixed chain length"),
+    "n_max": (int, None, "largest chain length"),
+    "k_min": (float, None, None),
+    "k_max": (float, None, None),
+    "k_count": (int, None, None),
+    "k0": (float, None, "single wave number for per-N scans"),
+    "sigma": (float, None, "wave-packet width in k"),
+    "format": (str, "csv", "output format"),
+    "tol_edge": (float, 1e-9, None),
+    "fd_step": (float, 1e-4, None),
+    "tol_unitarity": (float, 1e-10, None),
+    "displaced": (bool, False, "also tabulate the system displaced by one period"),
+    "out": (str, None, "output path (default: stdout)"),
 }
+
+_GRID = ("k_min", "k_max", "k_count")
+
+# the keys each command needs; _required adds the conditional ones
+_REQUIRED = {
+    "cell": ("cell", *_GRID),
+    "chain": ("cell", "period"),
+    "bands": ("cell", *_GRID, "n_max", "period"),
+    "hartman": ("cell", "k0", "n_max", "period"),
+    "delay": ("cell", *_GRID),
+    "packet": ("cell", "k0", "n_max", "sigma", "period"),
+}
+
+
+def _positive(value: float, _values: dict) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+_POSITIVE = "field {key!r} must be > 0, got {value!r}"
+_AT_LEAST_ONE = "field {key!r} must be >= 1, got {value!r}"
+
+# (key, test of its value given all values, message tail), checked in this
+# order; a failed test is a config error naming where the value came from
+_CHECKS = (
+    ("format", lambda v, _: v in _FORMATS, "format must be 'csv' or 'json', got {value!r}"),
+    ("k_min", _positive, _POSITIVE),
+    ("k_max", lambda v, _: math.isfinite(v), "field 'k_max' must be finite, got {value!r}"),
+    ("k_max", lambda v, c: v > c["k_min"], "field 'k_max' must exceed k_min"),
+    ("k_count", lambda v, _: v >= 2, "field 'k_count' must be >= 2"),
+    ("k0", _positive, _POSITIVE),
+    ("n", lambda v, _: v >= 1, _AT_LEAST_ONE),
+    ("n_max", lambda v, _: v >= 1, _AT_LEAST_ONE),
+    ("sigma", _positive, _POSITIVE),
+    ("sigma", lambda v, c: c["k0"] - 5.0 * v > 0.0, "packet window extends to k <= 0"),
+    ("period", _positive, _POSITIVE),
+    ("tol_edge", _positive, _POSITIVE),
+    ("fd_step", _positive, _POSITIVE),
+    ("tol_unitarity", _positive, _POSITIVE),
+)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -126,37 +169,51 @@ def _flag_name(key: str) -> str:
     return {"n": "--N", "n_max": "--N-max"}.get(key, f"--{key.replace('_', '-')}")
 
 
-def load_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """Read key = value lines; '#' starts a comment.  Returns value and line number."""
+def _parse_value(kind: type, text: str):
+    if kind is not bool:
+        return kind(text)
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"expected true/false, got {text!r}")
+    return _BOOL_WORDS[text.lower()]
+
+
+def load_config_file(path: str) -> dict[str, tuple[object, str]]:
+    """Read key = value lines; '#' starts a comment.  Returns each key's typed
+    value with its origin, "path:line"."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    entries: dict[str, tuple[str, int]] = {}
+    entries: dict[str, tuple[object, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        origin = f"{path}:{lineno}"
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{origin}: expected 'key = value', got {raw.strip()!r}")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in _FIELDS:
+            raise ConfigError(f"{origin}: unknown key {key!r}")
         if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = (value, lineno)
+            raise ConfigError(f"{origin}: duplicate key {key!r}")
+        try:
+            entries[key] = (_parse_value(_FIELDS[key][0], value), origin)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: field {key!r}: {exc}") from exc
     return entries
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved options for one CLI run (defaults < config file < flags)."""
+    """Resolved options for one CLI run (defaults < config file < flags): one
+    field per key of _FIELDS, plus the command and the parsed cell."""
 
     command: str
-    cell_spec: str
-    cell: PotentialCell
+    potential: PotentialCell
+    cell: str
     period: Optional[float]
     n: Optional[int]
     n_max: Optional[int]
@@ -165,184 +222,79 @@ class ExperimentConfig:
     k_count: Optional[int]
     k0: Optional[float]
     sigma: Optional[float]
-    fmt: str
-    out: Optional[str]
+    format: str
     tol_edge: float
     fd_step: float
     tol_unitarity: float
     displaced: bool
+    out: Optional[str]
 
     def k_grid(self) -> np.ndarray:
-        assert self.k_min is not None and self.k_max is not None and self.k_count
         return np.linspace(self.k_min, self.k_max, self.k_count)
 
     def lattice(self, n: int) -> Lattice:
-        assert self.period is not None
         try:
-            return Lattice(self.cell, self.period, n)
+            return Lattice(self.potential, self.period, n)
         except ValueError as exc:
             raise ConfigError(f"field 'period': {exc}") from exc
 
 
+def _required(command: str, values: dict) -> tuple[str, ...]:
+    """The keys command needs: chain needs the k grid and n, or k0 and n_max;
+    delay needs period for a displaced table or more than one cell."""
+    keys = _REQUIRED[command]
+    if command == "chain":
+        if (values["n"] is None) == (values["n_max"] is None):
+            raise ConfigError(
+                "command 'chain' needs exactly one of 'n' (per-k table) or "
+                "'n_max' (per-N table at k0)"
+            )
+        keys += (*_GRID, "n") if values["n"] is not None else ("k0", "n_max")
+    elif command == "delay" and (values["displaced"] or values["n"] > 1):
+        keys += ("period",)
+    return keys
+
+
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict[str, object] = {
-        "format": "csv",
-        "out": None,
-        "tol_edge": 1e-9,
-        "fd_step": 1e-4,
-        "tol_unitarity": 1e-10,
-        "displaced": False,
-    }
+    values = {key: default for key, (_, default, _) in _FIELDS.items()}
     origins: dict[str, str] = {}
     if args.config:
-        for key, (raw, lineno) in load_config_file(args.config).items():
-            origin = f"{args.config}:{lineno}"
-            caster = _FIELD_TYPES[key]
-            try:
-                if caster is bool:
-                    if raw.lower() not in _BOOL_WORDS:
-                        raise ValueError(f"expected true/false, got {raw!r}")
-                    values[key] = _BOOL_WORDS[raw.lower()]
-                else:
-                    values[key] = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(f"{origin}: field {key!r}: {exc}") from exc
-            origins[key] = origin
-    for key in _FIELD_TYPES:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-            origins[key] = _flag_name(key)
-
-    def where(key: str) -> str:
-        return origins.get(key, f"field {key!r}")
-
-    def need(key: str) -> object:
-        if key not in values or values[key] is None:
+        for key, (value, origin) in load_config_file(args.config).items():
+            values[key], origins[key] = value, origin
+    for key in _FIELDS:
+        if getattr(args, key, None) is not None:
+            values[key], origins[key] = getattr(args, key), _flag_name(key)
+    if args.command == "delay" and values["n"] is None:
+        values["n"] = 1
+    required = _required(args.command, values)
+    for key in required:
+        if values[key] is None:
             raise ConfigError(
                 f"field {key!r} is required for command {args.command!r} "
                 f"(set it in the config file or via {_flag_name(key)})"
             )
-        return values[key]
-
-    command = args.command
-    cell_spec = str(need("cell"))
-    cell = parse_cell_spec(cell_spec)
-
-    fmt = str(values["format"])
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{where('format')}: format must be 'csv' or 'json', got {fmt!r}")
-
-    def positive(key: str, value: float) -> float:
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{where(key)}: field {key!r} must be > 0, got {value!r}")
-        return float(value)
-
-    if command == "chain" and (values.get("n") is None) == (values.get("n_max") is None):
-        raise ConfigError(
-            "command 'chain' needs exactly one of 'n' (per-k table) or "
-            "'n_max' (per-N table at k0)"
-        )
-    needs_grid = command in ("cell", "bands", "delay") or (
-        command == "chain" and values.get("n_max") is None
-    )
-    needs_k0 = command in ("hartman", "packet") or (
-        command == "chain" and values.get("n_max") is not None
-    )
-
-    k_min = k_max = None
-    k_count = None
-    if needs_grid:
-        k_min = positive("k_min", float(need("k_min")))
-        k_max = float(need("k_max"))
-        if k_max <= k_min:
-            raise ConfigError(f"{where('k_max')}: field 'k_max' must exceed k_min")
-        k_count = int(need("k_count"))
-        if k_count < 2:
-            raise ConfigError(f"{where('k_count')}: field 'k_count' must be >= 2")
-
-    k0 = None
-    if needs_k0:
-        k0 = positive("k0", float(need("k0")))
-
-    n = values.get("n")
-    n_max = values.get("n_max")
-    if command in ("bands", "hartman", "packet"):
-        n_max = int(need("n_max"))
-    elif command == "delay" and n is None:
-        n = 1
-    if n is not None:
-        n = int(n)
-        if n < 1:
-            raise ConfigError(f"{where('n')}: field 'n' must be >= 1, got {n}")
-    if n_max is not None:
-        n_max = int(n_max)
-        if n_max < 1:
-            raise ConfigError(f"{where('n_max')}: field 'n_max' must be >= 1, got {n_max}")
-
-    sigma = values.get("sigma")
-    if command == "packet":
-        sigma = positive("sigma", float(need("sigma")))
-        assert k0 is not None
-        if k0 - 5.0 * float(sigma) <= 0.0:
-            raise ConfigError(f"{where('sigma')}: packet window extends to k <= 0")
-
-    displaced = bool(values.get("displaced", False))
-
-    period = values.get("period")
-    needs_period = command in ("chain", "bands", "hartman", "packet") or (
-        command == "delay" and (displaced or (n or 1) > 1)
-    )
-    if needs_period:
-        period = positive("period", float(need("period")))
-    elif period is not None:
-        period = positive("period", float(period))
-
+    # A command ignores the scan keys it does not require: the k grid and k0
+    # echo as null, sigma as given, and none of them is checked.
+    for key in (*_GRID, "k0"):
+        if key not in required:
+            values[key] = None
+    for key, test, tail in _CHECKS:
+        value = values[key]
+        if value is None or (key == "sigma" and key not in required) or test(value, values):
+            continue
+        where = origins.get(key, f"field {key!r}")
+        raise ConfigError(f"{where}: {tail.format(key=key, value=value)}")
     cfg = ExperimentConfig(
-        command=command,
-        cell_spec=cell_spec,
-        cell=cell,
-        period=period,
-        n=n,
-        n_max=n_max,
-        k_min=k_min,
-        k_max=k_max,
-        k_count=k_count,
-        k0=k0,
-        sigma=float(sigma) if sigma is not None else None,
-        fmt=fmt,
-        out=values.get("out"),
-        tol_edge=positive("tol_edge", float(values["tol_edge"])),
-        fd_step=positive("fd_step", float(values["fd_step"])),
-        tol_unitarity=positive("tol_unitarity", float(values["tol_unitarity"])),
-        displaced=displaced,
+        command=args.command, potential=parse_cell_spec(values["cell"]), **values
     )
-    if needs_period:
+    if "period" in required:
         cfg.lattice(1)  # validates period against the cell support
     return cfg
 
 
 def _meta(cfg: ExperimentConfig) -> dict:
-    return {
-        "command": cfg.command,
-        "version": __version__,
-        "config": {
-            "cell": cfg.cell_spec,
-            "period": cfg.period,
-            "n": cfg.n,
-            "n_max": cfg.n_max,
-            "k_min": cfg.k_min,
-            "k_max": cfg.k_max,
-            "k_count": cfg.k_count,
-            "k0": cfg.k0,
-            "sigma": cfg.sigma,
-            "format": cfg.fmt,
-            "tol_edge": cfg.tol_edge,
-            "fd_step": cfg.fd_step,
-            "tol_unitarity": cfg.tol_unitarity,
-            "displaced": cfg.displaced,
-        },
-    }
+    config = {key: getattr(cfg, key) for key in _FIELDS if key != "out"}
+    return {"command": cfg.command, "version": __version__, "config": config}
 
 
 def _check_defect(s: ScatteringMatrix, cfg: ExperimentConfig, context: str) -> float:
@@ -369,7 +321,7 @@ def _smatrix_row(s: ScatteringMatrix, cfg: ExperimentConfig, context: str) -> di
 def run_cell(cfg: ExperimentConfig):
     rows = []
     for kv in cfg.k_grid():
-        s = cell_smatrix(cfg.cell, WaveNumber(float(kv)))
+        s = cell_smatrix(cfg.potential, WaveNumber(float(kv)))
         rows.append({"k": float(kv), **_smatrix_row(s, cfg, f"k={kv}")})
     return _meta(cfg), rows
 
@@ -390,7 +342,7 @@ def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
         k_grid = cfg.k_grid()
         ks, ns = [WaveNumber(kv) for kv in k_grid.tolist()], [cfg.n] * k_grid.size
-        z, rho = chebyshev_grid(cfg.cell, cfg.period, k_grid)
+        z, rho = chebyshev_grid(cfg.potential, cfg.period, k_grid)
         t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k_grid)
         t_rec = np.exp(2.0 * t_log)
     else:
@@ -398,7 +350,7 @@ def run_chain(cfg: ExperimentConfig):
         ks, ns = [k] * cfg.n_max, list(range(1, cfg.n_max + 1))
         state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
         t, l, r, t_rec = state.t, state.l, state.r, state.transmissions
-        z, rho = chebyshev_inputs(cell_smatrix(cfg.cell, k), cfg.period)
+        z, rho = chebyshev_inputs(cell_smatrix(cfg.potential, k), cfg.period)
     t_cheb = chebyshev_closed_form(z, rho, ns)[1]
     rows = [
         _chain_row(k.k, n, ScatteringMatrix(t=tv, l=lv, r=rv, k=k), t_r, t_ch, cfg)
@@ -412,7 +364,7 @@ def run_bands(cfg: ExperimentConfig):
     rows, inputs = [], []
     for kv in cfg.k_grid():
         k = WaveNumber(float(kv))
-        s = cell_smatrix(cfg.cell, k)
+        s = cell_smatrix(cfg.potential, k)
         _check_defect(s, cfg, f"k={kv}")
         verdict = band_classify(s, cfg.period, tol=cfg.tol_edge)
         inputs.append(chebyshev_inputs(s, cfg.period))
@@ -432,7 +384,7 @@ def run_hartman(cfg: ExperimentConfig):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         records = hartman_scan(
-            cfg.cell, cfg.period, WaveNumber(cfg.k0), cfg.n_max, fd_step=cfg.fd_step
+            cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max, fd_step=cfg.fd_step
         )
     warning = ""
     for item in caught:
@@ -453,11 +405,10 @@ def run_hartman(cfg: ExperimentConfig):
 
 
 def run_delay(cfg: ExperimentConfig):
-    assert cfg.n is not None
-    period = cfg.period if cfg.period is not None else max(cfg.cell.support_width, 1.0)
+    period = cfg.period if cfg.period is not None else max(cfg.potential.support_width, 1.0)
     k_grid = cfg.k_grid()
     displacements = (0.0, period) if cfg.displaced else (0.0,)
-    tables = delay_scan(cfg.cell, period, cfg.n, k_grid, fd_step=cfg.fd_step,
+    tables = delay_scan(cfg.potential, period, cfg.n, k_grid, fd_step=cfg.fd_step,
                         displacements=displacements)
     rows = [
         {"k": kv, "tau_t": tau_t, "tau_l": tau_l, "tau_r": tau_r}
@@ -484,7 +435,7 @@ def run_packet(cfg: ExperimentConfig):
     k0, sigma = cfg.k0, cfg.sigma
     count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
     k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
-    z, rho = chebyshev_grid(cfg.cell, cfg.period, k_values)
+    z, rho = chebyshev_grid(cfg.potential, cfg.period, k_values)
     pointwise = chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions
     rows = []
     for n in range(1, cfg.n_max + 1):
@@ -510,22 +461,14 @@ _RUNNERS = {
 def _format_csv_value(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
     return str(value)
 
 
 def _render(meta: dict, rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        clean = [
-            {key: (float(v) if isinstance(v, np.floating) else v) for key, v in row.items()}
-            for row in rows
-        ]
-        return json.dumps({"meta": meta, "rows": clean}, indent=2) + "\n"
+        return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     if rows:
@@ -553,25 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--cell", help='cell spec, e.g. "delta:g=1" or "barrier:V0=2,w=1"')
-        p.add_argument("--period", type=float, help="lattice period a")
-        p.add_argument("--k-min", dest="k_min", type=float)
-        p.add_argument("--k-max", dest="k_max", type=float)
-        p.add_argument("--k-count", dest="k_count", type=int)
-        p.add_argument("--N", dest="n", type=int, help="fixed chain length")
-        p.add_argument("--N-max", dest="n_max", type=int, help="largest chain length")
-        p.add_argument("--k0", type=float, help="single wave number for per-N scans")
-        p.add_argument("--sigma", type=float, help="wave-packet width in k")
-        p.add_argument("--tol-edge", dest="tol_edge", type=float)
-        p.add_argument("--fd-step", dest="fd_step", type=float)
-        p.add_argument("--tol-unitarity", dest="tol_unitarity", type=float)
-        if name == "delay":
-            p.add_argument(
-                "--displaced", action="store_true", default=None,
-                help="also tabulate the system displaced by one period",
-            )
+        for key, (kind, _, key_help) in _FIELDS.items():
+            if kind is bool:  # a switch; only delay tabulates a displaced system
+                if name == "delay":
+                    p.add_argument(_flag_name(key), dest=key, action="store_true",
+                                   default=None, help=key_help)
+                continue
+            p.add_argument(_flag_name(key), dest=key, type=kind, help=key_help,
+                           choices=_FORMATS if key == "format" else None)
     return parser
 
 
@@ -590,7 +522,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticError as exc:  # the package's typed failures and float overflow
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = _render(meta, rows, cfg.fmt)
+    text = _render(meta, rows, cfg.format)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -65,11 +65,6 @@ class ScatteringMatrix:
         return abs(self.t) ** 2
 
 
-def identity_smatrix(k: WaveNumber) -> ScatteringMatrix:
-    """Free propagation: t = 1 and no reflection."""
-    return ScatteringMatrix(t=1.0 + 0.0j, l=0.0 + 0.0j, r=0.0 + 0.0j, k=k)
-
-
 def unitarity_defect(s: ScatteringMatrix) -> float:
     """Largest violation of the unitarity relations among (t, l, r).
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scatterchain as sc
+from support import identity_smatrix
 
 
 K1 = sc.WaveNumber(1.0)
@@ -145,7 +146,7 @@ class TestHartmanScan:
 class TestBandClassify:
     def test_free_cell_always_band(self):
         for kv in (0.4, 1.0, 2.0, 2.9):
-            verdict = sc.band_classify(sc.identity_smatrix(sc.WaveNumber(kv)), 1.0)
+            verdict = sc.band_classify(identity_smatrix(sc.WaveNumber(kv)), 1.0)
             assert verdict.kind is sc.BandClass.BAND
 
     def test_gap_at_known_point(self):

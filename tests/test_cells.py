@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import scatterchain as sc
+from support import identity_smatrix, smatrix_to_transfer
 
 
 K1 = sc.WaveNumber(1.0)
@@ -150,7 +151,7 @@ class TestTransferOracle:
 
 class TestConversions:
     def test_identity_round_trip(self):
-        m = sc.smatrix_to_transfer(sc.identity_smatrix(K1))
+        m = smatrix_to_transfer(identity_smatrix(K1))
         assert m.m11 == 1.0 and m.m12 == 0.0 and m.m21 == 0.0 and m.m22 == 1.0
         s = sc.transfer_to_smatrix(m)
         assert s.t == 1.0 and s.l == 0.0 and s.r == 0.0
@@ -163,7 +164,7 @@ class TestConversions:
     @pytest.mark.parametrize("cell", ALL_CELLS, ids=lambda c: type(c).__name__)
     def test_round_trip(self, cell):
         m = sc.transfer_oracle(cell, K1)
-        m2 = sc.smatrix_to_transfer(sc.transfer_to_smatrix(m))
+        m2 = smatrix_to_transfer(sc.transfer_to_smatrix(m))
         diff = max(
             abs(m.m11 - m2.m11), abs(m.m12 - m2.m12),
             abs(m.m21 - m2.m21), abs(m.m22 - m2.m22),
@@ -172,7 +173,7 @@ class TestConversions:
 
     def test_singular_conversion_raises(self):
         with pytest.raises(sc.SingularConversionError):
-            sc.smatrix_to_transfer(sc.ScatteringMatrix(t=0.0, l=1.0, r=1.0, k=K1))
+            smatrix_to_transfer(sc.ScatteringMatrix(t=0.0, l=1.0, r=1.0, k=K1))
         singular = sc.TransferMatrix(m11=1.0, m12=0.0, m21=0.0, m22=0.0, k=K1)
         with pytest.raises(sc.SingularConversionError):
             sc.transfer_to_smatrix(singular)

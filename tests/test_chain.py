@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
+from support import identity_smatrix, matmul
 
 
 K1 = sc.WaveNumber(1.0)
@@ -63,7 +64,7 @@ class TestDisplace:
 class TestCompose:
     def test_identity_neutral(self):
         s = sc.cell_smatrix(DELTA, K1)
-        e = sc.identity_smatrix(K1)
+        e = identity_smatrix(K1)
         assert componentwise_diff(sc.compose(s, e), s) < 1e-15
         assert componentwise_diff(sc.compose(e, s), s) < 1e-15
 
@@ -78,7 +79,7 @@ class TestCompose:
         m_shifted = sc.TransferMatrix(
             m11=m.m11, m12=m.m12 / ph2, m21=m.m21 * ph2, m22=m.m22, k=K1
         )
-        expected = sc.transfer_to_smatrix(m_shifted.matmul(m))
+        expected = sc.transfer_to_smatrix(matmul(m_shifted, m))
         assert componentwise_diff(composed, expected) < 1e-12
 
     def test_associative_on_three_delta_cells(self):
@@ -289,7 +290,7 @@ class TestChainEndAmplitudes:
 class TestBlochParameter:
     def test_free_cell(self):
         for kv in (0.4, 1.0, 2.9):
-            s = sc.identity_smatrix(sc.WaveNumber(kv))
+            s = identity_smatrix(sc.WaveNumber(kv))
             z = sc.bloch_parameter(s, 1.0)
             assert z == pytest.approx(math.cos(kv), abs=1e-15)
             assert abs(z) <= 1.0 + 1e-15
@@ -356,7 +357,7 @@ class TestChebyshevTransmission:
         )
 
     def test_free_cell_any_n(self):
-        e = sc.identity_smatrix(K1)
+        e = identity_smatrix(K1)
         for n in (1, 2, 7, 400):
             assert sc.chebyshev_transmission(e, 1.0, n) == 1.0
 

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
+from support import identity_smatrix
 
 
 K1 = sc.WaveNumber(1.0)
@@ -27,7 +28,7 @@ class TestWaveNumber:
 
 class TestUnitarityDefect:
     def test_identity_is_exact(self):
-        assert sc.unitarity_defect(sc.identity_smatrix(K1)) == 0.0
+        assert sc.unitarity_defect(identity_smatrix(K1)) == 0.0
 
     def test_delta_spike_amplitudes(self):
         s = sc.cell_smatrix(sc.DeltaSpike(1.0), K1)
@@ -46,7 +47,7 @@ class TestUnitarityDefect:
 
 class TestPrincipalPhases:
     def test_identity(self):
-        assert sc.principal_phases(sc.identity_smatrix(K1)) == (0.0, None, None)
+        assert sc.principal_phases(identity_smatrix(K1)) == (0.0, None, None)
 
     def test_quarter_turn(self):
         s = sc.ScatteringMatrix(t=1.0 / (1.0 + 1.0j), l=0.0, r=0.0, k=K1)
@@ -82,7 +83,7 @@ class TestPhaseRelationResidual:
         assert sc.phase_relation_residual(composite) < 1e-10
 
     def test_identity_undefined(self):
-        assert sc.phase_relation_residual(sc.identity_smatrix(K1)) is None
+        assert sc.phase_relation_residual(identity_smatrix(K1)) is None
 
 
 class TestUnwrap:

@@ -1,5 +1,6 @@
 """The README's examples run: the library example, and every CLI command of its
-sh blocks (plus the config-file example) exits 0."""
+sh blocks (plus the config-file example) exits 0.  Its options table lists
+every config key with its flag."""
 
 import contextlib
 import io
@@ -78,3 +79,10 @@ def test_config_file_example_runs(tmp_path):
     argv = [launch.group(1), "--config", str(tmp_path / "run.cfg")]
     assert cli.main(with_out(argv, out)) == 0
     assert out.read_text(encoding="utf-8").startswith("N,tau_t,T_t")
+
+
+def test_options_table_lists_every_key():
+    section = README.split("## Options\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    listed = {key.strip(" `"): flag.strip(" `") for key, flag in rows}
+    assert listed == {key: cli._flag_name(key) for key in cli._FIELDS}
