@@ -193,12 +193,15 @@ def unwrap_phases(phases, grid) -> np.ndarray:
     of 2*pi so the adjacent difference falls in (-pi, pi), i.e. the
     difference becomes math.remainder(delta, 2*pi): fmod, then the exact
     fold f - copysign(2*pi, f) where |f| > pi (Sterbenz), then a running
-    sum.  A reduced difference within 1e-12 of +-pi is ambiguous and raises
+    sum.  A row that needs no shift is returned as given, since the running
+    sum would only re-round it; this makes unwrapping idempotent.  A
+    reduced difference within 1e-12 of +-pi is ambiguous and raises
     BranchAmbiguityError naming the two grid points (grid broadcasts
     against phases).
     """
     phases = np.asarray(phases, dtype=float)
-    f = np.fmod(np.diff(phases, axis=-1), TWO_PI)
+    delta = np.diff(phases, axis=-1)
+    f = np.fmod(delta, TWO_PI)
     reduced = np.where(np.abs(f) > math.pi, f - np.copysign(TWO_PI, f), f)
     ambiguous = np.abs(np.abs(reduced) - math.pi) < 1e-12
     if ambiguous.any():
@@ -209,7 +212,9 @@ def unwrap_phases(phases, grid) -> np.ndarray:
             f"phase jump of pi between k={float(ks[i - 1])!r} and k={float(ks[i])!r}: "
             "branch cannot be resolved, refine the grid"
         )
-    return np.add.accumulate(np.concatenate((phases[..., :1], reduced), axis=-1), axis=-1)
+    summed = np.add.accumulate(np.concatenate((phases[..., :1], reduced), axis=-1), axis=-1)
+    shifted = (reduced != delta).any(axis=-1, keepdims=True)
+    return np.where(shifted, summed, phases)
 
 
 def unwrap(raw: Sequence[tuple[float, float]], label: str) -> PhaseCurve:
@@ -218,8 +223,8 @@ def unwrap(raw: Sequence[tuple[float, float]], label: str) -> PhaseCurve:
     The first sample is kept as is; every following value is shifted so the
     adjacent difference falls in (-pi, pi).  A raw difference that sits at pi
     within 1e-12 is ambiguous (either branch is equally near) and raises
-    BranchAmbiguityError.  Applying unwrap to already continuous data is a
-    no-op, so the operation is idempotent.  One row of unwrap_phases.
+    BranchAmbiguityError.  Already continuous data is returned unchanged,
+    so the operation is idempotent.  One row of unwrap_phases.
     """
     if len(raw) == 0:
         raise ValueError("cannot unwrap an empty sample list")

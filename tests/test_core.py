@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
@@ -118,6 +118,7 @@ class TestUnwrap:
         )
     )
     @settings(max_examples=200)
+    @example(values=[1.0, 0.0001, -2.0])  # a running sum re-rounds 0.0001 and -2.0
     def test_idempotent(self, values):
         for a, b in zip(values, values[1:]):
             # a jump of exactly pi is legitimately ambiguous and rejected
@@ -147,6 +148,13 @@ class TestUnwrapPhases:
         assert unwrapped.tolist() == [remainder_loop_unwrap(row) for row in rows.tolist()]
         assert (sc.unwrap_phases(long_row, np.arange(20000.0)).tolist()
                 == remainder_loop_unwrap(long_row.tolist()))
+
+    def test_rows_without_a_shift_are_returned_as_given(self):
+        rows = np.array([[1.0, 0.0001, -2.0], [1.0, 0.0001, 3.5]])
+        unwrapped = sc.unwrap_phases(rows, np.arange(3.0))
+        assert unwrapped[0].tolist() == [1.0, 0.0001, -2.0]
+        assert unwrapped[1].tolist() == remainder_loop_unwrap(rows[1].tolist())
+        assert unwrapped[1, 2] == pytest.approx(3.5 - 2.0 * math.pi, abs=1e-12)
 
     def test_ambiguity_names_the_grid_points(self):
         rows = np.array([[0.0, 0.1, 0.2], [0.0, 0.1, 0.1 + math.pi]])
