@@ -70,14 +70,15 @@ def band_classify(
 ) -> BandVerdict:
     """Classify s_cell's wave number from z = cos(alpha_t + ka)/|t|."""
     z = bloch_parameter(s_cell, a)
-    deviation = abs(z) - 1.0
-    if abs(deviation) <= tol:
-        kind = BandClass.EDGE
-    elif deviation > 0.0:
-        kind = BandClass.GAP
-    else:
-        kind = BandClass.BAND
-    return BandVerdict(k=s_cell.k, z=z, kind=kind, edge_tolerance=tol)
+    return BandVerdict(k=s_cell.k, z=z, kind=band_class_lanes([z], tol)[0], edge_tolerance=tol)
+
+
+def band_class_lanes(z, tol: float) -> np.ndarray:
+    """The band rule for every Bloch parameter of the float array z: EDGE where
+    |z| is within tol of 1, else GAP where |z| > 1, else BAND."""
+    deviation = np.abs(np.asarray(z, dtype=float)) - 1.0
+    kinds = np.where(deviation > 0.0, BandClass.GAP, BandClass.BAND)
+    return np.where(np.abs(deviation) <= tol, BandClass.EDGE, kinds)
 
 
 @dataclass(frozen=True)

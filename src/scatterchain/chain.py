@@ -19,9 +19,11 @@ from .core import (
     MODULUS_FLOOR,
     ScatteringMatrix,
     WaveNumber,
+    _mul,
     math_map,
     principal_phase,
     principal_phase_array,
+    squared_moduli,
 )
 from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
 
@@ -185,16 +187,9 @@ def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, l, r
 
 
-# Complex + - * / on (real, imag) float arrays, in CPython's own formulas, so
-# every lane rounds exactly as the scalar recurrence does; numpy's complex
-# multiply, divide and abs round differently on some inputs.
-
-def _mul(ar, ai, br, bi):
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _quot(ar, ai, br, bi):
-    # _Py_c_quot: Smith's method, scaled by the larger part of b (b != 0).
+    # complex / in CPython's formula, as core._mul does *: _Py_c_quot, Smith's
+    # method, scaled by the larger part of b (b != 0).
     # The branches differ only in the order of commuting operands.
     real_big = np.abs(br) >= np.abs(bi)
     p, q = np.where(real_big, br, bi), np.where(real_big, bi, br)
@@ -406,11 +401,21 @@ def chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:
     return bloch_parameter(s_cell, a), (1.0 - mod2) / mod2
 
 
+def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """chebyshev_inputs of a cell at every wave number of k_values, bit for
+    bit, given its transmission amplitudes t there as a complex array."""
+    mod2 = squared_moduli(t)
+    if (mod2 == 0.0).any():
+        raise UndefinedAmplitudeError("transmission amplitude below floor")
+    phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
+    with np.errstate(over="ignore"):  # rho = inf below |t| ~ 1e-154, as in the scalar form
+        rho = (1.0 - mod2) / mod2
+    return math_map(math.cos, phase) / np.hypot(t.real, t.imag), rho
+
+
 def chebyshev_grid(cell, a: float, k_values) -> tuple[np.ndarray, np.ndarray]:
     """chebyshev_inputs of the cell at every wave number of k_values, as (z, rho) arrays."""
-    pairs = [chebyshev_inputs(cell_smatrix(cell, WaveNumber(float(kv))), a) for kv in k_values]
-    z, rho = np.array(pairs, dtype=float).reshape(-1, 2).T
-    return z, rho
+    return chebyshev_input_lanes(k_values, cell_lanes(cell, k_values)[0], a)
 
 
 def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:

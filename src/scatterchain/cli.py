@@ -21,28 +21,17 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    band_classify,
-    delay_scan,
-    hartman_scan,
-    wavepacket_average,
-)
-from .cells import (
-    DeltaSpike,
-    Lattice,
-    PiecewiseConstant,
-    PotentialCell,
-    RectBarrier,
-    cell_smatrix,
-)
+from .analysis import band_class_lanes, delay_scan, hartman_scan, wavepacket_average
+from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier
 from .chain import (
+    cell_lanes,
     chain_amplitudes,
     chain_end_amplitudes,
     chebyshev_closed_form,
     chebyshev_grid,
-    chebyshev_inputs,
+    chebyshev_input_lanes,
 )
-from .core import ScatteringMatrix, WaveNumber, principal_phases, unitarity_defect
+from .core import WaveNumber, phase_column, squared_moduli, unitarity_defect_lanes
 from .errors import ConfigError, InBandWarning
 
 
@@ -297,87 +286,74 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {"command": cfg.command, "version": __version__, "config": config}
 
 
-def _check_defect(s: ScatteringMatrix, cfg: ExperimentConfig, context: str) -> float:
-    defect = unitarity_defect(s)
-    if defect > cfg.tol_unitarity:
+def _rows(columns: dict) -> list[dict]:
+    """One dict per row of the named, equally long columns (arrays or lists)."""
+    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
+
+
+def _unitarity_column(cfg: ExperimentConfig, t, l, r, where) -> np.ndarray:
+    """unitarity_defect of every row of the amplitude arrays; the first row,
+    in row order, whose defect exceeds tol_unitarity raises, named by where(i)."""
+    defect = unitarity_defect_lanes(t, l, r)
+    bad = np.flatnonzero(defect > cfg.tol_unitarity)
+    if bad.size:
         raise _ContractViolation(
-            f"unitarity defect {defect:.3e} exceeds {cfg.tol_unitarity:.3e} at {context}"
+            f"unitarity defect {defect[bad[0]]:.3e} exceeds {cfg.tol_unitarity:.3e} "
+            f"at {where(bad[0])}"
         )
     return defect
 
 
-def _smatrix_row(s: ScatteringMatrix, cfg: ExperimentConfig, context: str) -> dict:
-    alpha_t, alpha_l, alpha_r = principal_phases(s)
-    return {
-        "re_t": s.t.real, "im_t": s.t.imag,
-        "re_l": s.l.real, "im_l": s.l.imag,
-        "re_r": s.r.real, "im_r": s.r.imag,
-        "T": s.transmission,
-        "alpha_t": alpha_t, "alpha_l": alpha_l, "alpha_r": alpha_r,
-        "unitarity_defect": _check_defect(s, cfg, context),
-    }
+def _amplitude_columns(cfg: ExperimentConfig, t, l, r, where) -> dict:
+    phases = {f"alpha_{x}": phase_column(z) for x, z in zip("tlr", (t, l, r))}
+    return {**phases, "unitarity_defect": _unitarity_column(cfg, t, l, r, where)}
 
 
 def run_cell(cfg: ExperimentConfig):
-    rows = []
-    for kv in cfg.k_grid():
-        s = cell_smatrix(cfg.potential, WaveNumber(float(kv)))
-        rows.append({"k": float(kv), **_smatrix_row(s, cfg, f"k={kv}")})
-    return _meta(cfg), rows
-
-
-def _chain_row(kv: float, n: int, s: ScatteringMatrix, t_rec: float, t_cheb: float,
-               cfg: ExperimentConfig) -> dict:
-    alpha_t, alpha_l, alpha_r = principal_phases(s)
-    return {
-        "k": kv, "N": n,
-        "T_recurrence": t_rec, "T_chebyshev": t_cheb,
-        "dual_path_diff": abs(t_rec - t_cheb),
-        "alpha_t": alpha_t, "alpha_l": alpha_l, "alpha_r": alpha_r,
-        "unitarity_defect": _check_defect(s, cfg, f"k={kv}, N={n}"),
-    }
+    k = cfg.k_grid()
+    t, l, r = cell_lanes(cfg.potential, k)
+    return _meta(cfg), _rows({
+        "k": k,
+        "re_t": t.real, "im_t": t.imag,
+        "re_l": l.real, "im_l": l.imag,
+        "re_r": r.real, "im_r": r.imag,
+        "T": squared_moduli(t),
+        **_amplitude_columns(cfg, t, l, r, lambda i: f"k={k[i]}"),
+    })
 
 
 def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
-        k_grid = cfg.k_grid()
-        ks, ns = [WaveNumber(kv) for kv in k_grid.tolist()], [cfg.n] * k_grid.size
-        z, rho = chebyshev_grid(cfg.potential, cfg.period, k_grid)
-        t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k_grid)
+        k = cfg.k_grid()
+        n = np.full(k.size, cfg.n)
+        z, rho = chebyshev_grid(cfg.potential, cfg.period, k)
+        t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k)
         t_rec = np.exp(2.0 * t_log)
     else:
-        k = WaveNumber(cfg.k0)
-        ks, ns = [k] * cfg.n_max, list(range(1, cfg.n_max + 1))
-        state = chain_amplitudes(cfg.lattice(cfg.n_max), k)
+        n = np.arange(1, cfg.n_max + 1)
+        k = np.full(n.size, cfg.k0)
+        state = chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(cfg.k0))
         t, l, r, t_rec = state.t, state.l, state.r, state.transmissions
-        z, rho = chebyshev_inputs(cell_smatrix(cfg.potential, k), cfg.period)
-    t_cheb = chebyshev_closed_form(z, rho, ns)[1]
-    rows = [
-        _chain_row(k.k, n, ScatteringMatrix(t=tv, l=lv, r=rv, k=k), t_r, t_ch, cfg)
-        for k, n, tv, lv, rv, t_r, t_ch in zip(ks, ns, t.tolist(), l.tolist(), r.tolist(),
-                                               t_rec.tolist(), t_cheb.tolist())
-    ]
-    return _meta(cfg), rows
+        z, rho = chebyshev_input_lanes(k[:1], t[:1], cfg.period)  # t^(1) is the cell's t
+    t_cheb = chebyshev_closed_form(z, rho, n)[1]
+    return _meta(cfg), _rows({
+        "k": k, "N": n, "T_recurrence": t_rec, "T_chebyshev": t_cheb,
+        "dual_path_diff": np.abs(t_rec - t_cheb),
+        **_amplitude_columns(cfg, t, l, r, lambda i: f"k={k[i]}, N={n[i]}"),
+    })
 
 
 def run_bands(cfg: ExperimentConfig):
-    rows, inputs = [], []
-    for kv in cfg.k_grid():
-        k = WaveNumber(float(kv))
-        s = cell_smatrix(cfg.potential, k)
-        _check_defect(s, cfg, f"k={kv}")
-        verdict = band_classify(s, cfg.period, tol=cfg.tol_edge)
-        inputs.append(chebyshev_inputs(s, cfg.period))
-        rows.append({
-            "k": float(kv),
-            "z": verdict.z,
-            "abs_z": abs(verdict.z),
-            "verdict": verdict.kind.value,
-        })
-    z, rho = np.array(inputs).T
-    for row, t in zip(rows, chebyshev_closed_form(z, rho, cfg.n_max)[1].tolist()):
-        row["T_N_max"] = t
-    return _meta(cfg), rows
+    k = cfg.k_grid()
+    t, l, r = cell_lanes(cfg.potential, k)
+    _unitarity_column(cfg, t, l, r, lambda i: f"k={k[i]}")
+    z, rho = chebyshev_input_lanes(k, t, cfg.period)
+    return _meta(cfg), _rows({
+        "k": k, "z": z, "abs_z": np.abs(z),
+        "verdict": [kind.value for kind in band_class_lanes(z, cfg.tol_edge)],
+        "T_N_max": chebyshev_closed_form(z, rho, cfg.n_max)[1],
+    })
 
 
 def run_hartman(cfg: ExperimentConfig):
@@ -386,49 +362,30 @@ def run_hartman(cfg: ExperimentConfig):
         records = hartman_scan(
             cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max, fd_step=cfg.fd_step
         )
-    warning = ""
-    for item in caught:
-        if issubclass(item.category, InBandWarning):
-            warning = str(item.message)
-    rows = []
-    previous = None
-    for rec in records:
-        rows.append({
-            "N": rec.N,
-            "tau_t": rec.tau_t_N,
-            "T_t": rec.T_t_N,
-            "increment": None if previous is None else rec.T_t_N - previous,
-            "warning": warning,
-        })
-        previous = rec.T_t_N
-    return _meta(cfg), rows
+    warning = next((str(w.message) for w in caught if issubclass(w.category, InBandWarning)), "")
+    times = [rec.T_t_N for rec in records]
+    return _meta(cfg), _rows({
+        "N": [rec.N for rec in records],
+        "tau_t": [rec.tau_t_N for rec in records],
+        "T_t": times,
+        "increment": [None] + [b - a for a, b in zip(times, times[1:])],
+        "warning": [warning] * len(records),
+    })
 
 
 def run_delay(cfg: ExperimentConfig):
     period = cfg.period if cfg.period is not None else max(cfg.potential.support_width, 1.0)
     k_grid = cfg.k_grid()
-    displacements = (0.0, period) if cfg.displaced else (0.0,)
     tables = delay_scan(cfg.potential, period, cfg.n, k_grid, fd_step=cfg.fd_step,
-                        displacements=displacements)
-    rows = [
-        {"k": kv, "tau_t": tau_t, "tau_l": tau_l, "tau_r": tau_r}
-        for kv, tau_t, tau_l, tau_r in zip(k_grid.tolist(), *tables[0])
-    ]
+                        displacements=(0.0, period) if cfg.displaced else (0.0,))
+    columns = {"k": k_grid, **{f"tau_{x}": taus for x, taus in zip("tlr", tables[0])}}
     if cfg.displaced:
-
-        def diff(x, y):
-            return None if x is None or y is None else y - x
-
-        for row, tau_t, tau_l, tau_r in zip(rows, *tables[1]):
-            row.update({
-                "tau_t_displaced": tau_t,
-                "tau_l_displaced": tau_l,
-                "tau_r_displaced": tau_r,
-                "dtau_t": diff(row["tau_t"], tau_t),
-                "dtau_l": diff(row["tau_l"], tau_l),
-                "dtau_r": diff(row["tau_r"], tau_r),
-            })
-    return _meta(cfg), rows
+        columns.update({f"tau_{x}_displaced": taus for x, taus in zip("tlr", tables[1])})
+        columns.update({
+            f"dtau_{x}": [None if a is None or b is None else b - a for a, b in zip(base, moved)]
+            for x, base, moved in zip("tlr", *tables)
+        })
+    return _meta(cfg), _rows(columns)
 
 
 def run_packet(cfg: ExperimentConfig):
@@ -436,16 +393,14 @@ def run_packet(cfg: ExperimentConfig):
     count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
     k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
     z, rho = chebyshev_grid(cfg.potential, cfg.period, k_values)
-    pointwise = chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions
-    rows = []
-    for n in range(1, cfg.n_max + 1):
-        profile_row = chebyshev_closed_form(z, rho, n)[1]
-        rows.append({
-            "N": n,
-            "averaged_T": wavepacket_average(k_values, profile_row, k0, sigma),
-            "pointwise_T_k0": float(pointwise[n - 1]),
-        })
-    return _meta(cfg), rows
+    n = np.arange(1, cfg.n_max + 1)
+    # one profile row at a time, so memory stays bounded in N_max
+    profile_rows = (chebyshev_closed_form(z, rho, m)[1] for m in n.tolist())
+    return _meta(cfg), _rows({
+        "N": n,
+        "averaged_T": [wavepacket_average(k_values, row, k0, sigma) for row in profile_rows],
+        "pointwise_T_k0": chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions,
+    })
 
 
 _RUNNERS = {

@@ -79,6 +79,27 @@ def unitarity_defect(s: ScatteringMatrix) -> float:
     return max(left, right, overlap)
 
 
+def unitarity_defect_lanes(t, l, r) -> np.ndarray:
+    """unitarity_defect of every lane of the complex arrays t, l and r, bit for bit."""
+    t2 = squared_moduli(t)
+    left = np.abs(t2 + squared_moduli(l) - 1.0)
+    right = np.abs(t2 + squared_moduli(r) - 1.0)
+    tr_re, tr_im = _mul(t.real, t.imag, r.real, -r.imag)
+    lt_re, lt_im = _mul(l.real, l.imag, t.real, -t.imag)
+    return np.maximum(np.maximum(left, right), np.hypot(tr_re + lt_re, tr_im + lt_im))
+
+
+def squared_moduli(z) -> np.ndarray:
+    """abs(z) ** 2 of every entry of the complex array z, bit for bit (pow, not m * m)."""
+    return math_map(pow, np.hypot(z.real, z.imag), 2.0)
+
+
+def _mul(ar, ai, br, bi):
+    # complex * on (real, imag) float arrays in CPython's formula; numpy's
+    # complex multiply rounds differently on some inputs
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def principal_phase(z: complex) -> float:
     """Argument of z on the branch (-pi, pi]."""
     p = cmath.phase(z)
@@ -135,6 +156,13 @@ def principal_phases(
         return principal_phase(z)
 
     return arg_or_none(s.t), arg_or_none(s.l), arg_or_none(s.r)
+
+
+def phase_column(z) -> list[Optional[float]]:
+    """principal_phases' slot for every entry of the complex array z: its
+    principal phase, or None where the modulus is below MODULUS_FLOOR."""
+    defined = (np.hypot(z.real, z.imag) >= MODULUS_FLOOR).tolist()
+    return [p if ok else None for p, ok in zip(principal_phase_array(z).tolist(), defined)]
 
 
 def phase_relation_residual(s: ScatteringMatrix) -> Optional[float]:

@@ -1,6 +1,9 @@
-"""Helpers that only the tests use: the free-propagation matrix and the
-scattering-to-transfer conversion with its matrix product, the reverse of
-the package's transfer_to_smatrix path."""
+"""Helpers that only the tests use: the free-propagation matrix, the
+scattering-to-transfer conversion with its matrix product (the reverse of
+the package's transfer_to_smatrix path) and amplitudes whose squared
+modulus numpy rounds differently from CPython."""
+
+import numpy as np
 
 from scatterchain import (
     MODULUS_FLOOR,
@@ -45,3 +48,19 @@ def matmul(a: TransferMatrix, b: TransferMatrix) -> TransferMatrix:
         m22=a.m21 * b.m12 + a.m22 * b.m22,
         k=a.k,
     )
+
+
+def pow_square_mismatches(count: int, seed: int) -> np.ndarray:
+    """count complex values whose modulus m has m ** 2 != m * m.
+
+    CPython squares a float with libm pow, numpy's ** 2 with a product; an
+    array form that should equal a scalar abs(t) ** 2 fails on these values
+    if it squares the numpy way.
+    """
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        z = complex(*rng.uniform(-1.0, 1.0, 2).tolist())
+        if abs(z) ** 2 != abs(z) * abs(z):
+            found.append(z)
+    return np.array(found)

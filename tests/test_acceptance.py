@@ -49,7 +49,7 @@ def test_criterion_1_unitarity():
         1,
         worst < 1e-10 and elapsed < 5.0,
         f"unitarity defect < 1e-10 for all cells and chains N<={N_MAX} "
-        f"(worst {worst:.3e}, {elapsed:.2f}s)",
+        f"(worst {worst:.3e}, {elapsed:.2f}s of 5s)",
     )
 
 
@@ -71,7 +71,7 @@ def test_criterion_2_dual_path_equivalence():
         2,
         worst < 1e-10 and elapsed < 10.0,
         f"recurrence vs Chebyshev |t^(N)|^2 agree to 1e-10 incl. edge points "
-        f"ka = m*pi (worst {worst:.3e}, {elapsed:.2f}s)",
+        f"ka = m*pi (worst {worst:.3e}, {elapsed:.2f}s of 10s)",
     )
 
 

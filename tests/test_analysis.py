@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import scatterchain as sc
+from scatterchain import analysis
 from support import identity_smatrix
 
 
@@ -158,6 +159,40 @@ class TestBandClassify:
         verdict = sc.band_classify(sc.cell_smatrix(COMB5, sc.WaveNumber(math.pi)), 1.0)
         assert verdict.kind is sc.BandClass.EDGE
         assert verdict.z == pytest.approx(-1.0, abs=1e-12)
+
+
+def ladder_rule(z, tol):
+    """The band rule as a scalar if-ladder, the reference for band_class_lanes."""
+    deviation = abs(z) - 1.0
+    if abs(deviation) <= tol:
+        return sc.BandClass.EDGE
+    return sc.BandClass.GAP if deviation > 0.0 else sc.BandClass.BAND
+
+
+class TestBandClassLanes:
+    """The array band rule against band_classify and the scalar rule, with ==."""
+
+    def test_exactly_at_and_next_to_the_edge_tolerance(self):
+        tol = 2.0 ** -10  # |z| - 1 = +-tol is exact for these z
+        at = [1.0 + tol, 1.0 - tol, -1.0 - tol, -1.0 + tol]
+        near = [math.nextafter(z, direction) for z in at for direction in (0.0, 2 * z)]
+        z = np.array([*at, *near, 0.0, 1.0, -1.0, 2.0, -2.0, 0.999])
+        expected = [ladder_rule(v, tol) for v in z.tolist()]
+        assert expected[:4] == [sc.BandClass.EDGE] * 4
+        assert {sc.BandClass.BAND, sc.BandClass.GAP} <= set(expected[4:12])
+        assert analysis.band_class_lanes(z, tol).tolist() == expected
+
+    @pytest.mark.parametrize("cell", [sc.DeltaSpike(0.0), COMB5, sc.RectBarrier(-1.5, 0.5)])
+    def test_equals_band_classify(self, cell):
+        k_values = np.append(np.linspace(0.3, 9.0, 300), math.pi)  # ka = pi: z ~ -1
+        matrices = [sc.cell_smatrix(cell, sc.WaveNumber(kv)) for kv in k_values.tolist()]
+        z = np.array([sc.bloch_parameter(s, 1.0) for s in matrices])
+        edge_tol = abs(abs(z[-1]) - 1.0)  # the ka = pi row sits exactly on the tolerance
+        for tol in (analysis.DEFAULT_EDGE_TOL, edge_tol, math.nextafter(edge_tol, 0.0)):
+            verdicts = [sc.band_classify(s, 1.0, tol=tol) for s in matrices]
+            assert [v.z for v in verdicts] == z.tolist()
+            assert analysis.band_class_lanes(z, tol).tolist() == [v.kind for v in verdicts]
+            assert [ladder_rule(v, tol) for v in z.tolist()] == [v.kind for v in verdicts]
 
 
 @pytest.fixture(scope="module")

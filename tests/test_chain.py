@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
-from support import identity_smatrix, matmul
+from support import identity_smatrix, matmul, pow_square_mismatches
 
 
 K1 = sc.WaveNumber(1.0)
@@ -308,6 +309,59 @@ class TestBlochParameter:
         k = sc.WaveNumber(math.pi)
         s = sc.cell_smatrix(COMB5, k)
         assert sc.bloch_parameter(s, 1.0) == pytest.approx(-1.0, abs=1e-14)
+
+
+class TestChebyshevInputLanes:
+    """The array (z, rho) against the scalar chebyshev_inputs, lane by lane, with ==."""
+
+    CELLS = {
+        "free": (sc.DeltaSpike(0.0), 1.0),
+        "comb": (COMB5, 1.0),  # deep gaps, and ka = pi on the band edge
+        "well": (sc.RectBarrier(-1.5, 0.5), 1.2),
+        "piecewise": (sc.PiecewiseConstant(((0.4, 1.2), (0.3, -2.0), (0.5, 0.8))), 1.5),
+    }
+
+    @staticmethod
+    def scalar(k_values, t, a):
+        return [sc.chain.chebyshev_inputs(sc.ScatteringMatrix(t=tv, l=0.0, r=0.0,
+                                                              k=sc.WaveNumber(kv)), a)
+                for kv, tv in zip(k_values.tolist(), t.tolist())]
+
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_cell_scan(self, name):
+        cell, a = self.CELLS[name]
+        k_values = np.append(np.linspace(0.3, 9.0, 300), math.pi / a)
+        z, rho = sc.chain.chebyshev_grid(cell, a, k_values)
+        expected = [sc.chain.chebyshev_inputs(sc.cell_smatrix(cell, sc.WaveNumber(kv)), a)
+                    for kv in k_values.tolist()]
+        assert list(zip(z.tolist(), rho.tolist())) == expected
+
+    def test_moduli_where_pow_and_product_differ(self):
+        t = pow_square_mismatches(40, seed=4)
+        k_values = np.linspace(0.5, 2.0, t.size)
+        z, rho = sc.chain.chebyshev_input_lanes(k_values, t, 1.3)
+        expected = self.scalar(k_values, t, 1.3)
+        assert list(zip(z.tolist(), rho.tolist())) == expected
+        mod2 = np.hypot(t.real, t.imag) ** 2
+        assert ((1.0 - mod2) / mod2 != [e[1] for e in expected]).any()
+
+    @pytest.mark.parametrize("t_below", [0.0, 1e-301, 1e-170])
+    def test_floor_condition_and_error(self, t_below):
+        # |t|^2 underflows to 0 below |t| ~ 1e-162, also above MODULUS_FLOOR
+        k_values, t = np.array([0.5, 1.0]), np.array([0.6 + 0.1j, t_below])
+        with pytest.raises(sc.UndefinedAmplitudeError) as scalar:
+            self.scalar(k_values, t, 1.0)
+        with pytest.raises(sc.UndefinedAmplitudeError) as lanes:
+            sc.chain.chebyshev_input_lanes(k_values, t, 1.0)
+        assert str(lanes.value) == str(scalar.value)
+
+    def test_overflowing_rho_is_inf_without_a_warning(self):
+        k_values, t = np.array([1.0]), np.array([1e-160 + 0j])  # |t|^2 is subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, rho = sc.chain.chebyshev_input_lanes(k_values, t, 1.0)
+        assert [(z[0], rho[0])] == self.scalar(k_values, t, 1.0)
+        assert rho[0] == math.inf
 
 
 class TestChebyshevU:

@@ -84,9 +84,57 @@ def count_cell_smatrix(monkeypatch):
         calls.append(k.k)
         return original(cell, k)
 
-    for module in (sc.chain, sc.analysis, sc.cli):
+    for module in (sc.chain, sc.analysis):
         monkeypatch.setattr(module, "cell_smatrix", counted)
     return calls
+
+
+def count_smatrices(monkeypatch):
+    """Count ScatteringMatrix objects built, through a patched __post_init__."""
+    built = []
+    original = sc.ScatteringMatrix.__post_init__
+
+    def counted(s):
+        built.append(s)
+        original(s)
+
+    monkeypatch.setattr(sc.ScatteringMatrix, "__post_init__", counted)
+    return built
+
+
+def amplitude_columns(s):
+    """The phase and unitarity columns of one row, by the scalar functions."""
+    alpha_t, alpha_l, alpha_r = sc.principal_phases(s)
+    return {"alpha_t": alpha_t, "alpha_l": alpha_l, "alpha_r": alpha_r,
+            "unitarity_defect": sc.unitarity_defect(s)}
+
+
+# a scan and a --tol-unitarity between two of its rows' defects, with the
+# first violating row, not row 0, named in the exit-3 line
+VIOLATIONS = {
+    "cell": (["cell", "--cell", "barrier:V0=2,w=1", "--k-min", "0.7", "--k-max", "3.1",
+              "--k-count", "7", "--tol-unitarity", "3e-16"],
+             "unitarity defect 4.441e-16 exceeds 3.000e-16 at k=1.1"),
+    "chain_per_k": (["chain", "--cell", "barrier:V0=2,w=1", "--period", "1.5", "--N", "16",
+                     "--k-min", "0.7", "--k-max", "3.1", "--k-count", "7",
+                     "--tol-unitarity", "1e-15"],
+                    "unitarity defect 6.550e-15 exceeds 1.000e-15 at k=1.9000000000000001, N=16"),
+    "chain_per_n": (["chain", "--cell", "delta:g=5", "--period", "1", "--k0", "2.5",
+                     "--N-max", "12", "--tol-unitarity", "1e-15"],
+                    "unitarity defect 1.770e-15 exceeds 1.000e-15 at k=2.5, N=3"),
+    "bands": (["bands", "--cell", "barrier:V0=2,w=1", "--period", "1.5", "--N-max", "8",
+               "--k-min", "0.7", "--k-max", "3.1", "--k-count", "7",
+               "--tol-unitarity", "3e-16"],
+              "unitarity defect 4.441e-16 exceeds 3.000e-16 at k=1.1"),
+}
+
+
+@pytest.mark.parametrize("table", sorted(VIOLATIONS))
+def test_unitarity_violation_names_the_first_violating_row(capsys, table):
+    argv, message = VIOLATIONS[table]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"numerical contract violated: {message}\n"
 
 
 class TestCellSpecParsing:
@@ -181,6 +229,32 @@ class TestCellCommand:
         )
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "OverflowError" in err
+
+    @pytest.mark.parametrize("cell, k_count", [
+        ("delta:g=0", 7),  # free cell: reflection phases undefined
+        ("delta:g=1", 400),
+        ("barrier:V0=-1.5,w=0.5", 400),
+        ("barrier:V0=9450,w=5", 37),  # |t| ~ 1e-300 crosses MODULUS_FLOOR; |t|^2 is 0
+        ("piecewise:0.4:1.2,0.3:-2.0,0.5:0.8", 37),
+    ])
+    def test_rows_equal_the_scalar_loop(self, capsys, cell, k_count):
+        code, out, _ = run_cli(
+            capsys, "cell", "--cell", cell, "--k-min", "0.3", "--k-max", "4.0",
+            "--k-count", str(k_count), "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == k_count
+        for row in rows:
+            s = sc.cell_smatrix(parse_cell_spec(cell), sc.WaveNumber(row["k"]))
+            assert row == {
+                "k": row["k"],
+                "re_t": s.t.real, "im_t": s.t.imag,
+                "re_l": s.l.real, "im_l": s.l.imag,
+                "re_r": s.r.real, "im_r": s.r.imag,
+                "T": s.transmission,
+                **amplitude_columns(s),
+            }
 
 
 class TestChainCommand:
@@ -282,6 +356,54 @@ class TestChainCommand:
             assert (row["alpha_t"], row["alpha_l"], row["alpha_r"]) == (alpha_t, alpha_l, alpha_r)
             assert row["unitarity_defect"] == sc.unitarity_defect(last)
 
+    @pytest.mark.parametrize("cell, period, k0", [
+        ("delta:g=5", "1", "1.0"),  # deep gap: t^(N) falls below MODULUS_FLOOR
+        ("delta:g=1", "1", "3.141592653589793"),  # ka = pi: the closed form's edge window
+        ("barrier:V0=-1.5,w=0.5", "1.2", "1.7"),
+        ("piecewise:0.4:1.2,0.3:-2.0,0.5:0.8", "1.5", "2.2"),
+    ])
+    def test_per_n_rows_equal_the_scalar_loop(self, capsys, cell, period, k0):
+        code, out, _ = run_cli(
+            capsys, "chain", "--cell", cell, "--period", period, "--k0", k0,
+            "--N-max", "400", "--format", "json",
+        )
+        assert code == 0
+        potential, a, k = parse_cell_spec(cell), float(period), sc.WaveNumber(float(k0))
+        state = sc.chain_amplitudes(sc.Lattice(potential, a, 400), k)
+        z, rho = sc.chain.chebyshev_inputs(sc.cell_smatrix(potential, k), a)
+        rows = json.loads(out)["rows"]
+        assert [row["N"] for row in rows] == list(range(1, 401))
+        for row, s, t_rec in zip(rows, state.matrices, state.transmissions.tolist()):
+            t_cheb = float(sc.chebyshev_closed_form(z, rho, row["N"])[1][0])
+            assert row == {
+                "k": k.k, "N": row["N"],
+                "T_recurrence": t_rec, "T_chebyshev": t_cheb,
+                "dual_path_diff": abs(t_rec - t_cheb),
+                **amplitude_columns(s),
+            }
+
+    def test_per_n_table_builds_no_matrix_per_row(self, capsys, monkeypatch):
+        built = count_smatrices(monkeypatch)
+        counts = []
+        for n_max in ("4", "400"):
+            code, _, _ = run_cli(
+                capsys, "chain", "--cell", "delta:g=5", "--period", "1",
+                "--k0", "1.0", "--N-max", n_max,
+            )
+            assert code == 0
+            counts.append(len(built))
+            built.clear()
+        assert counts[0] == counts[1]
+
+    def test_per_k_table_builds_two_matrices_per_k(self, capsys, monkeypatch):
+        built = count_smatrices(monkeypatch)
+        code, out, _ = run_cli(
+            capsys, "chain", "--cell", "delta:g=1", "--period", "1", "--N", "8",
+            "--k-min", "0.3", "--k-max", "4.0", "--k-count", "40",
+        )
+        assert code == 0 and len(parse_csv(out)) == 40
+        assert len(built) == 2 * 40  # the cell, for the closed form and for the recurrence
+
 
 class TestBandsCommand:
     def test_delta_comb_band_gap_structure(self, capsys):
@@ -315,6 +437,31 @@ class TestBandsCommand:
         rows = parse_csv(out)
         assert rows[0]["verdict"] == "Edge"
         assert float(rows[0]["z"]) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cell, period, k_min, tol_edge", [
+        ("delta:g=0", "1", "0.3", "1e-9"),  # free cell: all band
+        ("delta:g=5", "1", "3.141592653589793", "1e-9"),  # ka = pi edge row, deep gaps
+        ("delta:g=5", "1", "3.141592653589793", "1e-3"),
+        ("barrier:V0=-1.5,w=0.5", "1.2", "0.3", "1e-9"),
+        ("piecewise:0.4:1.2,0.3:-2.0,0.5:0.8", "1.5", "0.3", "1e-9"),
+    ])
+    def test_rows_equal_the_scalar_loop(self, capsys, cell, period, k_min, tol_edge):
+        code, out, _ = run_cli(
+            capsys, "bands", "--cell", cell, "--period", period, "--k-min", k_min,
+            "--k-max", "9.0", "--k-count", "200", "--N-max", "32",
+            "--tol-edge", tol_edge, "--format", "json",
+        )
+        assert code == 0
+        potential, a = parse_cell_spec(cell), float(period)
+        for row in json.loads(out)["rows"]:
+            s = sc.cell_smatrix(potential, sc.WaveNumber(row["k"]))
+            verdict = sc.band_classify(s, a, tol=float(tol_edge))
+            z, rho = sc.chain.chebyshev_inputs(s, a)
+            assert row == {
+                "k": row["k"], "z": verdict.z, "abs_z": abs(verdict.z),
+                "verdict": verdict.kind.value,
+                "T_N_max": float(sc.chebyshev_closed_form(z, rho, 32)[1][0]),
+            }
 
 
 class TestHartmanCommand:

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
-from support import identity_smatrix
+from support import identity_smatrix, pow_square_mismatches
 
 
 K1 = sc.WaveNumber(1.0)
@@ -43,6 +43,56 @@ class TestUnitarityDefect:
     def test_rejects_nonfinite_amplitudes(self):
         with pytest.raises(ValueError):
             sc.ScatteringMatrix(t=complex("nan"), l=0.0, r=0.0, k=K1)
+
+
+class TestUnitarityDefectLanes:
+    """The array defect against the scalar unitarity_defect, lane by lane, with ==."""
+
+    @staticmethod
+    def scalar(t, l, r):
+        return [sc.unitarity_defect(sc.ScatteringMatrix(t=tv, l=lv, r=rv, k=K1))
+                for tv, lv, rv in zip(t.tolist(), l.tolist(), r.tolist())]
+
+    @pytest.mark.parametrize("cell", [
+        sc.DeltaSpike(0.0), sc.DeltaSpike(5.0), sc.RectBarrier(-1.5, 0.5),
+        sc.RectBarrier(9450.0, 5.0),  # |t| ~ 1e-300: |t|^2 underflows
+        sc.PiecewiseConstant(((0.4, 1.2), (0.3, -2.0), (0.5, 0.8))),
+    ])
+    def test_cell_amplitudes(self, cell):
+        t, l, r = sc.chain.cell_lanes(cell, np.linspace(0.3, 9.0, 400))
+        assert sc.core.unitarity_defect_lanes(t, l, r).tolist() == self.scalar(t, l, r)
+
+    def test_moduli_where_pow_and_product_differ(self):
+        t = pow_square_mismatches(40, seed=1)
+        zero = np.zeros_like(t)
+        expected = self.scalar(t, zero, zero)  # |abs(t) ** 2 - 1|: the square shows
+        assert sc.core.unitarity_defect_lanes(t, zero, zero).tolist() == expected
+        numpy_square = np.abs(np.hypot(t.real, t.imag) ** 2 - 1.0)
+        assert (numpy_square != expected).any()
+
+    def test_non_unitary_triples(self):
+        rng = np.random.default_rng(2)
+        t, l, r = (rng.normal(size=500) + 1j * rng.normal(size=500) for _ in range(3))
+        assert sc.core.unitarity_defect_lanes(t, l, r).tolist() == self.scalar(t, l, r)
+
+
+class TestPhaseColumn:
+    def test_equals_principal_phases(self):
+        floor = sc.MODULUS_FLOOR
+        below = math.nextafter(floor, 0.0)
+        rng = np.random.default_rng(3)
+        values = [
+            0j, complex(-0.0, 0.0), complex(-1.0, 0.0), complex(-1.0, -0.0),
+            complex(floor, 0.0), complex(0.0, -floor), complex(-floor, -0.0),
+            complex(below, 0.0), complex(0.0, below), complex(-below, 0.0),
+            floor * (0.6 + 0.8j), below * (0.6 - 0.8j),
+            *(rng.normal(size=50) + 1j * rng.normal(size=50)).tolist(),
+        ]
+        expected = [sc.principal_phases(sc.ScatteringMatrix(t=v, l=0.0, r=0.0, k=K1))[0]
+                    for v in values]
+        assert expected[4:7] == [0.0, -math.pi / 2, math.pi]  # at the floor
+        assert expected[7:10] == [None, None, None]  # just below it
+        assert sc.core.phase_column(np.array(values)) == expected
 
 
 class TestPrincipalPhases:
