@@ -12,11 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cells import Lattice, PotentialCell, cell_smatrix
+from .cells import Lattice, PotentialCell, cell_lanes, cell_smatrix
 from .chain import (
     ChainState,
     bloch_parameter,
-    cell_lanes,
     chain_amplitudes,
     chain_end_amplitudes,
     displace_lanes,
@@ -294,15 +293,6 @@ def delay_scan(
     return tables
 
 
-def traversal_time(N: int, a: float, k: WaveNumber, tau_t_N: float) -> HartmanRecord:
-    """T = N*a/v + tau_t: free flight over the chain plus the time delay."""
-    return HartmanRecord(
-        N=int(N), tau_t_N=float(tau_t_N),
-        T_t_N=int(N) * float(a) / k.velocity + float(tau_t_N),
-        k=k, a=float(a),
-    )
-
-
 def hartman_scan(
     cell: PotentialCell,
     a: float,
@@ -331,7 +321,9 @@ def hartman_scan(
     sweeps = [chain_amplitudes(Lattice(cell, a, n_max), WaveNumber(kv)) for kv in ks.tolist()]
     phases = np.stack([sweep.t_phases for sweep in sweeps], axis=-1)
     taus = _five_point(unwrap_phases(phases, ks), h) / k.velocity
-    return [traversal_time(n, a, k, tau) for n, tau in enumerate(taus.tolist(), 1)]
+    a = float(a)
+    return [HartmanRecord(N=n, tau_t_N=tau, T_t_N=n * a / k.velocity + tau, k=k, a=a)
+            for n, tau in enumerate(taus.tolist(), 1)]
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:

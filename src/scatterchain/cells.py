@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .core import MODULUS_FLOOR, ScatteringMatrix, WaveNumber
 from .errors import SingularConversionError
 
@@ -197,6 +199,18 @@ def cell_smatrix(cell: PotentialCell, k: WaveNumber) -> ScatteringMatrix:
     if isinstance(cell, PiecewiseConstant):
         return _piecewise_smatrix(cell, k)
     raise TypeError(f"unsupported cell type: {type(cell).__name__}")
+
+
+def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, l, r) of the cell at every wave number of k_values, as complex
+    arrays of k_values' shape, filled one cell_smatrix call at a time."""
+    k_values = np.asarray(k_values, dtype=float)
+    lanes = np.empty((3, k_values.size), dtype=complex)
+    for i, kv in enumerate(k_values.ravel().tolist()):
+        s = cell_smatrix(cell, WaveNumber(kv))
+        lanes[:, i] = s.t, s.l, s.r
+    t, l, r = lanes.reshape((3, *k_values.shape))
+    return t, l, r
 
 
 # --- transfer-matrix oracle ------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Lattice, cell_smatrix
+from .cells import Lattice, cell_lanes, cell_smatrix
 from .core import (
     MODULUS_FLOOR,
     ScatteringMatrix,
@@ -173,18 +173,6 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
                 rc * pos_phase.conjugate() + tc * tc * r / den)
 
     return _grow(lattice, s_cell, step)
-
-
-def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, l, r) of the cell at every wave number of k_values, as complex
-    arrays of k_values' shape, filled one cell_smatrix call at a time."""
-    k_values = np.asarray(k_values, dtype=float)
-    lanes = np.empty((3, k_values.size), dtype=complex)
-    for i, kv in enumerate(k_values.ravel().tolist()):
-        s = cell_smatrix(cell, WaveNumber(kv))
-        lanes[:, i] = s.t, s.l, s.r
-    t, l, r = lanes.reshape((3, *k_values.shape))
-    return t, l, r
 
 
 def _quot(ar, ai, br, bi):
@@ -381,17 +369,6 @@ def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     return u, t
 
 
-def chebyshev_U(n: int, z: float) -> float:
-    """Chebyshev polynomial of the second kind U_n(z) on the whole real line.
-
-    A length-1 call of chebyshev_closed_form: exact at z = +-1, saturating
-    to +-inf where the gap value overflows.
-    """
-    if n < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {n}")
-    return float(chebyshev_closed_form(float(z), 0.0, n + 1)[0][0])
-
-
 def chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:
     """(z, rho) of one cell for the closed form: z = cos(alpha_t + ka)/|t| and
     rho = (1 - |t|^2)/|t|^2."""
@@ -413,11 +390,6 @@ def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray
     return math_map(math.cos, phase) / np.hypot(t.real, t.imag), rho
 
 
-def chebyshev_grid(cell, a: float, k_values) -> tuple[np.ndarray, np.ndarray]:
-    """chebyshev_inputs of the cell at every wave number of k_values, as (z, rho) arrays."""
-    return chebyshev_input_lanes(k_values, cell_lanes(cell, k_values)[0], a)
-
-
 def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
     """Closed-form N-cell transmission probability
 
@@ -437,5 +409,5 @@ def transmission_profile(
 
     Returns an array of shape (len(n_values), len(k_values)).
     """
-    z, rho = chebyshev_grid(cell, a, k_values)
+    z, rho = chebyshev_input_lanes(k_values, cell_lanes(cell, k_values)[0], a)
     return chebyshev_closed_form(z, rho, np.asarray(n_values, dtype=int)[:, None])[1]

@@ -15,20 +15,18 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from .analysis import band_class_lanes, delay_scan, hartman_scan, wavepacket_average
-from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier
+from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
 from .chain import (
-    cell_lanes,
     chain_amplitudes,
     chain_end_amplitudes,
     chebyshev_closed_form,
-    chebyshev_grid,
     chebyshev_input_lanes,
 )
 from .core import WaveNumber, phase_column, squared_moduli, unitarity_defect_lanes
@@ -114,14 +112,16 @@ _FIELDS = {
 
 _GRID = ("k_min", "k_max", "k_count")
 
-# the keys each command needs; _required adds the conditional ones
-_REQUIRED = {
-    "cell": ("cell", *_GRID),
-    "chain": ("cell", "period"),
-    "bands": ("cell", *_GRID, "n_max", "period"),
-    "hartman": ("cell", "k0", "n_max", "period"),
-    "delay": ("cell", *_GRID),
-    "packet": ("cell", "k0", "n_max", "sigma", "period"),
+# command: (help, the keys it needs); _required adds the conditional ones
+_COMMANDS = {
+    "cell": ("single-cell amplitudes over a k grid", ("cell", *_GRID)),
+    "chain": ("N-cell transmission via recurrence and Chebyshev paths", ("cell", "period")),
+    "bands": ("band/gap classification over a k grid", ("cell", *_GRID, "n_max", "period")),
+    "hartman": ("traversal-time saturation versus N at fixed k",
+                ("cell", "k0", "n_max", "period")),
+    "delay": ("transmission/reflection time delays over a k grid", ("cell", *_GRID)),
+    "packet": ("Gaussian wave-packet averaged transmission versus N",
+               ("cell", "k0", "n_max", "sigma", "period")),
 }
 
 
@@ -195,43 +195,33 @@ def load_config_file(path: str) -> dict[str, tuple[object, str]]:
     return entries
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved options for one CLI run (defaults < config file < flags): one
-    field per key of _FIELDS, plus the command and the parsed cell."""
+def _lattice(cfg, n: int) -> Lattice:
+    try:
+        return Lattice(cfg.potential, cfg.period, n)
+    except ValueError as exc:
+        raise ConfigError(f"field 'period': {exc}") from exc
 
-    command: str
-    potential: PotentialCell
-    cell: str
-    period: Optional[float]
-    n: Optional[int]
-    n_max: Optional[int]
-    k_min: Optional[float]
-    k_max: Optional[float]
-    k_count: Optional[int]
-    k0: Optional[float]
-    sigma: Optional[float]
-    format: str
-    tol_edge: float
-    fd_step: float
-    tol_unitarity: float
-    displaced: bool
-    out: Optional[str]
 
-    def k_grid(self) -> np.ndarray:
-        return np.linspace(self.k_min, self.k_max, self.k_count)
-
-    def lattice(self, n: int) -> Lattice:
-        try:
-            return Lattice(self.potential, self.period, n)
-        except ValueError as exc:
-            raise ConfigError(f"field 'period': {exc}") from exc
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig",
+    [("command", str), ("potential", PotentialCell),
+     *((key, kind if default is not None else Optional[kind])
+       for key, (kind, default, _) in _FIELDS.items())],
+    namespace={
+        "__doc__": "Resolved options for one CLI run (defaults < config file < flags): "
+                   "one field per key of _FIELDS, plus the command and the parsed cell.",
+        "__module__": __name__,
+        "k_grid": lambda cfg: np.linspace(cfg.k_min, cfg.k_max, cfg.k_count),
+        "lattice": _lattice,
+    },
+    frozen=True,
+)
 
 
 def _required(command: str, values: dict) -> tuple[str, ...]:
     """The keys command needs: chain needs the k grid and n, or k0 and n_max;
     delay needs period for a displaced table or more than one cell."""
-    keys = _REQUIRED[command]
+    keys = _COMMANDS[command][1]
     if command == "chain":
         if (values["n"] is None) == (values["n_max"] is None):
             raise ConfigError(
@@ -327,7 +317,7 @@ def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
         k = cfg.k_grid()
         n = np.full(k.size, cfg.n)
-        z, rho = chebyshev_grid(cfg.potential, cfg.period, k)
+        z, rho = chebyshev_input_lanes(k, cell_lanes(cfg.potential, k)[0], cfg.period)
         t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k)
         t_rec = np.exp(2.0 * t_log)
     else:
@@ -392,7 +382,7 @@ def run_packet(cfg: ExperimentConfig):
     k0, sigma = cfg.k0, cfg.sigma
     count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
     k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
-    z, rho = chebyshev_grid(cfg.potential, cfg.period, k_values)
+    z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0], cfg.period)
     n = np.arange(1, cfg.n_max + 1)
     # one profile row at a time, so memory stays bounded in N_max
     profile_rows = (chebyshev_closed_form(z, rho, m)[1] for m in n.tolist())
@@ -440,15 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scattering scans over finite periodic chains of identical cells.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "cell": "single-cell amplitudes over a k grid",
-        "chain": "N-cell transmission via recurrence and Chebyshev paths",
-        "bands": "band/gap classification over a k grid",
-        "hartman": "traversal-time saturation versus N at fixed k",
-        "delay": "transmission/reflection time delays over a k grid",
-        "packet": "Gaussian wave-packet averaged transmission versus N",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key = value config file")
         for key, (kind, _, key_help) in _FIELDS.items():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -243,19 +243,3 @@ def unwrap_phases(phases, grid) -> np.ndarray:
     summed = np.add.accumulate(np.concatenate((phases[..., :1], reduced), axis=-1), axis=-1)
     shifted = (reduced != delta).any(axis=-1, keepdims=True)
     return np.where(shifted, summed, phases)
-
-
-def unwrap(raw: Sequence[tuple[float, float]], label: str) -> PhaseCurve:
-    """Continuize raw (k, phase) samples by adding multiples of 2*pi.
-
-    The first sample is kept as is; every following value is shifted so the
-    adjacent difference falls in (-pi, pi).  A raw difference that sits at pi
-    within 1e-12 is ambiguous (either branch is equally near) and raises
-    BranchAmbiguityError.  Already continuous data is returned unchanged,
-    so the operation is idempotent.  One row of unwrap_phases.
-    """
-    if len(raw) == 0:
-        raise ValueError("cannot unwrap an empty sample list")
-    ks = np.array([float(k) for k, _ in raw])
-    phases = np.array([float(p) for _, p in raw])
-    return PhaseCurve(grid=ks, values=unwrap_phases(phases, ks), label=label)

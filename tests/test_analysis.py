@@ -77,11 +77,11 @@ class TestTimeDelays:
 
 class TestTraversalTime:
     def test_free_flight(self):
-        rec = sc.traversal_time(5, 1.0, K1, 0.0)
+        rec = sc.HartmanRecord(N=5, tau_t_N=0.0, T_t_N=5.0, k=K1, a=1.0)
         assert rec.T_t_N == 5.0
 
     def test_exact_hartman_limit(self):
-        rec = sc.traversal_time(5, 1.0, K1, -5.0)
+        rec = sc.HartmanRecord(N=5, tau_t_N=-5.0, T_t_N=0.0, k=K1, a=1.0)
         assert rec.T_t_N == 0.0
 
     def test_inconsistent_record_rejected(self):
@@ -122,8 +122,7 @@ class TestHartmanScan:
                   for kv in ks]
         expected = []
         for n in range(1, n_max + 1):
-            v = sc.unwrap([(kv, float(sw.t_phases[n - 1])) for kv, sw in zip(ks, sweeps)],
-                          "t").values
+            v = sc.unwrap_phases([float(sw.t_phases[n - 1]) for sw in sweeps], ks)
             step = ks[1] - ks[0]
             d_h = (v[3] - v[1]) / (2.0 * step)
             d_2h = (v[4] - v[0]) / (4.0 * step)

@@ -25,7 +25,8 @@ def componentwise_diff(s1, s2):
 
 
 def reference_chebyshev(n, z):
-    """Plain three-term recurrence, the oracle for every branch of chebyshev_U."""
+    """Plain three-term recurrence, the oracle for every branch of U in
+    chebyshev_closed_form."""
     u_prev, u = 1.0, 2.0 * z
     if n == 0:
         return u_prev
@@ -280,7 +281,8 @@ class TestChainEndAmplitudes:
         def corrupted(cell, k):
             return sc.ScatteringMatrix(t=1e-8, l=1.0, r=1.0, k=k)
 
-        monkeypatch.setattr(sc.chain, "cell_smatrix", corrupted)
+        for module in (sc.cells, sc.chain):  # cell_lanes looks it up in cells
+            monkeypatch.setattr(module, "cell_smatrix", corrupted)
         lattice = sc.Lattice(DELTA, 1.0, 4)
         with pytest.raises(sc.ResonanceDivergenceError):
             sc.chain_amplitudes(lattice, sc.WaveNumber(math.pi))
@@ -331,7 +333,8 @@ class TestChebyshevInputLanes:
     def test_cell_scan(self, name):
         cell, a = self.CELLS[name]
         k_values = np.append(np.linspace(0.3, 9.0, 300), math.pi / a)
-        z, rho = sc.chain.chebyshev_grid(cell, a, k_values)
+        t = sc.cells.cell_lanes(cell, k_values)[0]
+        z, rho = sc.chain.chebyshev_input_lanes(k_values, t, a)
         expected = [sc.chain.chebyshev_inputs(sc.cell_smatrix(cell, sc.WaveNumber(kv)), a)
                     for kv in k_values.tolist()]
         assert list(zip(z.tolist(), rho.tolist())) == expected
@@ -365,18 +368,20 @@ class TestChebyshevInputLanes:
 
 
 class TestChebyshevU:
+    """U_n(z) is chebyshev_closed_form(z, 0.0, n + 1)[0]."""
+
     def test_special_value_plus_one(self):
-        assert sc.chebyshev_U(3, 1.0) == 4.0
+        assert sc.chebyshev_closed_form(1.0, 0.0, 4)[0].tolist() == [4.0]
 
     def test_special_value_minus_one(self):
-        for n in range(6):
-            assert sc.chebyshev_U(n, -1.0) == (n + 1) * (-1.0) ** n
+        u = sc.chebyshev_closed_form(-1.0, 0.0, np.arange(1, 7))[0]
+        assert u.tolist() == [(n + 1) * (-1.0) ** n for n in range(6)]
 
     def test_u2_at_zero(self):
-        assert sc.chebyshev_U(2, 0.0) == pytest.approx(-1.0, abs=1e-15)
+        assert sc.chebyshev_closed_form(0.0, 0.0, 3)[0][0] == pytest.approx(-1.0, abs=1e-15)
 
     def test_hyperbolic_branch_against_recurrence(self):
-        u = sc.chebyshev_U(10, 1.2)
+        u = sc.chebyshev_closed_form(1.2, 0.0, 11)[0][0]
         ref = reference_chebyshev(10, 1.2)
         assert abs(u - ref) / abs(ref) < 1e-12
 
@@ -389,18 +394,19 @@ class TestChebyshevU:
     @settings(max_examples=200)
     def test_all_branches_against_recurrence(self, n, z):
         ref = reference_chebyshev(n, z)
-        assert sc.chebyshev_U(n, z) == pytest.approx(ref, rel=1e-9, abs=1e-9)
+        u = sc.chebyshev_closed_form(z, 0.0, n + 1)[0][0]
+        assert u == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_continuity_across_edge_window(self):
         for z0 in (1.0, -1.0):
             for side in (1.0 - 2e-8, 1.0 + 2e-8):
                 z = z0 * side
-                assert sc.chebyshev_U(12, z) == pytest.approx(
+                assert sc.chebyshev_closed_form(z, 0.0, 13)[0][0] == pytest.approx(
                     reference_chebyshev(12, z), rel=1e-9
                 )
 
     def test_overflow_saturates(self):
-        assert math.isinf(sc.chebyshev_U(400, 4.75))
+        assert math.isinf(sc.chebyshev_closed_form(4.75, 0.0, 401)[0][0])
 
 
 class TestChebyshevTransmission:

@@ -59,7 +59,7 @@ class TestUnitarityDefectLanes:
         sc.PiecewiseConstant(((0.4, 1.2), (0.3, -2.0), (0.5, 0.8))),
     ])
     def test_cell_amplitudes(self, cell):
-        t, l, r = sc.chain.cell_lanes(cell, np.linspace(0.3, 9.0, 400))
+        t, l, r = sc.cells.cell_lanes(cell, np.linspace(0.3, 9.0, 400))
         assert sc.core.unitarity_defect_lanes(t, l, r).tolist() == self.scalar(t, l, r)
 
     def test_moduli_where_pow_and_product_differ(self):
@@ -138,29 +138,27 @@ class TestPhaseRelationResidual:
 
 class TestUnwrap:
     def test_jump_across_branch_cut(self):
-        curve = sc.unwrap([(1.0, 3.0), (1.1, -3.0)], "t")
-        assert curve.values[0] == 3.0
-        assert curve.values[1] == pytest.approx(2 * math.pi - 3.0)
+        values = sc.unwrap_phases([3.0, -3.0], [1.0, 1.1])
+        assert values[0] == 3.0
+        assert values[1] == pytest.approx(2 * math.pi - 3.0)
 
     def test_constant_phase_unchanged(self):
-        curve = sc.unwrap([(1.0, 0.3), (2.0, 0.3), (3.0, 0.3)], "l")
-        assert np.all(curve.values == 0.3)
+        values = sc.unwrap_phases([0.3, 0.3, 0.3], [1.0, 2.0, 3.0])
+        assert np.all(values == 0.3)
 
     def test_single_delta_phase_curve_is_continuous(self):
         # alpha_t = -arctan(g/k) is smooth and increasing over the window.
         ks = np.linspace(0.5, 3.0, 500)
-        raw = []
-        for kv in ks:
-            s = sc.cell_smatrix(sc.DeltaSpike(1.0), sc.WaveNumber(float(kv)))
-            raw.append((float(kv), sc.principal_phases(s)[0]))
-        curve = sc.unwrap(raw, "t")
+        raw = [sc.principal_phases(sc.cell_smatrix(sc.DeltaSpike(1.0), sc.WaveNumber(kv)))[0]
+               for kv in ks.tolist()]
+        curve = sc.PhaseCurve(grid=ks, values=sc.unwrap_phases(raw, ks), label="t")
         diffs = np.diff(curve.values)
         assert np.all(diffs > 0.0)
         assert np.max(np.abs(diffs)) < math.pi
 
     def test_ambiguous_pi_jump_rejected(self):
         with pytest.raises(sc.BranchAmbiguityError):
-            sc.unwrap([(0.0, 0.0), (1.0, math.pi)], "t")
+            sc.unwrap_phases([0.0, math.pi], [0.0, 1.0])
 
     @given(
         values=st.lists(
@@ -173,10 +171,10 @@ class TestUnwrap:
         for a, b in zip(values, values[1:]):
             # a jump of exactly pi is legitimately ambiguous and rejected
             assume(abs(abs(math.remainder(b - a, 2 * math.pi)) - math.pi) > 1e-9)
-        raw = [(float(i), v) for i, v in enumerate(values)]
-        once = sc.unwrap(raw, "t")
-        twice = sc.unwrap(list(zip(once.grid, once.values)), "t")
-        assert np.allclose(once.values, twice.values, rtol=0.0, atol=0.0)
+        grid = np.arange(float(len(values)))
+        once = sc.PhaseCurve(grid=grid, values=sc.unwrap_phases(values, grid), label="t")
+        twice = sc.unwrap_phases(once.values, grid)
+        assert np.allclose(once.values, twice, rtol=0.0, atol=0.0)
 
 
 def remainder_loop_unwrap(phases):
