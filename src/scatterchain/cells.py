@@ -2,13 +2,14 @@
 
 Each built-in cell shape gets its scattering amplitudes two independent ways:
 closed-form matching solutions (cell_smatrix) and exact products of
-plane-wave interface matrices (transfer_oracle).  Both place the cell with
+(psi, psi') segment maps (transfer_oracle).  Both place the cell with
 its support starting at x = 0.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -180,14 +181,11 @@ def _piecewise_smatrix(cell: PiecewiseConstant, k: WaveNumber) -> ScatteringMatr
     # injected through displace, independent of the transfer-matrix oracle.
     from .chain import compose, displace
 
-    result: ScatteringMatrix | None = None
-    x = 0.0
+    segments, x = [], 0.0
     for width, height in cell.segments:
-        seg = displace(_rect_smatrix(height, width, k), x)
-        result = seg if result is None else compose(result, seg)
+        segments.append(displace(_rect_smatrix(height, width, k), x))
         x += width
-    assert result is not None
-    return result
+    return functools.reduce(compose, segments)
 
 
 def cell_smatrix(cell: PotentialCell, k: WaveNumber) -> ScatteringMatrix:
@@ -215,75 +213,45 @@ def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # --- transfer-matrix oracle ------------------------------------------------
 
-def _wave_basis(q: complex, x: float):
-    """Columns map coefficients of e^{iqx}, e^{-iqx} to (psi, psi') at x."""
-    ep = cmath.exp(1.0j * q * x)
-    em = cmath.exp(-1.0j * q * x)
-    return (ep, em, 1.0j * q * ep, -1.0j * q * em)
-
-
-def _linear_basis(x: float):
-    """Degenerate q = 0 region: psi = A + B x."""
-    return (1.0 + 0.0j, complex(x), 0.0 + 0.0j, 1.0 + 0.0j)
-
-
-def _match(basis_to, basis_from) -> tuple[complex, complex, complex, complex]:
-    """Coefficient map across one interface: inverse(to) @ from."""
-    a, b, c, d = basis_to
-    det = a * d - b * c
-    e, f, g, h = basis_from
-    return (
-        (d * e - b * g) / det,
-        (d * f - b * h) / det,
-        (a * g - c * e) / det,
-        (a * h - c * f) / det,
-    )
+def _flat_map(k: float, v: float, w: float):
+    """(a, b, c, d): (psi, psi') at the right edge of a flat segment of height v
+    and width w is [[a, b], [c, d]] times (psi, psi') at its left edge."""
+    q2 = k * k - 2.0 * v
+    if q2 == 0.0:  # linear solution: psi = A + B x
+        return (1.0, w, 0.0, 1.0)
+    q = cmath.sqrt(complex(q2))
+    cos_qw, sin_qw = cmath.cos(q * w), cmath.sin(q * w)
+    return (cos_qw, sin_qw / q, -q * sin_qw, cos_qw)
 
 
 def transfer_oracle(cell: PotentialCell, k: WaveNumber) -> TransferMatrix:
-    """Exact transfer matrix of a cell at the origin, built from interface and
-    propagation matrices of the piecewise-constant profile.
+    """Exact transfer matrix of a cell at the origin: the product, left to
+    right, of the (psi, psi') maps of its flat segments and of the delta
+    spike's jump psi' -> psi' + 2 g psi, read in the plane-wave basis.
 
-    Serves as the independent verification path for cell_smatrix; the delta
-    spike uses its exact 2x2 jump matrix.
+    Serves as the independent verification path for cell_smatrix.
     """
     kk = k.k
     if isinstance(cell, DeltaSpike):
-        u = cell.g / kk
-        return TransferMatrix(
-            m11=1.0 - 1.0j * u,
-            m12=-1.0j * u,
-            m21=1.0j * u,
-            m22=1.0 + 1.0j * u,
-            k=k,
-        )
-    if isinstance(cell, RectBarrier):
-        segments: tuple[tuple[float, float], ...] = ((cell.w, cell.V0),)
+        maps = [(1.0, 0.0, 2.0 * cell.g, 1.0)]
+    elif isinstance(cell, RectBarrier):
+        maps = [_flat_map(kk, cell.V0, cell.w)]
     elif isinstance(cell, PiecewiseConstant):
-        segments = cell.segments
+        maps = [_flat_map(kk, v, w) for w, v in cell.segments]
     else:
         raise TypeError(f"unsupported cell type: {type(cell).__name__}")
-
-    def region_basis(v: float, x: float):
-        q2 = kk * kk - 2.0 * v
-        if q2 == 0.0:
-            return _linear_basis(x)
-        return _wave_basis(cmath.sqrt(complex(q2)), x)
-
-    heights = [0.0] + [v for _, v in segments] + [0.0]
-    xs = [0.0]
-    for width, _ in segments:
-        xs.append(xs[-1] + width)
-    m = (1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j)
-    for j, x in enumerate(xs):
-        step = _match(region_basis(heights[j + 1], x), region_basis(heights[j], x))
-        m = (
-            step[0] * m[0] + step[1] * m[2],
-            step[0] * m[1] + step[1] * m[3],
-            step[2] * m[0] + step[3] * m[2],
-            step[2] * m[1] + step[3] * m[3],
-        )
-    return TransferMatrix(m11=m[0], m12=m[1], m21=m[2], m22=m[3], k=k)
+    # (psi, psi') of e^{ikx} and of e^{-ikx} at x = 0, carried across the cell
+    waves = [(1.0, 1.0j * kk), (1.0, -1.0j * kk)]
+    for a, b, c, d in maps:
+        waves = [(a * psi + b * dpsi, c * psi + d * dpsi) for psi, dpsi in waves]
+    # at x = L, (psi, psi') = C e^{ikL} (1, ik) + D e^{-ikL} (1, -ik)
+    width = cell.support_width
+    back, fwd = cmath.exp(-1.0j * kk * width), cmath.exp(1.0j * kk * width)
+    (m11, m21), (m12, m22) = (
+        (0.5 * (psi - 1.0j * dpsi / kk) * back, 0.5 * (psi + 1.0j * dpsi / kk) * fwd)
+        for psi, dpsi in waves
+    )
+    return TransferMatrix(m11=m11, m12=m12, m21=m21, m22=m22, k=k)
 
 
 def transfer_to_smatrix(m: TransferMatrix) -> ScatteringMatrix:

@@ -77,6 +77,8 @@ def _parse_params(rest: str, required: tuple[str, ...]) -> dict[str, float]:
         key = key.strip()
         if key not in required:
             raise ConfigError(f"field 'cell': unexpected parameter {key!r}")
+        if key in params:
+            raise ConfigError(f"field 'cell': duplicate parameter {key!r}")
         try:
             params[key] = float(value)
         except ValueError as exc:
@@ -107,7 +109,7 @@ _FIELDS = {
     "fd_step": (float, 1e-4, None),
     "tol_unitarity": (float, 1e-10, None),
     "displaced": (bool, False, "also tabulate the system displaced by one period"),
-    "out": (str, None, "output path (default: stdout)"),
+    "out": (str, "", "output path (default: stdout)"),
 }
 
 _GRID = ("k_min", "k_max", "k_count")
@@ -119,7 +121,7 @@ _COMMANDS = {
     "bands": ("band/gap classification over a k grid", ("cell", *_GRID, "n_max", "period")),
     "hartman": ("traversal-time saturation versus N at fixed k",
                 ("cell", "k0", "n_max", "period")),
-    "delay": ("transmission/reflection time delays over a k grid", ("cell", *_GRID)),
+    "delay": ("transmission/reflection time delays over a k grid", ("cell", "n", *_GRID)),
     "packet": ("Gaussian wave-packet averaged transmission versus N",
                ("cell", "k0", "n_max", "sigma", "period")),
 }
@@ -252,14 +254,14 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
                 f"field {key!r} is required for command {args.command!r} "
                 f"(set it in the config file or via {_flag_name(key)})"
             )
-    # A command ignores the scan keys it does not require: the k grid and k0
-    # echo as null, sigma as given, and none of them is checked.
-    for key in (*_GRID, "k0"):
-        if key not in required:
+    # A key without a default that the command does not need is neither
+    # checked nor echoed: it becomes None.
+    for key, (_, default, _) in _FIELDS.items():
+        if default is None and key not in required:
             values[key] = None
     for key, test, tail in _CHECKS:
         value = values[key]
-        if value is None or (key == "sigma" and key not in required) or test(value, values):
+        if value is None or test(value, values):
             continue
         where = origins.get(key, f"field {key!r}")
         raise ConfigError(f"{where}: {tail.format(key=key, value=value)}")
@@ -424,6 +426,18 @@ def _render(meta: dict, rows: list[dict], fmt: str) -> str:
     return buffer.getvalue()
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path, or to stdout when path is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scatterchain",
@@ -450,6 +464,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _resolve(args)
         meta, rows = _RUNNERS[cfg.command](cfg)
+        _write(cfg.out, _render(meta, rows, cfg.format))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -459,12 +474,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticError as exc:  # the package's typed failures and float overflow
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    text = _render(meta, rows, cfg.format)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

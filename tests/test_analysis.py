@@ -69,6 +69,18 @@ class TestTimeDelays:
         with pytest.raises(sc.EdgeOfGridError):
             sc.time_delays((curve, None, None), sc.WaveNumber(1.05))
 
+    def test_off_grid_k_rejected(self):
+        curve = sc.PhaseCurve(grid=np.linspace(0.9, 1.1, 5), values=np.zeros(5), label="t")
+        with pytest.raises(sc.EdgeOfGridError) as info:
+            sc.time_delays((curve, None, None), sc.WaveNumber(1.02))
+        assert str(info.value) == "k=1.02 is not a sample point of the phase curve"
+
+    def test_rejects_two_curves(self):
+        curve = sc.PhaseCurve(grid=np.linspace(0.9, 1.1, 5), values=np.zeros(5), label="t")
+        with pytest.raises(ValueError) as info:
+            sc.time_delays((curve, None), K1)
+        assert str(info.value) == "expected the (t, l, r) curve triple"
+
     def test_method_descriptor(self):
         curves = sc.chain_phase_curves(DELTA, 1.0, 1, 1.0)
         rec = sc.time_delays(curves, K1)
@@ -200,6 +212,15 @@ def gap_chain():
 
 
 class TestAsymptoticFit:
+    def test_free_chain_at_edge_has_undefined_reflection(self):
+        # ka = pi is a band edge of the free chain (not a band, so the fit is
+        # attempted), and r vanishes identically there.
+        free = sc.chain_amplitudes(sc.Lattice(sc.DeltaSpike(0.0), 1.0, 16),
+                                   sc.WaveNumber(math.pi))
+        with pytest.raises(sc.UndefinedAmplitudeError) as info:
+            sc.asymptotic_phase_fit(free)
+        assert str(info.value) == "right reflection amplitude below floor"
+
     def test_slopes_and_residual(self, gap_chain):
         fit = sc.asymptotic_phase_fit(gap_chain)
         ka = 1.0
@@ -291,6 +312,17 @@ class TestWavepacketAverage:
         k_values = np.linspace(1.95, 2.05, 101)
         with pytest.raises(sc.CoverageError):
             sc.wavepacket_average(k_values, np.ones_like(k_values), 2.0, 0.02)
+
+    @pytest.mark.parametrize("k_values, transmissions, message", [
+        (np.linspace(3.0, 1.0, 11), np.ones(11),
+         "k_values must be strictly increasing with >= 2 samples"),
+        (np.linspace(1.0, 3.0, 11), np.ones(10),
+         "k_values and transmissions must be 1-d and equally long"),
+    ], ids=["decreasing", "mismatched"])
+    def test_rejects_bad_samples(self, k_values, transmissions, message):
+        with pytest.raises(ValueError) as info:
+            sc.wavepacket_average(k_values, transmissions, 2.0, 0.02)
+        assert str(info.value) == message
 
     def test_rejects_bad_sigma(self):
         k_values = np.linspace(1.0, 3.0, 11)

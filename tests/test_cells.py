@@ -48,6 +48,28 @@ class TestShapes:
         with pytest.raises(ValueError):
             sc.Lattice(sc.DeltaSpike(1.0), 1.0, 0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: sc.DeltaSpike(math.nan), "delta strength must be finite"),
+        (lambda: sc.RectBarrier(math.inf, 1.0), "barrier height must be finite"),
+        (lambda: sc.PiecewiseConstant(()), "piecewise cell needs at least one segment"),
+        (lambda: sc.PiecewiseConstant(((0.5, math.nan),)), "segment height must be finite"),
+        (lambda: sc.Lattice(sc.DeltaSpike(1.0), 0.0, 1), "lattice period must be positive, got 0.0"),
+        (lambda: sc.TransferMatrix(m11=math.nan, m12=0.0, m21=0.0, m22=1.0, k=K1),
+         "entry 'm11' must be finite, got (nan+0j)"),
+    ], ids=["delta-nan", "barrier-inf", "piecewise-empty", "segment-nan", "period-zero",
+            "transfer-nan"])
+    def test_rejects_non_finite_or_empty_input(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("path", [sc.cell_smatrix, sc.transfer_oracle],
+                             ids=["cell_smatrix", "transfer_oracle"])
+    def test_rejects_unknown_cell_type(self, path):
+        with pytest.raises(TypeError) as info:
+            path(object(), K1)
+        assert str(info.value) == "unsupported cell type: object"
+
 
 class TestDeltaSpike:
     def test_zero_strength_is_free(self):
@@ -147,6 +169,21 @@ class TestTransferOracle:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             sc.transfer_oracle(sc.DeltaSpike(1.0), sc.WaveNumber(-1.0))
+
+    @pytest.mark.parametrize(
+        "cell",
+        [sc.RectBarrier(2.0, 1.0), sc.PiecewiseConstant(((0.3, 1.0), (0.4, 2.0), (0.3, -0.5)))],
+        ids=["barrier", "piecewise"],
+    )
+    def test_analytic_matches_oracle_near_degenerate_energy(self, cell):
+        # k = 2 +- 10^-j puts E within ~2*10^-j of the height-2 segment, where
+        # q = sqrt(k^2 - 4) is tiny but not zero.
+        for j in range(2, 15):
+            for sign in (1.0, -1.0):
+                k = sc.WaveNumber(2.0 + sign * 10.0**-j)
+                s1 = sc.cell_smatrix(cell, k)
+                s2 = sc.transfer_to_smatrix(sc.transfer_oracle(cell, k))
+                assert componentwise_diff(s1, s2) < 1e-12, (j, sign)
 
 
 class TestConversions:

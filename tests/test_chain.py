@@ -312,6 +312,12 @@ class TestBlochParameter:
         s = sc.cell_smatrix(COMB5, k)
         assert sc.bloch_parameter(s, 1.0) == pytest.approx(-1.0, abs=1e-14)
 
+    def test_opaque_cell_is_undefined(self):
+        s = sc.ScatteringMatrix(t=0.0, l=1.0, r=1.0, k=K1)
+        with pytest.raises(sc.UndefinedAmplitudeError) as info:
+            sc.bloch_parameter(s, 1.0)
+        assert str(info.value) == "transmission amplitude below floor: z undefined"
+
 
 class TestChebyshevInputLanes:
     """The array (z, rho) against the scalar chebyshev_inputs, lane by lane, with ==."""
@@ -372,6 +378,11 @@ class TestChebyshevU:
 
     def test_special_value_plus_one(self):
         assert sc.chebyshev_closed_form(1.0, 0.0, 4)[0].tolist() == [4.0]
+
+    def test_rejects_zero_cells(self):
+        with pytest.raises(ValueError) as info:
+            sc.chebyshev_closed_form(0.5, 1.0, 0)
+        assert str(info.value) == "cell counts must be >= 1"
 
     def test_special_value_minus_one(self):
         u = sc.chebyshev_closed_form(-1.0, 0.0, np.arange(1, 7))[0]

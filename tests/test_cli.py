@@ -159,6 +159,49 @@ class TestCellSpecParsing:
         with pytest.raises(sc.ConfigError):
             parse_cell_spec(bad)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("delta:g=nan", "field 'cell': delta strength must be finite"),
+        ("delta:g", "field 'cell': parameter 'g' is not 'name=value'"),
+        ("barrier:V0=x,w=1",
+         "field 'cell': parameter 'V0': could not convert string to float: 'x'"),
+        ("delta:g=1,g=2", "field 'cell': duplicate parameter 'g'"),
+    ])
+    def test_cell_flag_diagnostics(self, capsys, spec, message):
+        code, out, err = run_cli(capsys, "cell", "--cell", spec, "--k-min", "1",
+                                 "--k-max", "2", "--k-count", "2")
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+class TestConfigFile:
+    def test_missing_file(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.cfg")
+        code, _, err = run_cli(capsys, "cell", "--config", path)
+        assert code == 2
+        assert err == (f"config error: cannot read config {path!r}: "
+                       f"[Errno 2] No such file or directory: {path!r}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("cell = delta:g=1\nk_min 1\n", "2: expected 'key = value', got 'k_min 1'"),
+        ("cell = delta:g=1\ncell = delta:g=2\n", "2: duplicate key 'cell'"),
+    ], ids=["no-equals", "repeated-key"])
+    def test_line_diagnostics(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "cell", "--config", str(config))
+        assert (code, err) == (2, f"config error: {config}:{message}\n")
+
+    @pytest.mark.parametrize("word", ["yes", "true", "1", "no", "false", "0"])
+    @pytest.mark.parametrize("case", [str.lower, str.upper, str.title])
+    def test_displaced_words_match_the_flag(self, tmp_path, capsys, word, case):
+        argv = ["delay", "--cell", "delta:g=1", "--period", "1", "--N", "2",
+                "--k-min", "0.5", "--k-max", "1.5", "--k-count", "5"]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"displaced = {case(word)}\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+        displaced = word in ("yes", "true", "1")
+        _, expected, _ = run_cli(capsys, *argv, *(["--displaced"] if displaced else []))
+        assert code == 0 and out == expected
+
 
 class TestCellCommand:
     def test_free_cell_transmission_column(self, capsys):
@@ -655,6 +698,14 @@ class TestOutputFormats:
         capsys.readouterr()
         assert code == 0
         assert out_path.read_bytes().decode("utf-8") == first
+
+    def test_unwritable_out_is_a_config_error(self, capsys, tmp_path):
+        path = str(tmp_path / "absent" / "table.csv")
+        code, out, err = run_cli(capsys, "cell", "--cell", "delta:g=1", "--k-min", "1",
+                                 "--k-max", "2", "--k-count", "2", "--out", path)
+        assert (code, out) == (2, "")
+        assert err == (f"config error: cannot write output {path!r}: "
+                       f"[Errno 2] No such file or directory: {path!r}\n")
 
     def test_out_file_json(self, capsys, tmp_path):
         out_path = tmp_path / "table.json"

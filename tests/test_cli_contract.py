@@ -86,14 +86,14 @@ cell/flag/cell=squarewell:V0=1  2  config error: field 'cell': unknown kind 'squ
 cell/config/cell=squarewell:V0=1  2  config error: field 'cell': unknown kind 'squarewell' (expected delta, barrier or piecewise)
 cell/flag/cell=barrier:V0=1,w=2  0
 cell/config/cell=barrier:V0=1,w=2  0
-cell/flag/period=0  2  config error: --period: field 'period' must be > 0, got 0.0
-cell/config/period=0  2  config error: run.cfg:1: field 'period' must be > 0, got 0.0
-cell/flag/period=-1  2  config error: --period: field 'period' must be > 0, got -1.0
-cell/config/period=-1  2  config error: run.cfg:1: field 'period' must be > 0, got -1.0
-cell/flag/n=0  2  config error: --N: field 'n' must be >= 1, got 0
-cell/config/n=0  2  config error: run.cfg:1: field 'n' must be >= 1, got 0
-cell/flag/n_max=0  2  config error: --N-max: field 'n_max' must be >= 1, got 0
-cell/config/n_max=0  2  config error: run.cfg:1: field 'n_max' must be >= 1, got 0
+cell/flag/period=0  0
+cell/config/period=0  0
+cell/flag/period=-1  0
+cell/config/period=-1  0
+cell/flag/n=0  0
+cell/config/n=0  0
+cell/flag/n_max=0  0
+cell/config/n_max=0  0
 cell/flag/k_min=0  2  config error: --k-min: field 'k_min' must be > 0, got 0.0
 cell/config/k_min=0  2  config error: run.cfg:1: field 'k_min' must be > 0, got 0.0
 cell/flag/k_min=nan  2  config error: --k-min: field 'k_min' must be > 0, got nan
@@ -220,8 +220,8 @@ bands/flag/period=0  2  config error: --period: field 'period' must be > 0, got 
 bands/config/period=0  2  config error: run.cfg:1: field 'period' must be > 0, got 0.0
 bands/flag/period=-1  2  config error: --period: field 'period' must be > 0, got -1.0
 bands/config/period=-1  2  config error: run.cfg:1: field 'period' must be > 0, got -1.0
-bands/flag/n=0  2  config error: --N: field 'n' must be >= 1, got 0
-bands/config/n=0  2  config error: run.cfg:1: field 'n' must be >= 1, got 0
+bands/flag/n=0  0
+bands/config/n=0  0
 bands/flag/n_max=0  2  config error: --N-max: field 'n_max' must be >= 1, got 0
 bands/config/n_max=0  2  config error: run.cfg:1: field 'n_max' must be >= 1, got 0
 bands/flag/k_min=0  2  config error: --k-min: field 'k_min' must be > 0, got 0.0
@@ -262,8 +262,8 @@ hartman/flag/period=0  2  config error: --period: field 'period' must be > 0, go
 hartman/config/period=0  2  config error: run.cfg:1: field 'period' must be > 0, got 0.0
 hartman/flag/period=-1  2  config error: --period: field 'period' must be > 0, got -1.0
 hartman/config/period=-1  2  config error: run.cfg:1: field 'period' must be > 0, got -1.0
-hartman/flag/n=0  2  config error: --N: field 'n' must be >= 1, got 0
-hartman/config/n=0  2  config error: run.cfg:1: field 'n' must be >= 1, got 0
+hartman/flag/n=0  0
+hartman/config/n=0  0
 hartman/flag/n_max=0  2  config error: --N-max: field 'n_max' must be >= 1, got 0
 hartman/config/n_max=0  2  config error: run.cfg:1: field 'n_max' must be >= 1, got 0
 hartman/flag/k_min=0  0
@@ -309,8 +309,8 @@ delay/flag/period=-1  2  config error: --period: field 'period' must be > 0, got
 delay/config/period=-1  2  config error: run.cfg:1: field 'period' must be > 0, got -1.0
 delay/flag/n=0  2  config error: --N: field 'n' must be >= 1, got 0
 delay/config/n=0  2  config error: run.cfg:1: field 'n' must be >= 1, got 0
-delay/flag/n_max=0  2  config error: --N-max: field 'n_max' must be >= 1, got 0
-delay/config/n_max=0  2  config error: run.cfg:1: field 'n_max' must be >= 1, got 0
+delay/flag/n_max=0  0
+delay/config/n_max=0  0
 delay/flag/k_min=0  2  config error: --k-min: field 'k_min' must be > 0, got 0.0
 delay/config/k_min=0  2  config error: run.cfg:1: field 'k_min' must be > 0, got 0.0
 delay/flag/k_min=nan  2  config error: --k-min: field 'k_min' must be > 0, got nan
@@ -350,8 +350,8 @@ packet/flag/period=0  2  config error: --period: field 'period' must be > 0, got
 packet/config/period=0  2  config error: run.cfg:1: field 'period' must be > 0, got 0.0
 packet/flag/period=-1  2  config error: --period: field 'period' must be > 0, got -1.0
 packet/config/period=-1  2  config error: run.cfg:1: field 'period' must be > 0, got -1.0
-packet/flag/n=0  2  config error: --N: field 'n' must be >= 1, got 0
-packet/config/n=0  2  config error: run.cfg:1: field 'n' must be >= 1, got 0
+packet/flag/n=0  0
+packet/config/n=0  0
 packet/flag/n_max=0  2  config error: --N-max: field 'n_max' must be >= 1, got 0
 packet/config/n_max=0  2  config error: run.cfg:1: field 'n_max' must be >= 1, got 0
 packet/flag/k_min=0  0
@@ -465,6 +465,23 @@ def test_json_meta_echo(capsys, tmp_path, monkeypatch, mode):
     assert list(meta) == ["command", "version", "config"]
     assert (meta["command"], meta["version"]) == (command, sc.__version__)
     assert list(meta["config"].items()) == list(GOLDEN_META[mode].items())
+
+
+def test_unread_key_is_neither_checked_nor_echoed(capsys, tmp_path, monkeypatch):
+    command, base = BASE["hartman"]
+    code, out, _ = run(capsys, argv_for(command, base) + ["--sigma", "-1", "--format", "json"],
+                       None, tmp_path, monkeypatch)
+    assert code == 0
+    assert json.loads(out)["meta"]["config"]["sigma"] is None
+
+
+def test_delay_of_one_cell_ignores_period(capsys, tmp_path, monkeypatch):
+    options = {k: v for k, v in BASE["delay"][1].items() if k not in ("period", "displaced")}
+    argv = argv_for("delay", {**options, "n": "1"}) + ["--format", "json"]
+    _, without, _ = run(capsys, argv, None, tmp_path, monkeypatch)
+    code, given, _ = run(capsys, argv + ["--period", "0.7"], None, tmp_path, monkeypatch)
+    assert (code, given) == (0, without)
+    assert json.loads(given)["meta"]["config"]["period"] is None
 
 
 ROW_RUNS = {

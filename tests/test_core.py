@@ -120,6 +120,10 @@ class TestPrincipalPhases:
         after = sc.principal_phases(rotated)[0]
         assert sc.branch_distance(after - before - phi) < 1e-9
 
+    def test_wrap_maps_minus_pi_to_pi(self):
+        # the branch is (-pi, pi]: its open end folds onto the closed one
+        assert sc.wrap_to_principal(-math.pi) == math.pi
+
 
 class TestPhaseRelationResidual:
     @pytest.mark.parametrize("g,k", [(1.0, 1.0), (5.0, 0.7), (-2.0, 3.1)])
@@ -220,6 +224,15 @@ class TestPhaseCurve:
             sc.PhaseCurve(
                 grid=np.array([1.0, 2.0]), values=np.array([0.0, 3.2]), label="t"
             )
+
+    @pytest.mark.parametrize("values, message", [
+        (np.array([0.0]), "grid and values must be 1-d arrays of equal length"),
+        (np.array([0.0, math.nan]), "grid and values must be nonempty and finite"),
+    ], ids=["mismatched", "nan"])
+    def test_rejects_bad_values(self, values, message):
+        with pytest.raises(ValueError) as info:
+            sc.PhaseCurve(grid=np.array([1.0, 2.0]), values=values, label="t")
+        assert str(info.value) == message
 
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
