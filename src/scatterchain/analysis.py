@@ -275,8 +275,9 @@ def delay_scan(
     every displacement in displacements reuses the same amplitudes with l
     and r rotated.  Returns one (tau_t, tau_l, tau_r) triple of lists per
     displacement, None where the phase is undefined on the window; each
-    value equals time_delays(chain_phase_curves(...)) at that k.  Raises
-    ConfigError when a window is not uniformly spaced.
+    value equals time_delays(chain_phase_curves(...)) at that k.  For N = 1
+    the cell's own amplitudes are used and a is not read (it may be None).
+    Raises ConfigError when a window is not uniformly spaced.
     """
     k = np.asarray(k_values, dtype=float)
     ks = _stencil_windows(k, fd_step)

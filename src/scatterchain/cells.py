@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .core import MODULUS_FLOOR, ScatteringMatrix, WaveNumber
-from .errors import SingularConversionError
+from .errors import NonFiniteAmplitudeError, SingularConversionError
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,9 @@ class TransferMatrix:
         for name in ("m11", "m12", "m21", "m22"):
             value = complex(getattr(self, name))
             if not cmath.isfinite(value):
-                raise ValueError(f"entry {name!r} must be finite, got {value!r}")
+                raise NonFiniteAmplitudeError(
+                    f"entry {name!r} must be finite, got {value!r}"
+                )
             object.__setattr__(self, name, value)
 
     @property

@@ -19,15 +19,16 @@ from .core import (
     MODULUS_FLOOR,
     ScatteringMatrix,
     WaveNumber,
+    _LOG_HUGE,
+    _exp_lanes,
     _mul,
+    _quot,
     math_map,
     principal_phase,
     principal_phase_array,
     squared_moduli,
 )
-from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
-
-_LOG_HUGE = 700.0  # exp beyond this overflows a double
+from .errors import NonFiniteAmplitudeError, ResonanceDivergenceError, UndefinedAmplitudeError
 
 
 def displace(s: ScatteringMatrix, a: float) -> ScatteringMatrix:
@@ -100,7 +101,9 @@ class ChainState:
             n = int(np.argmin(finite.all(axis=0)))
             name = "lr"[int(np.argmin(finite[:, n]))]
             value = complex(getattr(self, name)[n])
-            raise ValueError(f"amplitude {name!r} must be finite, got {value!r}")
+            raise NonFiniteAmplitudeError(
+                f"amplitude {name!r} must be finite, got {value!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.t)
@@ -175,32 +178,6 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     return _grow(lattice, s_cell, step)
 
 
-def _quot(ar, ai, br, bi):
-    # complex / in CPython's formula, as core._mul does *: _Py_c_quot, Smith's
-    # method, scaled by the larger part of b (b != 0).
-    # The branches differ only in the order of commuting operands.
-    real_big = np.abs(br) >= np.abs(bi)
-    p, q = np.where(real_big, br, bi), np.where(real_big, bi, br)
-    x, y = np.where(real_big, ar, ai), np.where(real_big, ai, ar)
-    ratio = q / p
-    denom = p + q * ratio
-    return (x + y * ratio) / denom, np.where(real_big, y - x * ratio, x * ratio - y) / denom
-
-
-def _complex(re, im) -> np.ndarray:
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
-def _exp_lanes(log_mod, phase) -> np.ndarray:
-    # _safe_exp per lane; numpy's complex exp matches cmath.exp
-    out = np.zeros(log_mod.shape, dtype=complex)
-    keep = ~(log_mod < -_LOG_HUGE)
-    out[keep] = np.exp(_complex(log_mod[keep], phase[keep]))
-    return out
-
-
 def displace_lanes(
     k_values, l: np.ndarray, r: np.ndarray, a: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -208,9 +185,7 @@ def displace_lanes(
     l e^{2ika} and r e^{-2ika}."""
     k = np.asarray(k_values, dtype=float)
     rot = _exp_lanes(np.zeros(k.shape), 2.0 * k * a)
-    l_re, l_im = _mul(l.real, l.imag, rot.real, rot.imag)
-    r_re, r_im = _mul(r.real, r.imag, rot.real, -rot.imag)
-    return _complex(l_re, l_im), _complex(r_re, r_im)
+    return _mul(l, rot), _mul(r, rot.conj())
 
 
 # Lanes per pass of the recurrence: bounds its temporaries to ~1 MB at any
@@ -249,32 +224,25 @@ def chain_end_amplitudes(
 
 
 def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc):
-    # chain_amplitudes' loop, one vectorised step per n over the lanes
-    lt, pt = lt_c, pt_c
-    lc_re, lc_im, rc_re, rc_im = lc.real, lc.imag, rc.real, rc.imag
-    l_re, l_im, r_re, r_im = lc_re, lc_im, rc_re, rc_im
-    tt_re, tt_im = _mul(tc.real, tc.imag, tc.real, tc.imag)
+    # chain_amplitudes' loop, one vectorised step per n over the lanes; each
+    # step line is the scalar one with * as _mul and / as _quot
+    lt, pt, l, r = lt_c, pt_c, lc, rc
+    tt = _mul(tc, tc)
     two_k = 2.0 * k
     for n in range(1, lattice.N):
         pos = _exp_lanes(np.zeros(two_k.shape), two_k * n * lattice.a)
-        p_re, p_im = pos.real, pos.imag
-        w_re, w_im = _mul(*_mul(lc_re, lc_im, r_re, r_im), p_re, p_im)
-        d_re, d_im = 1.0 - w_re, 0.0 - w_im
-        abs_den = np.hypot(d_re, d_im)
+        den = 1.0 - _mul(_mul(lc, r), pos)
+        abs_den = np.hypot(den.real, den.imag)
         if (abs_den < 1e-14).any():
             raise ResonanceDivergenceError(
                 f"recurrence denominator vanished at n={n}; inputs corrupted"
             )
         t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
-        dl_re, dl_im = _quot(*_mul(*_mul(t_sq.real, t_sq.imag, lc_re, lc_im), p_re, p_im),
-                             d_re, d_im)
-        dr_re, dr_im = _quot(*_mul(tt_re, tt_im, r_re, r_im), d_re, d_im)
-        sr_re, sr_im = _mul(rc_re, rc_im, p_re, -p_im)
-        l_re, l_im = l_re + dl_re, l_im + dl_im
-        r_re, r_im = sr_re + dr_re, sr_im + dr_im
+        l = l + _quot(_mul(_mul(t_sq, lc), pos), den)
+        r = _mul(rc, pos.conj()) + _quot(_mul(tt, r), den)
         lt = lt + (lt_c - math_map(math.log, abs_den))
-        pt = pt + (pt_c - math_map(math.atan2, d_im, d_re))
-    return lt, pt, _exp_lanes(lt, pt), _complex(l_re, l_im), _complex(r_re, r_im)
+        pt = pt + (pt_c - math_map(math.atan2, den.imag, den.real))
+    return lt, pt, _exp_lanes(lt, pt), l, r
 
 
 def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
@@ -307,8 +275,10 @@ def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
     mod = abs(s_cell.t)
     if mod < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("transmission amplitude below floor: z undefined")
-    alpha_t = principal_phase(s_cell.t)
-    return math.cos(alpha_t + s_cell.k.k * a) / mod
+    phase = principal_phase(s_cell.t) + s_cell.k.k * a
+    if not math.isfinite(phase):
+        raise OverflowError(f"alpha_t + k a is not finite at k={s_cell.k.k!r}, a={a!r}")
+    return math.cos(phase) / mod
 
 
 # Half-width of the |z| = 1 window where the trig/hyperbolic forms are 0/0
@@ -384,9 +354,13 @@ def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray
     mod2 = squared_moduli(t)
     if (mod2 == 0.0).any():
         raise UndefinedAmplitudeError("transmission amplitude below floor")
-    phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
     with np.errstate(over="ignore"):  # rho = inf below |t| ~ 1e-154, as in the scalar form
+        phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
         rho = (1.0 - mod2) / mod2
+    overflow = ~np.isfinite(phase)
+    if overflow.any():
+        k = np.broadcast_to(k_values, phase.shape)[overflow][0]
+        raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
     return math_map(math.cos, phase) / np.hypot(t.real, t.imag), rho
 
 

@@ -3,7 +3,8 @@
 Subcommands: cell | chain | bands | hartman | delay | packet.  Options come
 from an optional key=value config file plus flags; flags win.  Exit codes:
 0 success, 2 config error, 3 numerical-contract violation or arithmetic
-failure (overflow, vanished denominator, amplitude below floor).
+failure (overflow, non-finite amplitude, vanished denominator, amplitude
+below floor).
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .analysis import band_class_lanes, delay_scan, hartman_scan, wavepacket_average
+from .analysis import (
+    DEFAULT_EDGE_TOL,
+    DEFAULT_FD_STEP,
+    band_class_lanes,
+    delay_scan,
+    hartman_scan,
+    wavepacket_average,
+)
 from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
 from .chain import (
     chain_amplitudes,
@@ -105,8 +113,8 @@ _FIELDS = {
     "k0": (float, None, "single wave number for per-N scans"),
     "sigma": (float, None, "wave-packet width in k"),
     "format": (str, "csv", "output format"),
-    "tol_edge": (float, 1e-9, None),
-    "fd_step": (float, 1e-4, None),
+    "tol_edge": (float, DEFAULT_EDGE_TOL, None),
+    "fd_step": (float, DEFAULT_FD_STEP, None),
     "tol_unitarity": (float, 1e-10, None),
     "displaced": (bool, False, "also tabulate the system displaced by one period"),
     "out": (str, "", "output path (default: stdout)"),
@@ -366,10 +374,9 @@ def run_hartman(cfg: ExperimentConfig):
 
 
 def run_delay(cfg: ExperimentConfig):
-    period = cfg.period if cfg.period is not None else max(cfg.potential.support_width, 1.0)
     k_grid = cfg.k_grid()
-    tables = delay_scan(cfg.potential, period, cfg.n, k_grid, fd_step=cfg.fd_step,
-                        displacements=(0.0, period) if cfg.displaced else (0.0,))
+    tables = delay_scan(cfg.potential, cfg.period, cfg.n, k_grid, fd_step=cfg.fd_step,
+                        displacements=(0.0, cfg.period) if cfg.displaced else (0.0,))
     columns = {"k": k_grid, **{f"tau_{x}": taus for x, taus in zip("tlr", tables[0])}}
     if cfg.displaced:
         columns.update({f"tau_{x}_displaced": taus for x, taus in zip("tlr", tables[1])})
@@ -383,7 +390,12 @@ def run_delay(cfg: ExperimentConfig):
 def run_packet(cfg: ExperimentConfig):
     k0, sigma = cfg.k0, cfg.sigma
     count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
-    k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
+    with np.errstate(invalid="ignore"):  # an overflowed window end gives NaN samples
+        k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
+        increasing = (np.diff(k_values) > 0.0).all()
+    if not increasing:  # the window collapsed to a few doubles or overflowed
+        raise ConfigError(f"field 'sigma': the window k0 +- 5 sigma with k0={k0!r} and "
+                          f"sigma={sigma!r} has no {count} strictly increasing doubles")
     z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0], cfg.period)
     n = np.arange(1, cfg.n_max + 1)
     # one profile row at a time, so memory stays bounded in N_max

@@ -10,12 +10,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BranchAmbiguityError
+from .errors import BranchAmbiguityError, NonFiniteAmplitudeError
 
 TWO_PI = 2.0 * math.pi
 
 # Below this modulus an amplitude carries no usable phase information.
 MODULUS_FLOOR = 1e-300
+
+_LOG_HUGE = 700.0  # exp beyond this overflows a double
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,9 @@ class ScatteringMatrix:
         for name in ("t", "l", "r"):
             value = complex(getattr(self, name))
             if not cmath.isfinite(value):
-                raise ValueError(f"amplitude {name!r} must be finite, got {value!r}")
+                raise NonFiniteAmplitudeError(
+                    f"amplitude {name!r} must be finite, got {value!r}"
+                )
             object.__setattr__(self, name, value)
 
     @property
@@ -84,20 +88,13 @@ def unitarity_defect_lanes(t, l, r) -> np.ndarray:
     t2 = squared_moduli(t)
     left = np.abs(t2 + squared_moduli(l) - 1.0)
     right = np.abs(t2 + squared_moduli(r) - 1.0)
-    tr_re, tr_im = _mul(t.real, t.imag, r.real, -r.imag)
-    lt_re, lt_im = _mul(l.real, l.imag, t.real, -t.imag)
-    return np.maximum(np.maximum(left, right), np.hypot(tr_re + lt_re, tr_im + lt_im))
+    overlap = _mul(t, r.conj()) + _mul(l, t.conj())
+    return np.maximum(np.maximum(left, right), np.hypot(overlap.real, overlap.imag))
 
 
 def squared_moduli(z) -> np.ndarray:
     """abs(z) ** 2 of every entry of the complex array z, bit for bit (pow, not m * m)."""
     return math_map(pow, np.hypot(z.real, z.imag), 2.0)
-
-
-def _mul(ar, ai, br, bi):
-    # complex * on (real, imag) float arrays in CPython's formula; numpy's
-    # complex multiply rounds differently on some inputs
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def principal_phase(z: complex) -> float:
@@ -119,6 +116,40 @@ def math_map(fn, *arrays) -> np.ndarray:
     arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in arrays))
     values = map(fn, *(x.ravel() for x in arrays))  # no lists: bounded memory
     return np.fromiter(values, dtype=float, count=arrays[0].size).reshape(arrays[0].shape)
+
+
+def _complex(re, im) -> np.ndarray:
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _mul(a, b) -> np.ndarray:
+    # a * b of complex arrays in CPython's formula, _Py_c_prod; numpy's
+    # complex multiply and divide round differently on some inputs
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _quot(a, b) -> np.ndarray:
+    # a / b (b != 0) as _mul does *: _Py_c_quot, Smith's method, scaled by
+    # the larger part of b.  The branches differ only in the order of
+    # commuting operands.
+    real_big = np.abs(b.real) >= np.abs(b.imag)
+    p, q = np.where(real_big, b.real, b.imag), np.where(real_big, b.imag, b.real)
+    x, y = np.where(real_big, a.real, a.imag), np.where(real_big, a.imag, a.real)
+    ratio = q / p
+    denom = p + q * ratio
+    return _complex((x + y * ratio) / denom,
+                    np.where(real_big, y - x * ratio, x * ratio - y) / denom)
+
+
+def _exp_lanes(log_mod, phase) -> np.ndarray:
+    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE: chain._safe_exp
+    # per lane (numpy's complex exp matches cmath.exp)
+    out = np.zeros(log_mod.shape, dtype=complex)
+    keep = ~(log_mod < -_LOG_HUGE)
+    out[keep] = np.exp(_complex(log_mod[keep], phase[keep]))
+    return out
 
 
 def principal_phase_array(z) -> np.ndarray:

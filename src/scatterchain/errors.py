@@ -9,6 +9,10 @@ class ResonanceDivergenceError(ArithmeticError):
     """A composition denominator 1 - l*r vanished; inputs are not a valid unitary pair."""
 
 
+class NonFiniteAmplitudeError(ValueError, ArithmeticError):
+    """An amplitude or transfer-matrix entry overflowed to inf or NaN."""
+
+
 class SingularConversionError(ArithmeticError):
     """Scattering/transfer conversion is singular (amplitude or matrix entry below floor)."""
 

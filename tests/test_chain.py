@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import warnings
 
 import mpmath
@@ -317,6 +318,16 @@ class TestBlochParameter:
         with pytest.raises(sc.UndefinedAmplitudeError) as info:
             sc.bloch_parameter(s, 1.0)
         assert str(info.value) == "transmission amplitude below floor: z undefined"
+
+    def test_phase_past_the_double_range_overflows(self):
+        s = sc.cell_smatrix(sc.DeltaSpike(1.0), sc.WaveNumber(3.0))
+        message = "alpha_t + k a is not finite at k=3.0, a=1e+308"
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            sc.bloch_parameter(s, 1e308)
+        k = np.array([0.5, 1.0, 3.0, 4.0])
+        t = sc.cells.cell_lanes(sc.DeltaSpike(1.0), k)[0]
+        with pytest.raises(OverflowError, match=re.escape(message)):
+            sc.chain.chebyshev_input_lanes(k, t, 1e308)
 
 
 class TestChebyshevInputLanes:

@@ -719,6 +719,61 @@ class TestOutputFormats:
         assert len(payload["rows"]) == 2
 
 
+class TestUnrepresentableInputs:
+    """Valid configs whose numbers leave the double range exit 3 (or 2, for a
+    packet window doubles cannot sample) with a one-line diagnostic."""
+
+    GRID = ("--k-min", "0.5", "--k-max", "3", "--k-count", "5")
+    TALL = ("--cell", "barrier:V0=1e4,w=5")  # its closed form overflows to NaN
+    HUGE_PERIOD = ("--cell", "delta:g=1", "--period", "1e308")
+
+    @pytest.mark.parametrize("args, expected", [
+        (("cell", *TALL, *GRID),
+         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
+         "got (nan+nanj)"),
+        (("bands", *TALL, "--period", "6", *GRID, "--N-max", "3"),
+         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
+         "got (nan+nanj)"),
+        (("hartman", *TALL, "--period", "6", "--k0", "1", "--N-max", "3"),
+         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
+         "got (nan+nanj)"),
+        (("delay", *TALL, "--period", "6", "--N", "2", *GRID),
+         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
+         "got (nan+nanj)"),
+        (("packet", *TALL, "--period", "6", "--k0", "1", "--sigma", "0.1", "--N-max", "3"),
+         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
+         "got (nan+nanj)"),
+        (("chain", "--cell", "delta:g=1", "--period", "1", "--k0", "1e308", "--N-max", "3"),
+         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
+         "got (nan+nanj)"),
+        (("chain", *HUGE_PERIOD, "--N", "3", *GRID),
+         "numerical failure: OverflowError: alpha_t + k a is not finite at k=2.375, a=1e+308"),
+        (("bands", *HUGE_PERIOD, *GRID, "--N-max", "3"),
+         "numerical failure: OverflowError: alpha_t + k a is not finite at k=2.375, a=1e+308"),
+        (("hartman", *HUGE_PERIOD, "--k0", "3", "--N-max", "3"),
+         "numerical failure: OverflowError: alpha_t + k a is not finite at k=3.0, a=1e+308"),
+        (("packet", *HUGE_PERIOD, "--k0", "3", "--sigma", "0.1", "--N-max", "3"),
+         "numerical failure: OverflowError: alpha_t + k a is not finite at k=2.5, a=1e+308"),
+        (("packet", "--cell", "delta:g=1", "--period", "1", "--k0", "2", "--sigma", "1e-300",
+          "--N-max", "3"),
+         "config error: field 'sigma': the window k0 +- 5 sigma with k0=2.0 and "
+         "sigma=1e-300 has no 2001 strictly increasing doubles"),
+        (("packet", "--cell", "delta:g=1", "--period", "1", "--k0", "1e300", "--sigma", "1",
+          "--N-max", "3"),
+         "config error: field 'sigma': the window k0 +- 5 sigma with k0=1e+300 and "
+         "sigma=1.0 has no 2001 strictly increasing doubles"),
+        (("packet", "--cell", "delta:g=1", "--period", "1", "--k0", "1.79e308",
+          "--sigma", "3e307", "--N-max", "3"),  # k0 + 5 sigma overflows
+         "config error: field 'sigma': the window k0 +- 5 sigma with k0=1.79e+308 and "
+         "sigma=3e+307 has no 2001 strictly increasing doubles"),
+    ], ids=[*(f"{c}-nan-amplitude" for c in ("cell", "bands", "hartman", "delay", "packet")),
+            "chain-huge-k0", *(f"{c}-huge-period" for c in ("chain", "bands", "hartman", "packet")),
+            "packet-narrow-sigma", "packet-huge-k0", "packet-overflowed-window"])
+    def test_one_line_diagnostic(self, capsys, args, expected):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out, err) == (2 if "config error" in expected else 3, "", expected + "\n")
+
+
 def test_package_version_matches_project_metadata():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

@@ -1,5 +1,6 @@
 """Unit tests for amplitudes, unitarity measures, phases and unwrapping."""
 
+import cmath
 import math
 
 import numpy as np
@@ -44,6 +45,16 @@ class TestUnitarityDefect:
         with pytest.raises(ValueError):
             sc.ScatteringMatrix(t=complex("nan"), l=0.0, r=0.0, k=K1)
 
+    def test_non_finite_amplitude_is_a_typed_arithmetic_error(self):
+        assert issubclass(sc.NonFiniteAmplitudeError, (ValueError, ArithmeticError))
+        with pytest.raises(sc.NonFiniteAmplitudeError, match="amplitude 'l' must be finite"):
+            sc.ScatteringMatrix(t=0.5, l=complex("inf"), r=0.0, k=K1)
+        with pytest.raises(sc.NonFiniteAmplitudeError, match="entry 'm21' must be finite"):
+            sc.TransferMatrix(m11=1.0, m12=0.0, m21=complex("nan"), m22=1.0, k=K1)
+        with pytest.raises(sc.NonFiniteAmplitudeError, match="amplitude 'r' must be finite"):
+            sc.ChainState(lattice=sc.Lattice(sc.DeltaSpike(1.0), 1.0, 1), k=K1, t=[0.5],
+                          l=[0.5], r=[complex("nan")], t_log_moduli=[0.0], t_phases=[0.0])
+
 
 class TestUnitarityDefectLanes:
     """The array defect against the scalar unitarity_defect, lane by lane, with ==."""
@@ -74,6 +85,71 @@ class TestUnitarityDefectLanes:
         rng = np.random.default_rng(2)
         t, l, r = (rng.normal(size=500) + 1j * rng.normal(size=500) for _ in range(3))
         assert sc.core.unitarity_defect_lanes(t, l, r).tolist() == self.scalar(t, l, r)
+
+
+class TestComplexLaneArithmetic:
+    """core._mul and core._quot against CPython's complex * and /, entry by
+    entry, with == on both parts and on the sign of each zero."""
+
+    SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 0.75, -3.0, 1e30)
+
+    @staticmethod
+    def parts(values):
+        # (re, im) with the sign of each part, so 0.0 and -0.0 differ
+        return [(z.real, z.imag, math.copysign(1.0, z.real), math.copysign(1.0, z.imag))
+                for z in values]
+
+    @staticmethod
+    def random_pairs(count, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            re, im = (rng.uniform(-1.0, 1.0, count) * 10.0 ** rng.uniform(-30.0, 30.0, count)
+                      for _ in range(2))
+            return re + 1j * im
+
+        return draw(), draw()
+
+    def special_pairs(self):
+        numbers = [complex(x, y) for x in self.SPECIALS for y in self.SPECIALS]
+        equal_parts = [complex(x, s * x) for x in self.SPECIALS if x != 0.0 for s in (1, -1)]
+        divisors = [z for z in numbers if z != 0] + equal_parts
+        a, b = zip(*((x, y) for x in numbers for y in divisors))
+        return np.array(a), np.array(b)
+
+    def check(self, a, b):
+        # Returns how many entries numpy's own / gets wrong; overflowed
+        # entries (a tiny divisor) are not compared.
+        with np.errstate(all="ignore"):
+            product, quotient = sc.core._mul(a, b), sc.core._quot(a, b)
+            numpy_quotient = a / b
+        flat = zip(*(x.ravel().tolist() for x in np.broadcast_arrays(a, b)))
+        exact = [(x * y, x / y) for x, y in flat]
+        finite = np.array([cmath.isfinite(p) and cmath.isfinite(q) for p, q in exact])
+        want_product = [p for (p, _), ok in zip(exact, finite) if ok]
+        want_quotient = [q for (_, q), ok in zip(exact, finite) if ok]
+        assert product.shape == quotient.shape == np.broadcast(a, b).shape
+        assert self.parts(product.ravel()[finite].tolist()) == self.parts(want_product)
+        assert self.parts(quotient.ravel()[finite].tolist()) == self.parts(want_quotient)
+        return int((numpy_quotient.ravel()[finite] != want_quotient).sum())
+
+    def test_random_pairs_over_sixty_decades(self):
+        # numpy divides by multiplying with a reciprocal, so its / rounds
+        # differently on some pairs.  Its * does too only where its loop
+        # fuses multiply and add, which depends on the build and the CPU,
+        # so no mismatch of * is asserted.
+        assert self.check(*self.random_pairs(20000, seed=11)) > 0
+
+    def test_signed_zeros_subnormals_and_equal_parts(self):
+        a, b = self.special_pairs()
+        assert (np.abs(b.real) == np.abs(b.imag)).any()
+        self.check(a, b)
+
+    def test_window_shapes(self):
+        a, b = self.random_pairs(400 * 5, seed=12)
+        a, b = a.reshape(400, 5), b.reshape(400, 5)
+        self.check(a, b)
+        self.check(a, b[0])  # a (k, 5) window against one row, broadcast
 
 
 class TestPhaseColumn:
