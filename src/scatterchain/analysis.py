@@ -18,13 +18,13 @@ from .chain import (
     bloch_parameter,
     chain_amplitudes,
     chain_end_amplitudes,
-    displace_lanes,
 )
 from .core import (
     MODULUS_FLOOR,
     PhaseCurve,
     ScatteringMatrix,
     WaveNumber,
+    displace_lanes,
     math_map,
     principal_phase_array,
     unwrap_phases,

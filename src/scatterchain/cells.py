@@ -1,9 +1,10 @@
 """Unit-cell potentials and their single-cell scattering data.
 
 Each built-in cell shape gets its scattering amplitudes two independent ways:
-closed-form matching solutions (cell_smatrix) and exact products of
-(psi, psi') segment maps (transfer_oracle).  Both place the cell with
-its support starting at x = 0.
+closed-form matching solutions, written once on arrays of wave numbers
+(cell_lanes, with cell_smatrix its length-1 call), and exact products of
+(psi, psi') segment maps (transfer_oracle), which stays scalar.  Both place
+the cell with its support starting at x = 0.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .core import MODULUS_FLOOR, ScatteringMatrix, WaveNumber
+from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _complex, _mul,
+                   _quot, check_finite, compose_lanes, displace_lanes, math_map)
 from .errors import NonFiniteAmplitudeError, SingularConversionError
 
 
@@ -144,16 +147,39 @@ class TransferMatrix:
         )
 
 
-def _delta_smatrix(g: float, k: WaveNumber) -> ScatteringMatrix:
+# The closed forms on arrays of wave numbers: each line is the scalar expression
+# with complex * written _mul and / written _quot, and cos, sin and sqrt follow
+# cmath's formulas through libm, so every lane equals it bit for bit.
+_LOG_LARGE = math.log(sys.float_info.max / 4.0)  # cmath scales cosh, sinh by e past it
+
+
+def _cos_sin(z) -> tuple[np.ndarray, np.ndarray]:
+    # (cmath.cos(z), cmath.sin(z)): cosh(iz) and -i sinh(iz) by c_cosh and
+    # c_sinh.  A finite z whose result overflows raises OverflowError("math
+    # range error") as cmath does; a non-finite z gives NaN.
+    finite = np.isfinite(z)
+    x, y = np.where(finite, -z.imag, 0.0), np.where(finite, z.real, 0.0)  # iz
+    big = np.abs(x) > _LOG_LARGE
+    x, scale = np.where(big, x - np.copysign(1.0, x), x), np.where(big, math.e, 1.0)
+    cos_y, sin_y = math_map(math.cos, y), math_map(math.sin, y)
+    cosh_x, sinh_x = math_map(math.cosh, x), math_map(math.sinh, x)
+    cos_z = _complex(cos_y * cosh_x * scale, sin_y * sinh_x * scale)
+    sin_z = _complex(sin_y * cosh_x * scale, -(cos_y * sinh_x * scale))
+    if not (np.isfinite(cos_z[finite]).all() and np.isfinite(sin_z[finite]).all()):
+        raise OverflowError("math range error")
+    return np.where(finite, cos_z, math.nan), np.where(finite, sin_z, math.nan)
+
+
+def _delta_lanes(g: float, k):
     # Matching psi'(0+) - psi'(0-) = 2 g psi(0) gives t = 1/(1 + i g/k).
-    u = g / k.k
-    den = 1.0 + 1.0j * u
-    t = 1.0 / den
-    lr = -1.0j * u / den
-    return ScatteringMatrix(t=t, l=lr, r=lr, k=k)
+    u = g / k
+    den = 1.0 + _mul(1.0j, u)
+    t = _quot(1.0, den)
+    lr = _quot(_mul(-1.0j, u), den)
+    return t, lr, lr
 
 
-def _rect_smatrix(V0: float, w: float, k: WaveNumber) -> ScatteringMatrix:
+def _rect_lanes(V0: float, w: float, k):
     """Closed-form amplitudes for a rectangular barrier on [0, w].
 
     Inside wavevector q = sqrt(k^2 - 2*V0) (imaginary under the barrier).
@@ -162,55 +188,61 @@ def _rect_smatrix(V0: float, w: float, k: WaveNumber) -> ScatteringMatrix:
     The degenerate case q = 0 (E = V0) uses the linear-solution limit
     sin(qw)/q -> w instead of epsilon-shifting the energy.
     """
-    kk = k.k
-    q2 = kk * kk - 2.0 * V0
-    if q2 == 0.0:
-        den = 1.0 - 0.5j * kk * w
-        sin_over_q = complex(w)
-    else:
-        q = cmath.sqrt(complex(q2))
-        qw = q * w
-        den = cmath.cos(qw) - 0.5j * (kk / q + q / kk) * cmath.sin(qw)
-        sin_over_q = cmath.sin(qw) / q
-    t = cmath.exp(-1.0j * kk * w) / den
-    l = -1.0j * V0 * sin_over_q / kk * t * cmath.exp(1.0j * kk * w)
-    r = l * cmath.exp(-2.0j * kk * w)
-    return ScatteringMatrix(t=t, l=l, r=r, k=k)
+    q2 = k * k - 2.0 * V0
+    ax = np.abs(q2)  # q = cmath.sqrt(complex(q2)) by c_sqrt, on the real or imaginary axis
+    root = np.where(ax < sys.float_info.min, np.sqrt(ax), 2.0 * np.sqrt(ax / 8.0 + ax / 8.0))
+    q = _complex(np.where(q2 < 0.0, 0.0, root), np.where(q2 < 0.0, root, 0.0))
+    cos_qw, sin_qw = _cos_sin(_mul(q, w))
+    den = np.where(q2 == 0.0, 1.0 - _mul(_mul(0.5j, k), w),
+                   cos_qw - _mul(_mul(0.5j, _quot(k, q) + _quot(q, k)), sin_qw))
+    sin_over_q = np.where(q2 == 0.0, complex(w), _quot(sin_qw, q))
+    t = _quot(np.exp(_mul(_mul(-1.0j, k), w)), den)
+    l = _mul(_mul(_quot(_mul(-1.0j * V0, sin_over_q), k), t), np.exp(_mul(_mul(1.0j, k), w)))
+    r = _mul(l, np.exp(_mul(_mul(-2.0j, k), w)))
+    return t, l, r
 
 
-def _piecewise_smatrix(cell: PiecewiseConstant, k: WaveNumber) -> ScatteringMatrix:
+def _piecewise_lanes(cell: PiecewiseConstant, k):
     # Compose the closed-form segment matrices left to right; positioning is
-    # injected through displace, independent of the transfer-matrix oracle.
-    from .chain import compose, displace
-
+    # injected through displace_lanes, independent of the transfer-matrix oracle.
     segments, x = [], 0.0
     for width, height in cell.segments:
-        segments.append(displace(_rect_smatrix(height, width, k), x))
+        t, l, r = _rect_lanes(height, width, k)
+        segments.append((t, *displace_lanes(k, l, r, x)))
         x += width
-    return functools.reduce(compose, segments)
-
-
-def cell_smatrix(cell: PotentialCell, k: WaveNumber) -> ScatteringMatrix:
-    """Closed-form scattering matrix of a single cell with support starting at x = 0."""
-    if isinstance(cell, DeltaSpike):
-        return _delta_smatrix(cell.g, k)
-    if isinstance(cell, RectBarrier):
-        return _rect_smatrix(cell.V0, cell.w, k)
-    if isinstance(cell, PiecewiseConstant):
-        return _piecewise_smatrix(cell, k)
-    raise TypeError(f"unsupported cell type: {type(cell).__name__}")
+    return functools.reduce(compose_lanes, segments)
 
 
 def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, l, r) of the cell at every wave number of k_values, as complex
-    arrays of k_values' shape, filled one cell_smatrix call at a time."""
-    k_values = np.asarray(k_values, dtype=float)
-    lanes = np.empty((3, k_values.size), dtype=complex)
-    for i, kv in enumerate(k_values.ravel().tolist()):
-        s = cell_smatrix(cell, WaveNumber(kv))
-        lanes[:, i] = s.t, s.l, s.r
-    t, l, r = lanes.reshape((3, *k_values.shape))
+    """Closed-form (t, l, r) of the cell at every wave number of k_values, as
+    complex arrays of k_values' shape, evaluated LANE_CHUNK lanes at a time.
+    The wave numbers must be finite and positive; one check per call names
+    the first non-finite amplitude."""
+    if isinstance(cell, DeltaSpike):
+        closed_form = functools.partial(_delta_lanes, cell.g)
+    elif isinstance(cell, RectBarrier):
+        closed_form = functools.partial(_rect_lanes, cell.V0, cell.w)
+    elif isinstance(cell, PiecewiseConstant):
+        closed_form = functools.partial(_piecewise_lanes, cell)
+    else:
+        raise TypeError(f"unsupported cell type: {type(cell).__name__}")
+    k = np.asarray(k_values, dtype=float)
+    valid = np.isfinite(k) & (k > 0.0)
+    if not valid.all():
+        raise ValueError(f"wave number must be finite and positive, got {float(k[~valid][0])!r}")
+    lanes = np.empty((3, k.size), dtype=complex)
+    with np.errstate(all="ignore"):  # overflow leaves inf or NaN for the check below
+        for start in range(0, k.size, LANE_CHUNK):
+            lanes[:, start:start + LANE_CHUNK] = closed_form(k.ravel()[start:start + LANE_CHUNK])
+    t, l, r = lanes.reshape((3, *k.shape))
+    check_finite(t=t, l=l, r=r)
     return t, l, r
+
+
+def cell_smatrix(cell: PotentialCell, k: WaveNumber) -> ScatteringMatrix:
+    """Closed-form scattering matrix of a single cell with support starting at
+    x = 0: a length-1 call of cell_lanes."""
+    return ScatteringMatrix(*cell_lanes(cell, k.k), k=k)
 
 
 # --- transfer-matrix oracle ------------------------------------------------

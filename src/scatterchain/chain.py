@@ -15,59 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Lattice, cell_lanes, cell_smatrix
-from .core import (
-    MODULUS_FLOOR,
-    ScatteringMatrix,
-    WaveNumber,
-    _LOG_HUGE,
-    _exp_lanes,
-    _mul,
-    _quot,
-    math_map,
-    principal_phase,
-    principal_phase_array,
-    squared_moduli,
-)
-from .errors import NonFiniteAmplitudeError, ResonanceDivergenceError, UndefinedAmplitudeError
+from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _LOG_HUGE, _exp_lanes,
+                   _mul, _quot, check_finite, compose_lanes, displace_lanes, math_map,
+                   position_phase, principal_phase, principal_phase_array, squared_moduli)
+from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
 
 
 def displace(s: ScatteringMatrix, a: float) -> ScatteringMatrix:
-    """Amplitudes of the same scatterer rigidly shifted right by a.
-
-    t is untouched; l picks up e^{2ika}, r picks up e^{-2ika}.  Negative a
-    shifts left.  Moduli, hence unitarity, are preserved exactly.
-    """
-    phase = cmath.exp(2.0j * s.k.k * a)
-    return ScatteringMatrix(t=s.t, l=s.l * phase, r=s.r * phase.conjugate(), k=s.k)
+    """s rigidly shifted right by a: a length-1 call of displace_lanes."""
+    return ScatteringMatrix(s.t, *displace_lanes(s.k.k, s.l, s.r, a), k=s.k)
 
 
 def compose(sA: ScatteringMatrix, sB: ScatteringMatrix) -> ScatteringMatrix:
-    """Scattering matrix of two scatterers in series, sA entirely left of sB.
-
-    Both inputs must already be expressed in the same global coordinates and
-    share one wave number.  Summing all back-and-forth bounces between the
-    two gives the geometric-series closed form
-
-        t = tA tB / (1 - lB rA)
-        l = lA + tA^2 lB / (1 - lB rA)
-        r = rB + tB^2 rA / (1 - lB rA)
-
-    which is unitary and associative.
-    """
+    """sA followed on its right by sB, both in the same coordinates and at one
+    wave number: a length-1 call of compose_lanes."""
     if sA.k.k != sB.k.k:
         raise ValueError("cannot compose scattering matrices at different wave numbers")
-    den = 1.0 - sB.l * sA.r
-    if abs(den) < 1e-14:
-        raise ResonanceDivergenceError(
-            "composition denominator 1 - lB*rA vanished; inputs are not a "
-            "valid unitary pair"
-        )
-    return ScatteringMatrix(
-        t=sA.t * sB.t / den,
-        l=sA.l + sA.t * sA.t * sB.l / den,
-        r=sB.r + sB.t * sB.t * sA.r / den,
-        k=sA.k,
-    )
+    return ScatteringMatrix(*compose_lanes((sA.t, sA.l, sA.r), (sB.t, sB.l, sB.r)), k=sA.k)
 
 
 @dataclass(frozen=True)
@@ -96,14 +60,7 @@ class ChainState:
             arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        finite = np.isfinite(np.stack((self.l, self.r)))
-        if not finite.all():  # name the first non-finite amplitude in (n, l/r) order
-            n = int(np.argmin(finite.all(axis=0)))
-            name = "lr"[int(np.argmin(finite[:, n]))]
-            value = complex(getattr(self, name)[n])
-            raise NonFiniteAmplitudeError(
-                f"amplitude {name!r} must be finite, got {value!r}"
-            )
+        check_finite(l=self.l, r=self.r)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -166,6 +123,7 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     Every s^(n) is unitary; t^(n) is tracked in log-polar form.
     """
     s_cell = cell_smatrix(lattice.cell, k)
+    position_phase(k.k, (lattice.N - 1) * lattice.a)  # the last cell's e^{2ikna}
     tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
     kk, a = k.k, lattice.a
 
@@ -176,21 +134,6 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
                 rc * pos_phase.conjugate() + tc * tc * r / den)
 
     return _grow(lattice, s_cell, step)
-
-
-def displace_lanes(
-    k_values, l: np.ndarray, r: np.ndarray, a: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """l and r of displace(s, a) in every lane of the arrays, bit for bit:
-    l e^{2ika} and r e^{-2ika}."""
-    k = np.asarray(k_values, dtype=float)
-    rot = _exp_lanes(np.zeros(k.shape), 2.0 * k * a)
-    return _mul(l, rot), _mul(r, rot.conj())
-
-
-# Lanes per pass of the recurrence: bounds its temporaries to ~1 MB at any
-# k count, for one more round of per-step numpy overhead per 1024 lanes.
-_LANE_CHUNK = 1024
 
 
 def chain_end_amplitudes(
@@ -214,9 +157,10 @@ def chain_end_amplitudes(
         raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
     lt, pt, t, l, r = math_map(math.log, mod), principal_phase_array(tc), tc, lc, rc
     if lattice.N > 1:
+        position_phase(k, (lattice.N - 1) * lattice.a)  # the last cell's e^{2ikna}
         t, l, r = t.copy(), l.copy(), r.copy()
-        for start in range(0, k.size, _LANE_CHUNK):
-            lanes = slice(start, start + _LANE_CHUNK)
+        for start in range(0, k.size, LANE_CHUNK):
+            lanes = slice(start, start + LANE_CHUNK)
             lt[lanes], pt[lanes], t[lanes], l[lanes], r[lanes] = _grow_lanes(
                 lattice, k.ravel()[lanes], lt[lanes], pt[lanes], tc[lanes], lc[lanes], rc[lanes]
             )
@@ -255,6 +199,7 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
     Must reproduce chain_amplitudes exactly up to rounding.
     """
     s_cell = cell_smatrix(lattice.cell, k)
+    position_phase(k.k, (lattice.N - 1) * lattice.a)  # the chain's last position
     tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
     shift = cmath.exp(2.0j * k.k * lattice.a)
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BranchAmbiguityError, NonFiniteAmplitudeError
+from .errors import BranchAmbiguityError, NonFiniteAmplitudeError, ResonanceDivergenceError
 
 TWO_PI = 2.0 * math.pi
 
@@ -18,6 +18,10 @@ TWO_PI = 2.0 * math.pi
 MODULUS_FLOOR = 1e-300
 
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
+
+# Lanes per pass of the array kernels: bounds their temporaries to ~1 MB at
+# any k count, for one more round of per-pass numpy overhead per 1024 lanes.
+LANE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,17 @@ class ScatteringMatrix:
     def transmission(self) -> float:
         """Transmission probability |t|^2."""
         return abs(self.t) ** 2
+
+
+def check_finite(**columns) -> None:
+    """Raise NonFiniteAmplitudeError naming the first non-finite amplitude of
+    the equally shaped arrays in columns, in (lane, name) order."""
+    finite = np.stack([np.isfinite(np.ravel(z)) for z in columns.values()])
+    if not finite.all():
+        lane = int(np.argmin(finite.all(axis=0)))
+        name = list(columns)[int(np.argmin(finite[:, lane]))]
+        value = complex(np.ravel(columns[name])[lane])
+        raise NonFiniteAmplitudeError(f"amplitude {name!r} must be finite, got {value!r}")
 
 
 def unitarity_defect(s: ScatteringMatrix) -> float:
@@ -150,6 +165,41 @@ def _exp_lanes(log_mod, phase) -> np.ndarray:
     keep = ~(log_mod < -_LOG_HUGE)
     out[keep] = np.exp(_complex(log_mod[keep], phase[keep]))
     return out
+
+
+def position_phase(k_values, x: float) -> np.ndarray:
+    """2 k x at every wave number of k_values, the phase of e^{2ikx}; raises
+    OverflowError naming the first k where it is not finite."""
+    with np.errstate(over="ignore"):
+        phase = 2.0 * np.asarray(k_values, dtype=float) * x
+    if not np.isfinite(phase).all():
+        k = float(np.broadcast_to(k_values, phase.shape)[~np.isfinite(phase)][0])
+        raise OverflowError(f"position phase 2 k x is not finite at k={k!r}, x={float(x)!r}")
+    return phase
+
+
+def displace_lanes(k_values, l, r, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """l and r of the scatterer rigidly shifted right by x (left for x < 0),
+    in every lane: l e^{2ikx} and r e^{-2ikx}; t is untouched."""
+    rot = np.exp(1j * position_phase(k_values, x))
+    return _mul(l, rot), _mul(r, rot.conj())
+
+
+def compose_lanes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, l, r) of a = (tA, lA, rA) followed on its right by b = (tB, lB, rB),
+    both in the same coordinates, in every lane.  Summing the bounces
+    between the two gives the unitary, associative closed form
+
+        t = tA tB / D,  l = lA + tA^2 lB / D,  r = rB + tB^2 rA / D,  D = 1 - lB rA.
+    """
+    (ta, la, ra), (tb, lb, rb) = a, b
+    den = 1.0 - _mul(lb, ra)
+    if (np.hypot(den.real, den.imag) < 1e-14).any():
+        raise ResonanceDivergenceError("composition denominator 1 - lB*rA vanished; "
+                                       "inputs are not a valid unitary pair")
+    return (_quot(_mul(ta, tb), den),
+            la + _quot(_mul(_mul(ta, ta), lb), den),
+            rb + _quot(_mul(_mul(tb, tb), ra), den))
 
 
 def principal_phase_array(z) -> np.ndarray:

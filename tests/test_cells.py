@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import scatterchain as sc
-from support import identity_smatrix, smatrix_to_transfer
+from support import (
+    identity_smatrix,
+    scalar_cell_smatrix,
+    scalar_compose,
+    scalar_displace,
+    smatrix_to_transfer,
+)
 
 
 K1 = sc.WaveNumber(1.0)
@@ -133,6 +139,84 @@ class TestRectBarrier:
         s2 = sc.transfer_to_smatrix(sc.transfer_oracle(cell, k))
         assert componentwise_diff(s1, s2) < 1e-12
         assert sc.unitarity_defect(s1) < 1e-14
+
+
+def random_cells(seed):
+    """Delta spikes of both signs, barriers, wells and 1-4-segment piecewise cells."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(3):
+        cells += [
+            sc.DeltaSpike(rng.uniform(0.1, 6.0)),
+            sc.DeltaSpike(-rng.uniform(0.1, 6.0)),
+            sc.RectBarrier(rng.uniform(0.1, 20.0), rng.uniform(0.05, 3.0)),
+            sc.RectBarrier(-rng.uniform(0.1, 20.0), rng.uniform(0.05, 3.0)),
+            sc.PiecewiseConstant(tuple(
+                (rng.uniform(0.05, 2.0), rng.uniform(-10.0, 10.0))
+                for _ in range(int(rng.integers(1, 5)))
+            )),
+        ]
+    return cells
+
+
+def assert_lanes_equal_scalar(cell, k_values):
+    t, l, r = sc.cells.cell_lanes(cell, k_values)
+    assert t.shape == l.shape == r.shape == np.shape(k_values)
+    for i, kv in enumerate(np.ravel(k_values).tolist()):
+        s = scalar_cell_smatrix(cell, sc.WaveNumber(kv))
+        assert (t.flat[i], l.flat[i], r.flat[i]) == (s.t, s.l, s.r), (cell, kv)
+
+
+class TestCellLanes:
+    """The array closed forms against the scalar ones of tests/support.py, with ==."""
+
+    @pytest.mark.parametrize("cell", random_cells(11), ids=repr)
+    def test_random_wave_numbers(self, cell):
+        rng = np.random.default_rng(5)
+        assert_lanes_equal_scalar(cell, np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 300)))
+
+    @pytest.mark.parametrize("cell", [
+        sc.RectBarrier(2.0, 1.0),
+        sc.PiecewiseConstant(((0.3, 2.0), (0.5, -1.0), (0.4, 2.0))),
+    ], ids=["barrier", "piecewise"])
+    def test_exact_degenerate_energy(self, cell):
+        # q^2 = k^2 - 2 V0 is exactly 0 at k = 2 for V0 = 2, next to ordinary lanes
+        assert_lanes_equal_scalar(cell, np.array([1.5, 2.0, np.nextafter(2.0, 3.0), 2.0]))
+
+    def test_two_dimensional_shape(self):
+        assert_lanes_equal_scalar(ALL_CELLS[5], np.linspace(0.2, 6.0, 24).reshape(4, 6))
+
+    def test_lanes_beyond_one_chunk(self):
+        k_values = np.linspace(0.01, 30.0, 2500)  # three passes of LANE_CHUNK lanes
+        assert k_values.size > 2 * sc.core.LANE_CHUNK
+        assert_lanes_equal_scalar(ALL_CELLS[5], k_values)
+
+    def test_length_one_calls(self):
+        for cell in ALL_CELLS:
+            s, ref = sc.cell_smatrix(cell, K1), scalar_cell_smatrix(cell, K1)
+            assert (s.t, s.l, s.r, s.k) == (ref.t, ref.l, ref.r, ref.k)
+
+    def test_rejects_bad_wave_number(self):
+        with pytest.raises(ValueError, match="wave number must be finite and positive, got -1.0"):
+            sc.cells.cell_lanes(ALL_CELLS[0], [1.0, -1.0, 0.0])
+
+    def test_first_non_finite_amplitude_is_named(self):
+        # the closed form of this barrier overflows to NaN at k = 0.5, not at k = 150
+        with pytest.raises(sc.NonFiniteAmplitudeError,
+                           match=r"amplitude 'l' must be finite, got \(nan\+nanj\)"):
+            sc.cells.cell_lanes(sc.RectBarrier(1e4, 5.0), [150.0, 0.5, 150.0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_compose_and_displace_equal_scalar_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        k = sc.WaveNumber(rng.uniform(0.1, 8.0))
+        a, b = (sc.cell_smatrix(cell, k) for cell in rng.choice(ALL_CELLS, 2))
+        x = rng.uniform(-3.0, 3.0)
+        for got, expected in ((sc.displace(a, x), scalar_displace(a, x)),
+                              (sc.compose(a, b), scalar_compose(a, b)),
+                              (sc.compose(a, sc.displace(b, x)),
+                               scalar_compose(a, scalar_displace(b, x)))):
+            assert (got.t, got.l, got.r) == (expected.t, expected.l, expected.r)
 
 
 class TestTransferOracle:

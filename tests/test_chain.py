@@ -279,11 +279,11 @@ class TestChainEndAmplitudes:
 
     def test_vanished_denominator_is_typed(self, monkeypatch):
         # l = r = 1 is not unitary: at ka = pi, D_1 = 1 - e^{2i pi} vanishes
-        def corrupted(cell, k):
-            return sc.ScatteringMatrix(t=1e-8, l=1.0, r=1.0, k=k)
+        def corrupted(cell, k_values):
+            return tuple(np.full(np.shape(k_values), z, dtype=complex) for z in (1e-8, 1.0, 1.0))
 
-        for module in (sc.cells, sc.chain):  # cell_lanes looks it up in cells
-            monkeypatch.setattr(module, "cell_smatrix", corrupted)
+        for module in (sc.cells, sc.chain):  # cell_smatrix looks it up in cells
+            monkeypatch.setattr(module, "cell_lanes", corrupted)
         lattice = sc.Lattice(DELTA, 1.0, 4)
         with pytest.raises(sc.ResonanceDivergenceError):
             sc.chain_amplitudes(lattice, sc.WaveNumber(math.pi))

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scatterchain.cli import main, parse_cell_spec
@@ -76,16 +77,17 @@ def reference_delay_rows(cell, a, n, k_grid, fd_step, displaced):
 
 
 def count_cell_smatrix(monkeypatch):
-    """Count cell_smatrix calls made through every module that looks it up."""
+    """Count the cells built: the wave numbers passed to cell_lanes through
+    every module that looks it up."""
     calls = []
-    original = sc.cell_smatrix
+    original = sc.cells.cell_lanes
 
-    def counted(cell, k):
-        calls.append(k.k)
-        return original(cell, k)
+    def counted(cell, k_values):
+        calls.extend(np.ravel(k_values).tolist())
+        return original(cell, k_values)
 
-    for module in (sc.cells, sc.chain, sc.analysis):
-        monkeypatch.setattr(module, "cell_smatrix", counted)
+    for module in (sc.cells, sc.chain, sc.analysis, sc.cli):
+        monkeypatch.setattr(module, "cell_lanes", counted)
     return calls
 
 
@@ -135,6 +137,18 @@ def test_unitarity_violation_names_the_first_violating_row(capsys, table):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == f"numerical contract violated: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("cell", "--cell", "piecewise:0.4:1.2,0.3:-2,0.5:0.8"),
+    ("delay", "--cell", "piecewise:0.4:1.2,0.3:-2,0.5:0.8", "--N", "1"),
+    ("delay", "--cell", "barrier:V0=-1.5,w=0.5", "--period", "1.2", "--N", "4", "--displaced"),
+], ids=["cell", "delay-cell", "delay-chain"])
+def test_scans_build_no_scattering_matrix_per_k(capsys, monkeypatch, argv):
+    built = count_smatrices(monkeypatch)
+    code, out, _ = run_cli(capsys, *argv, "--k-min", "0.5", "--k-max", "2.5", "--k-count", "400")
+    assert code == 0 and len(parse_csv(out)) == 400
+    assert len(built) == 0
 
 
 class TestCellSpecParsing:
@@ -445,7 +459,7 @@ class TestChainCommand:
             "--k-min", "0.3", "--k-max", "4.0", "--k-count", "40",
         )
         assert code == 0 and len(parse_csv(out)) == 40
-        assert len(built) == 2 * 40  # the cell, for the closed form and for the recurrence
+        assert len(built) == 0
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: the recurrence's unitarity "
                        "defect reaches 1.048e-10 at N=1228 next to the ka = pi edge")
@@ -744,8 +758,8 @@ class TestUnrepresentableInputs:
          "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
          "got (nan+nanj)"),
         (("chain", "--cell", "delta:g=1", "--period", "1", "--k0", "1e308", "--N-max", "3"),
-         "numerical failure: NonFiniteAmplitudeError: amplitude 'l' must be finite, "
-         "got (nan+nanj)"),
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=1e+308, "
+         "x=2.0"),
         (("chain", *HUGE_PERIOD, "--N", "3", *GRID),
          "numerical failure: OverflowError: alpha_t + k a is not finite at k=2.375, a=1e+308"),
         (("bands", *HUGE_PERIOD, *GRID, "--N-max", "3"),
@@ -766,9 +780,23 @@ class TestUnrepresentableInputs:
           "--sigma", "3e307", "--N-max", "3"),  # k0 + 5 sigma overflows
          "config error: field 'sigma': the window k0 +- 5 sigma with k0=1.79e+308 and "
          "sigma=3e+307 has no 2001 strictly increasing doubles"),
+        (("chain", *HUGE_PERIOD, "--k0", "3", "--N-max", "3"),
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=3.0, x=inf"),
+        (("delay", *HUGE_PERIOD, "--N", "3", *GRID),
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=0.4998, "
+         "x=inf"),
+        (("delay", *HUGE_PERIOD, "--N", "1", "--displaced", *GRID),
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=1.1248, "
+         "x=1e+308"),
+        (("cell", "--cell", "barrier:V0=1,w=1e200", "--k-min", "1e200", "--k-max", "1.1e200",
+          "--k-count", "2"),  # k w overflows inside the closed form
+         "numerical failure: NonFiniteAmplitudeError: amplitude 't' must be finite, "
+         "got (nan+nanj)"),
     ], ids=[*(f"{c}-nan-amplitude" for c in ("cell", "bands", "hartman", "delay", "packet")),
             "chain-huge-k0", *(f"{c}-huge-period" for c in ("chain", "bands", "hartman", "packet")),
-            "packet-narrow-sigma", "packet-huge-k0", "packet-overflowed-window"])
+            "packet-narrow-sigma", "packet-huge-k0", "packet-overflowed-window",
+            "chain-huge-position", "delay-huge-position", "delay-displaced-huge-position",
+            "cell-huge-kw"])
     def test_one_line_diagnostic(self, capsys, args, expected):
         code, out, err = run_cli(capsys, *args)
         assert (code, out, err) == (2 if "config error" in expected else 3, "", expected + "\n")
