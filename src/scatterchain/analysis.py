@@ -389,6 +389,13 @@ def wavepacket_average(
     transmissions = np.asarray(transmissions, dtype=float)
     if k_values.ndim != 1 or k_values.shape != transmissions.shape:
         raise ValueError("k_values and transmissions must be 1-d and equally long")
+    return _packet_averager(k_values, k0, sigma)(transmissions)
+
+
+def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
+    """wavepacket_average at fixed 1-d samples k_values, k0 and sigma, as a
+    function of the transmissions: the samples are checked and the weight
+    and its integral computed once, for a scan that averages many curves."""
     if k_values.size < 2 or np.any(np.diff(k_values) <= 0.0):
         raise ValueError("k_values must be strictly increasing with >= 2 samples")
     if not sigma > 0.0:
@@ -401,5 +408,5 @@ def wavepacket_average(
             f"the window [{lo:.6g}, {hi:.6g}]"
         )
     weight = np.exp(-0.5 * ((k_values - k0) / sigma) ** 2)
-    return float(_trapezoid(weight * transmissions, k_values)
-                 / _trapezoid(weight, k_values))
+    norm = _trapezoid(weight, k_values)
+    return lambda transmissions: float(_trapezoid(weight * transmissions, k_values) / norm)

@@ -123,7 +123,7 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     Every s^(n) is unitary; t^(n) is tracked in log-polar form.
     """
     s_cell = cell_smatrix(lattice.cell, k)
-    position_phase(k.k, (lattice.N - 1) * lattice.a)  # the last cell's e^{2ikna}
+    position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
     tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
     kk, a = k.k, lattice.a
 
@@ -157,7 +157,7 @@ def chain_end_amplitudes(
         raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
     lt, pt, t, l, r = math_map(math.log, mod), principal_phase_array(tc), tc, lc, rc
     if lattice.N > 1:
-        position_phase(k, (lattice.N - 1) * lattice.a)  # the last cell's e^{2ikna}
+        position_phase(k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
         t, l, r = t.copy(), l.copy(), r.copy()
         for start in range(0, k.size, LANE_CHUNK):
             lanes = slice(start, start + LANE_CHUNK)
@@ -199,7 +199,7 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
     Must reproduce chain_amplitudes exactly up to rounding.
     """
     s_cell = cell_smatrix(lattice.cell, k)
-    position_phase(k.k, (lattice.N - 1) * lattice.a)  # the chain's last position
+    position_phase(k.k, lattice.a, lattice.N - 1)  # the chain's last position
     tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
     shift = cmath.exp(2.0j * k.k * lattice.a)
 
@@ -242,46 +242,72 @@ def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     gracefully to 0.0, and U saturates to +-inf.  Edge entries run the
     three-term recurrence, one pass per distinct z up to the largest N asked
     of it.  Both results have the broadcast shape, at least one-dimensional.
+
+    It plans the N-free part on (z, rho) and evaluates the plan at N; a scan
+    over many N at the same (z, rho) plans once and evaluates per N.
     """
     z, rho, N = np.asarray(z, dtype=float), np.asarray(rho, dtype=float), np.asarray(N)
-    if (N < 1).any():
-        raise ValueError("cell counts must be >= 1")
     # Adding zeros broadcasts at a fraction of np.broadcast_arrays' cost on
-    # length-1 calls; N becomes float, exact for any realistic chain length.
+    # length-1 calls; evaluate adds them to N as well.
     zeros = np.zeros(np.broadcast(z, rho, N).shape or (1,))
-    z, rho, N = z + zeros, rho + zeros, N + zeros
-    abs_z = np.abs(z)
-    band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
-    gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
-    edge = ~(band | gap)
-    u = np.zeros(z.shape)  # gap entries are filled last, with their own |t|^2
+    return _ChebyshevPlan(z + zeros, rho + zeros).evaluate(N)
 
-    if band.any():
-        gamma = np.arccos(z[band])
-        u[band] = np.sin(N[band] * gamma) / np.sin(gamma)
-    if edge.any():
-        z_edge, orders = z[edge], N[edge].astype(int) - 1
-        distinct, which = np.unique(z_edge, return_inverse=True)
-        values = np.empty(z_edge.size)
-        for j, zj in enumerate(distinct.tolist()):
-            mine = which == j
-            seq = [1.0, 2.0 * zj]
-            for _ in range(int(orders[mine].max()) - 1):
-                seq.append(2.0 * zj * seq[-1] - seq[-2])
-            values[mine] = np.array(seq)[orders[mine]]
-        u[edge] = values
-    t = 1.0 / (1.0 + rho * u * u)
-    if gap.any():
-        z_gap, n_gap = z[gap], N[gap]
-        eta = np.arccosh(np.abs(z_gap))
-        # log(sinh(N eta) / sinh(eta)) in a form where nothing overflows
-        ratio = np.expm1(-2.0 * n_gap * eta) / np.expm1(-2.0 * eta)
-        log_u = (n_gap - 1.0) * eta + np.log(ratio)
-        sign = np.where((z_gap < 0.0) & (n_gap % 2 == 0), -1.0, 1.0)
-        with np.errstate(over="ignore", divide="ignore"):  # U -> inf; rho = 0 gives log 0
-            u[gap] = sign * np.exp(log_u)
-            t[gap] = np.exp(-np.logaddexp(0.0, np.log(rho[gap]) + 2.0 * log_u))
-    return u, t
+
+class _ChebyshevPlan:
+    """The part of chebyshev_closed_form that does not depend on N, for
+    equally shaped z and rho: the band/gap/edge masks, g and sin g on band
+    entries, h, e^{-2h} - 1 and log rho on gap entries, and the three-term
+    recurrence of each distinct edge z, extended as far as N asks."""
+
+    def __init__(self, z: np.ndarray, rho: np.ndarray) -> None:
+        self.zeros = np.zeros(z.shape)
+        abs_z = np.abs(z)
+        self.band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
+        self.gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
+        self.edge = ~(self.band | self.gap)
+        # gap entries get their own |t|^2; rho = inf there would give inf * 0
+        self.rho = np.where(self.gap, 0.0, rho)
+        self.gamma = np.arccos(z[self.band])
+        self.sin_gamma = np.sin(self.gamma)
+        self.edge_z, self.edge_which = np.unique(z[self.edge], return_inverse=True)
+        self.edge_seqs = [[1.0, 2.0 * zj] for zj in self.edge_z.tolist()]
+        z_gap = z[self.gap]
+        self.eta = np.arccosh(np.abs(z_gap))
+        self.gap_den = np.expm1(-2.0 * self.eta)
+        self.gap_negative = z_gap < 0.0
+        with np.errstate(divide="ignore"):  # rho = 0 gives log 0
+            self.gap_log_rho = np.log(rho[self.gap])
+
+    def evaluate(self, N) -> tuple[np.ndarray, np.ndarray]:
+        """(U_{N-1}(z), |t^(N)|^2) at the cell counts N, which broadcast to the plan's shape."""
+        N = np.asarray(N)
+        if (N < 1).any():
+            raise ValueError("cell counts must be >= 1")
+        N = N + self.zeros  # float, exact for any realistic chain length
+        u = np.zeros(N.shape)  # gap entries are filled last, with their own |t|^2
+
+        if self.gamma.size:
+            u[self.band] = np.sin(N[self.band] * self.gamma) / self.sin_gamma
+        if self.edge_z.size:
+            orders = N[self.edge].astype(int) - 1
+            values = np.empty(orders.size)
+            for j, (zj, seq) in enumerate(zip(self.edge_z.tolist(), self.edge_seqs)):
+                mine = self.edge_which == j
+                for _ in range(int(orders[mine].max()) + 1 - len(seq)):
+                    seq.append(2.0 * zj * seq[-1] - seq[-2])
+                values[mine] = np.array(seq)[orders[mine]]
+            u[self.edge] = values
+        t = 1.0 / (1.0 + self.rho * u * u)
+        if self.eta.size:
+            n_gap, eta = N[self.gap], self.eta
+            # log(sinh(N eta) / sinh(eta)) in a form where nothing overflows
+            ratio = np.expm1(-2.0 * n_gap * eta) / self.gap_den
+            log_u = (n_gap - 1.0) * eta + np.log(ratio)
+            sign = np.where(self.gap_negative & (n_gap % 2 == 0), -1.0, 1.0)
+            with np.errstate(over="ignore"):  # U -> inf
+                u[self.gap] = sign * np.exp(log_u)
+                t[self.gap] = np.exp(-np.logaddexp(0.0, self.gap_log_rho + 2.0 * log_u))
+        return u, t
 
 
 def chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:

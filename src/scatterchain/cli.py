@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 import warnings
 from dataclasses import make_dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -25,13 +27,14 @@ from . import __version__
 from .analysis import (
     DEFAULT_EDGE_TOL,
     DEFAULT_FD_STEP,
+    _packet_averager,
     band_class_lanes,
     delay_scan,
     hartman_scan,
-    wavepacket_average,
 )
 from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
 from .chain import (
+    _ChebyshevPlan,
     chain_amplitudes,
     chain_end_amplitudes,
     chebyshev_closed_form,
@@ -397,12 +400,12 @@ def run_packet(cfg: ExperimentConfig):
         raise ConfigError(f"field 'sigma': the window k0 +- 5 sigma with k0={k0!r} and "
                           f"sigma={sigma!r} has no {count} strictly increasing doubles")
     z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0], cfg.period)
+    plan, average = _ChebyshevPlan(z, rho), _packet_averager(k_values, k0, sigma)
     n = np.arange(1, cfg.n_max + 1)
-    # one profile row at a time, so memory stays bounded in N_max
-    profile_rows = (chebyshev_closed_form(z, rho, m)[1] for m in n.tolist())
     return _meta(cfg), _rows({
         "N": n,
-        "averaged_T": [wavepacket_average(k_values, row, k0, sigma) for row in profile_rows],
+        # one profile row at a time, so memory stays O(k count), not O(N_max x k count)
+        "averaged_T": [average(plan.evaluate(m)[1]) for m in n.tolist()],
         "pointwise_T_k0": chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions,
     })
 
@@ -417,24 +420,71 @@ _RUNNERS = {
 }
 
 
-def _format_csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# How json spells the non-finite floats and None that repr spells otherwise.
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
+
+# The printf spellings of a CSV column of plain floats (17 significant
+# digits) and of plain ints; neither ever needs quoting.
+_CSV_FORMATS = {float: "%.17g", int: "%d"}
+
+# Rows per write of the printf CSV path.  Writing one short string per row
+# fragments the heap (2.7 MB more peak RSS on the grid_scan workload), and
+# 1024-row writes (~200 KB strings) raised delay_sweep's peak RSS by 0.3 MB.
+_ROWS_PER_WRITE = 256
+
+
+def _json_cells(types: set, values):
+    """The JSON text of each of a column's values, whose types are types, as
+    json.dumps spells it: repr for plain floats, ints and None, json itself
+    for anything else."""
+    if types <= {float, int, type(None)}:
+        return map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
+    return map(json.dumps, values)
+
+
+def _csv_cells(fmt: Optional[str], values):
+    """The CSV text of each of a column's values: by its printf format fmt,
+    else 17 significant digits for floats, "" for None, str for the rest."""
+    if fmt is not None:
+        return map(fmt.__mod__, values)
+    return ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+            for v in values)
 
 
 def _render(meta: dict, rows: list[dict], fmt: str) -> str:
+    """The table as text: the bytes of json.dumps({"meta": meta, "rows":
+    rows}, indent=2) plus a newline, or RFC 4180 CSV with a header row.
+    Every row holds JSON scalars under the first row's keys, of which there
+    is at least one.  Each column is spelled in one pass, by the types of
+    its values, and the rows are filled in from one template: JSON always,
+    CSV when every column is of plain floats or of plain ints."""
+    keys = list(rows[0]) if rows else []
+
+    def column(key):  # one pass over the values under key
+        return map(itemgetter(key), rows)
+
+    types = [set(map(type, column(key))) for key in keys]
     if fmt == "json":
-        return json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+        head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
+        if not rows:
+            return head + "[]" + tail + "\n"
+        fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
+        cells = zip(*(_json_cells(kinds, column(key)) for kinds, key in zip(types, keys)))
+        body = ",\n".join(map(("    {" + fields + "\n    }").__mod__, cells))
+        return f"{head}[\n{body}\n  ]{tail}\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
     if rows:
-        header = list(rows[0].keys())
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_csv_value(row[key]) for key in header])
+        writer.writerow(keys)
+        formats = [_CSV_FORMATS.get(next(iter(kinds))) if len(kinds) == 1 else None
+                   for kinds in types]
+        if None in formats:
+            writer.writerows(zip(*map(_csv_cells, formats, map(column, keys))))
+        else:  # numbers only, so each row is one printf of its values
+            template, values = ",".join(formats) + "\r\n", itemgetter(*keys)
+            for start in range(0, len(rows), _ROWS_PER_WRITE):
+                part = rows[start:start + _ROWS_PER_WRITE]
+                buffer.write("".join(map(template.__mod__, map(values, part))))
     return buffer.getvalue()
 
 

@@ -167,14 +167,17 @@ def _exp_lanes(log_mod, phase) -> np.ndarray:
     return out
 
 
-def position_phase(k_values, x: float) -> np.ndarray:
-    """2 k x at every wave number of k_values, the phase of e^{2ikx}; raises
-    OverflowError naming the first k where it is not finite."""
+def position_phase(k_values, a: float, n: int = 1) -> np.ndarray:
+    """2 k x with x = n a at every wave number of k_values, the phase of
+    e^{2ikx}; raises OverflowError naming the first k where it is not
+    finite, and x, or n and a when x itself is past the double range."""
+    x = n * a
     with np.errstate(over="ignore"):
         phase = 2.0 * np.asarray(k_values, dtype=float) * x
     if not np.isfinite(phase).all():
         k = float(np.broadcast_to(k_values, phase.shape)[~np.isfinite(phase)][0])
-        raise OverflowError(f"position phase 2 k x is not finite at k={k!r}, x={float(x)!r}")
+        where = f"x={float(x)!r}" if math.isfinite(x) else f"x = n a with n={n}, a={float(a)!r}"
+        raise OverflowError(f"position phase 2 k x is not finite at k={k!r}, {where}")
     return phase
 
 

@@ -1,12 +1,15 @@
 """Helpers that only the tests use: the free-propagation matrix, the
 scattering-to-transfer conversion with its matrix product (the reverse of
 the package's transfer_to_smatrix path), amplitudes whose squared modulus
-numpy rounds differently from CPython, and the scalar closed forms of the
+numpy rounds differently from CPython, the scalar closed forms of the
 cells, of composition and of displacement, which the package's array forms
-must equal bit for bit."""
+must equal bit for bit, the closed form's kernel in one unplanned pass, and
+the CLI's per-cell CSV rendering."""
 
 import cmath
+import csv
 import functools
+import io
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from scatterchain import (
     TransferMatrix,
     WaveNumber,
 )
+from scatterchain.chain import CHEBYSHEV_EDGE_WINDOW
 
 
 def identity_smatrix(k: WaveNumber) -> ScatteringMatrix:
@@ -154,3 +158,67 @@ def scalar_cell_smatrix(cell, k: WaveNumber) -> ScatteringMatrix:
     if isinstance(cell, PiecewiseConstant):
         return _piecewise_smatrix(cell, k)
     raise TypeError(f"unsupported cell type: {type(cell).__name__}")
+
+
+# --- the closed form in one pass, and per-cell CSV ---------------------------
+
+def unplanned_closed_form(z, rho, N):
+    """U_{N-1}(z) and 1 / (1 + rho U_{N-1}(z)^2), broadcast over (z, rho, N),
+    with the band/gap/edge split and every branch evaluated in one pass;
+    chebyshev_closed_form must equal it bit for bit."""
+    z, rho, N = np.asarray(z, dtype=float), np.asarray(rho, dtype=float), np.asarray(N)
+    if (N < 1).any():
+        raise ValueError("cell counts must be >= 1")
+    zeros = np.zeros(np.broadcast(z, rho, N).shape or (1,))
+    z, rho, N = z + zeros, rho + zeros, N + zeros
+    abs_z = np.abs(z)
+    band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
+    gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
+    edge = ~(band | gap)
+    u = np.zeros(z.shape)
+
+    if band.any():
+        gamma = np.arccos(z[band])
+        u[band] = np.sin(N[band] * gamma) / np.sin(gamma)
+    if edge.any():
+        z_edge, orders = z[edge], N[edge].astype(int) - 1
+        distinct, which = np.unique(z_edge, return_inverse=True)
+        values = np.empty(z_edge.size)
+        for j, zj in enumerate(distinct.tolist()):
+            mine = which == j
+            seq = [1.0, 2.0 * zj]
+            for _ in range(int(orders[mine].max()) - 1):
+                seq.append(2.0 * zj * seq[-1] - seq[-2])
+            values[mine] = np.array(seq)[orders[mine]]
+        u[edge] = values
+    t = 1.0 / (1.0 + rho * u * u)
+    if gap.any():
+        z_gap, n_gap = z[gap], N[gap]
+        eta = np.arccosh(np.abs(z_gap))
+        ratio = np.expm1(-2.0 * n_gap * eta) / np.expm1(-2.0 * eta)
+        log_u = (n_gap - 1.0) * eta + np.log(ratio)
+        sign = np.where((z_gap < 0.0) & (n_gap % 2 == 0), -1.0, 1.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            u[gap] = sign * np.exp(log_u)
+            t[gap] = np.exp(-np.logaddexp(0.0, np.log(rho[gap]) + 2.0 * log_u))
+    return u, t
+
+
+def _format_csv_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def per_cell_csv(rows: list) -> str:
+    """The CLI's CSV text of rows, one cell and one isinstance test at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    if rows:
+        header = list(rows[0].keys())
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_format_csv_value(row[key]) for key in header])
+    return buffer.getvalue()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
-from support import identity_smatrix, matmul, pow_square_mismatches
+from support import identity_smatrix, matmul, pow_square_mismatches, unplanned_closed_form
 
 
 K1 = sc.WaveNumber(1.0)
@@ -429,6 +429,80 @@ class TestChebyshevU:
 
     def test_overflow_saturates(self):
         assert math.isinf(sc.chebyshev_closed_form(4.75, 0.0, 401)[0][0])
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestChebyshevPlan:
+    """chebyshev_closed_form plans on (z, rho) once and evaluates per N: U and
+    |t|^2 equal the one-pass kernel of tests/support.py bit for bit."""
+
+    BAND = [0.0, 0.3, -0.77, 0.999, -0.9999, 1.0 - 2e-8, -1.0 + 2e-8, 5e-324]
+    GAP = [1.06, -1.06, 1.5, -1.5, 4.75, -4.75, 1.0 + 2e-8, -1.0 - 2e-8, 1e10, -1e300]
+    EDGE = [1.0, -1.0, 1.0 + 5e-9, 1.0 - 5e-9, -1.0 + 9e-9, -1.0 - 3e-9]
+    RHO = [0.0, 1e-4, 0.5, 24.0, 1e300, math.inf]
+    N = [1, 2, 3, 4, 10, 101, 1000, 10000]
+
+    @staticmethod
+    def check(z, rho, n):
+        u, t = sc.chebyshev_closed_form(z, rho, n)
+        with np.errstate(invalid="ignore"):  # the one-pass form gives inf * 0 at rho = inf
+            u_ref, t_ref = unplanned_closed_form(z, rho, n)
+        assert same_bits(u, u_ref) and same_bits(t, t_ref)
+        return u, t
+
+    @pytest.mark.parametrize("zs", [BAND, GAP, EDGE, BAND + GAP + EDGE],
+                             ids=["band", "gap", "edge", "mixed"])
+    def test_grid_equals_one_pass_form(self, zs):
+        z = np.array(zs)[:, None, None]
+        rho = np.array(self.RHO)[None, :, None]
+        n = np.array(self.N)[None, None, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, _ = self.check(z, rho, n)
+        assert u.shape == (len(zs), len(self.RHO), len(self.N))
+
+    def test_regimes_are_hit(self):
+        u, t = self.check(np.array([-1.0, 1.0, -1.5, -1.5, 4.75, -4.75]), 24.0,
+                          np.array([4, 4, 2, 3, 1000, 1000]))
+        assert u[:2].tolist() == [-4.0, 4.0]  # U_3(+-1) = 4 (+-1)^3
+        assert u[2] < 0.0 < u[3]  # the sign of U_{N-1}(z < 0) for even and odd N
+        assert u[4] == math.inf and u[5] == -math.inf and t[4:].tolist() == [0.0, 0.0]
+
+    def test_rho_inf_in_a_gap_is_quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, t = self.check(np.array([1.5, -3.0, 0.5]), math.inf, 3)
+        assert t[:2].tolist() == [0.0, 0.0] and u[1] == pytest.approx(35.0)  # U_2(-3)
+
+    @pytest.mark.parametrize("z", [0.3, -1.06, 1.0, -1.0 + 9e-9])
+    def test_scalar_z_against_n_column(self, z):
+        # the per-N chain table: one (z, rho) and N = 1..N_max
+        self.check(z, 0.7, np.arange(1, 2001))
+
+    def test_z_row_against_scalar_n(self):
+        # bands and packet: z over a k grid at one N
+        z = np.concatenate([np.linspace(-1.2, 1.2, 2001), self.EDGE])
+        for n in (1, 2, 64, 10000):
+            self.check(z, np.linspace(0.0, 3.0, z.size), n)
+
+    def test_one_plan_over_many_n(self):
+        # packet's loop: a plan evaluated per N, the edge recurrences
+        # extended on demand and read back at smaller N
+        z = np.array(self.BAND + self.GAP + self.EDGE + self.EDGE)
+        rho = np.linspace(0.0, 2.0, z.size)
+        plan = sc.chain._ChebyshevPlan(z, rho)
+        for n in (7, 1, 300, 2, 10000, 299, 1):
+            got = plan.evaluate(n)
+            want = unplanned_closed_form(z, rho, n)
+            assert all(same_bits(g, w) for g, w in zip(got, want)), n
+
+    def test_rejects_zero_cells_in_a_plan(self):
+        plan = sc.chain._ChebyshevPlan(np.array([0.5, 2.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="cell counts must be >= 1"):
+            plan.evaluate(np.array([1, 0]))
 
 
 class TestChebyshevTransmission:

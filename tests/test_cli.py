@@ -662,6 +662,26 @@ class TestPacketCommand:
         assert spread_point > 0.1
         assert spread_avg < spread_point / 3.0
 
+    @pytest.mark.parametrize("k0, regimes", [
+        (4.5, {"band"}), (3.3, {"gap"}), (math.pi, {"band", "edge", "gap"}),
+    ], ids=["band", "gap", "edge"])
+    def test_averages_equal_one_closed_form_call_per_row(self, capsys, k0, regimes):
+        # packet plans the kernel once and hoists the weight; each row must
+        # equal a closed-form call and a wavepacket_average of its own
+        cell, a, sigma, n_max = sc.DeltaSpike(1.0), 1.0, 0.01, 40
+        _, out, _ = run_cli(capsys, "packet", "--cell", "delta:g=1", "--period", "1",
+                            "--k0", repr(k0), "--sigma", "0.01", "--N-max", str(n_max),
+                            "--format", "json")
+        k = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, 2001)
+        z, rho = sc.chain.chebyshev_input_lanes(k, sc.cells.cell_lanes(cell, k)[0], a)
+        w = sc.chain.CHEBYSHEV_EDGE_WINDOW
+        hit = {name for name, mask in (("band", abs(z) < 1.0 - w), ("gap", abs(z) > 1.0 + w),
+                                       ("edge", abs(abs(z) - 1.0) <= w)) if mask.any()}
+        assert hit == regimes
+        expected = [sc.wavepacket_average(k, sc.chebyshev_closed_form(z, rho, n)[1], k0, sigma)
+                    for n in range(1, n_max + 1)]
+        assert [row["averaged_T"] for row in json.loads(out)["rows"]] == expected
+
     def test_peak_memory_does_not_grow_with_the_profile(self, capsys):
         # 400 rows x 12 801 wave numbers would be a 41 MB profile
         tracemalloc.start()
@@ -781,10 +801,14 @@ class TestUnrepresentableInputs:
          "config error: field 'sigma': the window k0 +- 5 sigma with k0=1.79e+308 and "
          "sigma=3e+307 has no 2001 strictly increasing doubles"),
         (("chain", *HUGE_PERIOD, "--k0", "3", "--N-max", "3"),
-         "numerical failure: OverflowError: position phase 2 k x is not finite at k=3.0, x=inf"),
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=3.0, "
+         "x = n a with n=2, a=1e+308"),
         (("delay", *HUGE_PERIOD, "--N", "3", *GRID),
          "numerical failure: OverflowError: position phase 2 k x is not finite at k=0.4998, "
-         "x=inf"),
+         "x = n a with n=2, a=1e+308"),
+        (("chain", "--cell", "delta:g=1", "--period", "1e307", "--k0", "3", "--N-max", "20"),
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=3.0, "
+         "x = n a with n=19, a=1e+307"),
         (("delay", *HUGE_PERIOD, "--N", "1", "--displaced", *GRID),
          "numerical failure: OverflowError: position phase 2 k x is not finite at k=1.1248, "
          "x=1e+308"),
@@ -795,7 +819,8 @@ class TestUnrepresentableInputs:
     ], ids=[*(f"{c}-nan-amplitude" for c in ("cell", "bands", "hartman", "delay", "packet")),
             "chain-huge-k0", *(f"{c}-huge-period" for c in ("chain", "bands", "hartman", "packet")),
             "packet-narrow-sigma", "packet-huge-k0", "packet-overflowed-window",
-            "chain-huge-position", "delay-huge-position", "delay-displaced-huge-position",
+            "chain-huge-position", "delay-huge-position", "chain-huge-last-position",
+            "delay-displaced-huge-position",
             "cell-huge-kw"])
     def test_one_line_diagnostic(self, capsys, args, expected):
         code, out, err = run_cli(capsys, *args)
