@@ -423,15 +423,6 @@ _RUNNERS = {
 # How json spells the non-finite floats and None that repr spells otherwise.
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
 
-# The printf spellings of a CSV column of plain floats (17 significant
-# digits) and of plain ints; neither ever needs quoting.
-_CSV_FORMATS = {float: "%.17g", int: "%d"}
-
-# Rows per write of the printf CSV path.  Writing one short string per row
-# fragments the heap (2.7 MB more peak RSS on the grid_scan workload), and
-# 1024-row writes (~200 KB strings) raised delay_sweep's peak RSS by 0.3 MB.
-_ROWS_PER_WRITE = 256
-
 
 def _json_cells(types: set, values):
     """The JSON text of each of a column's values, whose types are types, as
@@ -442,11 +433,11 @@ def _json_cells(types: set, values):
     return map(json.dumps, values)
 
 
-def _csv_cells(fmt: Optional[str], values):
-    """The CSV text of each of a column's values: by its printf format fmt,
-    else 17 significant digits for floats, "" for None, str for the rest."""
-    if fmt is not None:
-        return map(fmt.__mod__, values)
+def _csv_cells(types: set, values):
+    """The CSV text of each of a column's values, whose types are types: 17
+    significant digits for floats, "" for None, str for the rest."""
+    if types == {float}:
+        return map("{:.17g}".format, values)
     return ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
             for v in values)
 
@@ -456,8 +447,8 @@ def _render(meta: dict, rows: list[dict], fmt: str) -> str:
     rows}, indent=2) plus a newline, or RFC 4180 CSV with a header row.
     Every row holds JSON scalars under the first row's keys, of which there
     is at least one.  Each column is spelled in one pass, by the types of
-    its values, and the rows are filled in from one template: JSON always,
-    CSV when every column is of plain floats or of plain ints."""
+    its values; JSON rows are filled in from one template, CSV rows are
+    written by csv.writer."""
     keys = list(rows[0]) if rows else []
 
     def column(key):  # one pass over the values under key
@@ -476,15 +467,7 @@ def _render(meta: dict, rows: list[dict], fmt: str) -> str:
     writer = csv.writer(buffer, lineterminator="\r\n")
     if rows:
         writer.writerow(keys)
-        formats = [_CSV_FORMATS.get(next(iter(kinds))) if len(kinds) == 1 else None
-                   for kinds in types]
-        if None in formats:
-            writer.writerows(zip(*map(_csv_cells, formats, map(column, keys))))
-        else:  # numbers only, so each row is one printf of its values
-            template, values = ",".join(formats) + "\r\n", itemgetter(*keys)
-            for start in range(0, len(rows), _ROWS_PER_WRITE):
-                part = rows[start:start + _ROWS_PER_WRITE]
-                buffer.write("".join(map(template.__mod__, map(values, part))))
+        writer.writerows(zip(*map(_csv_cells, types, map(column, keys))))
     return buffer.getvalue()
 
 
