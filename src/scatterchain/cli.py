@@ -10,11 +10,10 @@ below floor).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import make_dataclass
@@ -423,52 +422,77 @@ _RUNNERS = {
 # How json spells the non-finite floats and None that repr spells otherwise.
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
 
+# The characters that make the csv module's QUOTE_MINIMAL rule quote a field
+# under the "\r\n" line terminator.
+_CSV_QUOTED = re.compile('[,"\r\n]').search
 
-def _json_cells(types: set, values):
-    """The JSON text of each of a column's values, whose types are types, as
-    json.dumps spells it: repr for plain floats, ints and None, json itself
-    for anything else."""
+
+def _csv_fields(texts, alone: bool):
+    """Each text as a CSV field, by the csv module's QUOTE_MINIMAL rule: a
+    text holding a comma, a quote, CR or LF is quoted, its quotes doubled;
+    the empty field of a row that has no other (alone) is written as ""."""
+    for text in texts:
+        if _CSV_QUOTED(text):
+            yield '"' + text.replace('"', '""') + '"'
+        else:
+            yield '""' if alone and not text else text
+
+
+def _cells(fmt: str, rows: list[dict], key: str, alone: bool):
+    """The conversion of the column under key in the row template, and the
+    values it is applied to.  A column of plain floats or of plain ints is
+    spelled by the template itself: %.17g or %d in CSV, %r in JSON when
+    every value is finite.  Any other column is spelled here and goes in as
+    %s: in CSV with 17 significant digits for floats, "" for None and str
+    for the rest, quoted by _csv_fields; in JSON as json.dumps spells it:
+    repr for plain floats and ints, json's NaN, Infinity, -Infinity and null
+    for the non-finite floats and None, and json itself for anything else."""
+
+    def column():  # one pass over the values under key
+        return map(itemgetter(key), rows)
+
+    types = set(map(type, column()))
+    if types == {float} or types == {int}:
+        if fmt == "csv":
+            return ("%.17g" if types == {float} else "%d"), column()
+        if types == {int} or all(map(math.isfinite, column())):
+            return "%r", column()
+    if fmt == "csv":
+        texts = ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                 for v in column())
+        return "%s", _csv_fields(texts, alone)
     if types <= {float, int, type(None)}:
-        return map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
-    return map(json.dumps, values)
-
-
-def _csv_cells(types: set, values):
-    """The CSV text of each of a column's values, whose types are types: 17
-    significant digits for floats, "" for None, str for the rest."""
-    if types == {float}:
-        return map("{:.17g}".format, values)
-    return ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-            for v in values)
+        return "%s", map(_JSON_SPELLING.get, *itertools.tee(map(repr, column())))
+    return "%s", map(json.dumps, column())
 
 
 def _render(meta: dict, rows: list[dict], fmt: str) -> str:
     """The table as text: the bytes of json.dumps({"meta": meta, "rows":
-    rows}, indent=2) plus a newline, or RFC 4180 CSV with a header row.
-    Every row holds JSON scalars under the first row's keys, of which there
-    is at least one.  Each column is spelled in one pass, by the types of
-    its values; JSON rows are filled in from one template, CSV rows are
-    written by csv.writer."""
-    keys = list(rows[0]) if rows else []
-
-    def column(key):  # one pass over the values under key
-        return map(itemgetter(key), rows)
-
-    types = [set(map(type, column(key))) for key in keys]
+    rows}, indent=2) plus a newline, or RFC 4180 CSV with a header row and
+    CRLF line ends.  Every row holds JSON scalars under the first row's
+    keys, of which there is at least one.  Each column is spelled by the
+    types of its values, and every row is filled in from one % template of
+    the columns' conversions."""
+    if not rows:
+        return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
+    keys = list(rows[0])
+    alone = len(keys) == 1
+    conversions, cells = zip(*(_cells(fmt, rows, key, alone) for key in keys))
     if fmt == "json":
-        head, tail = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
-        if not rows:
-            return head + "[]" + tail + "\n"
-        fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: %s" for key in keys)
-        cells = zip(*(_json_cells(kinds, column(key)) for kinds, key in zip(types, keys)))
-        body = ",\n".join(map(("    {" + fields + "\n    }").__mod__, cells))
-        return f"{head}[\n{body}\n  ]{tail}\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    if rows:
-        writer.writerow(keys)
-        writer.writerows(zip(*map(_csv_cells, types, map(column, keys))))
-    return buffer.getvalue()
+        frame, end = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
+        fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: {conversion}"
+                          for key, conversion in zip(keys, conversions))
+        head, template = frame + "[\n", "    {" + fields + "\n    }"
+        sep, tail = ",\n", "\n  ]" + end + "\n"
+    else:
+        head = ",".join(_csv_fields(keys, alone)) + "\r\n"
+        template, sep, tail = ",".join(conversions), "\r\n", "\r\n"
+    # one join builds the whole text: concatenating head and tail to it
+    # afterwards would copy it, and raise the process's peak memory
+    lines = list(map(template.__mod__, zip(*cells)))
+    lines[0] = head + lines[0]
+    lines[-1] += tail
+    return sep.join(lines)
 
 
 def _write(path: str, text: str) -> None:

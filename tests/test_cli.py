@@ -585,6 +585,23 @@ class TestDelayCommand:
             assert float(row["dtau_l"]) == pytest.approx(2 * 0.7 / k, abs=1e-6)
             assert float(row["dtau_r"]) == pytest.approx(-2 * 0.7 / k, abs=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: k = 2.5545545545545547 sits on "
+                       "a transmission resonance, and the 5-point stencil unwraps the "
+                       "+-pi jump of alpha_r to opposite branches for the base and the "
+                       "displaced chain (dtau_r = 14346.88)")
+    def test_displacement_law_on_a_transmission_resonance(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "delay", "--cell", "barrier:V0=-2.218715,w=0.327098", "--period",
+            "1.010354", "--N", "32", "--displaced", "--k-min", "0.2", "--k-max", "4.0",
+            "--k-count", "1000",
+        )
+        assert code == 0
+        for row in parse_csv(out):
+            shift = 2 * 1.010354 / float(row["k"])
+            assert abs(float(row["dtau_t"])) < 1e-6
+            assert float(row["dtau_l"]) == pytest.approx(shift, abs=1e-6)
+            assert float(row["dtau_r"]) == pytest.approx(-shift, abs=1e-6), row["k"]
+
     def test_free_cell_zero_delay_undefined_reflections(self, capsys):
         _, out, _ = run_cli(
             capsys, "delay", "--cell", "delta:g=0", "--k-min", "0.5",

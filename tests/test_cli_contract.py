@@ -8,6 +8,7 @@ import pytest
 
 from scatterchain import cli
 import scatterchain as sc
+from support import per_cell_csv
 
 
 def flag(key):
@@ -502,7 +503,11 @@ ROW_RUNS = {
 def test_row_values_are_plain_python(run_id):
     command, options = ROW_RUNS[run_id]
     cfg = cli._resolve(cli.build_parser().parse_args(argv_for(command, options)))
-    _, rows = cli._RUNNERS[command](cfg)
+    meta, rows = cli._RUNNERS[command](cfg)
     assert rows
     kinds = {type(value) for row in rows for value in row.values()}
     assert kinds <= {type(None), int, float, str}
+    # the row template spells the runner's real rows as the per-cell writers do
+    assert cli._render(meta, rows, "csv") == per_cell_csv(rows)
+    expected = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    assert cli._render(meta, rows, "json") == expected
