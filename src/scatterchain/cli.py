@@ -440,11 +440,10 @@ def _csv_fields(texts, alone: bool):
 
 def _cells(fmt: str, rows: list[dict], key: str, alone: bool):
     """The conversion of the column under key in the row template, and the
-    values it is applied to.  A column of plain floats or of plain ints is
-    spelled by the template itself: %.17g or %d in CSV, %r in JSON when
-    every value is finite.  Any other column is spelled here and goes in as
-    %s: in CSV with 17 significant digits for floats, "" for None and str
-    for the rest, quoted by _csv_fields; in JSON as json.dumps spells it:
+    values it is applied to.  In CSV a column of plain floats is spelled by
+    the template itself, as %.17g.  Any other column is spelled here and goes
+    in as %s: in CSV with 17 significant digits for floats, "" for None and
+    str for the rest, quoted by _csv_fields; in JSON as json.dumps spells it:
     repr for plain floats and ints, json's NaN, Infinity, -Infinity and null
     for the non-finite floats and None, and json itself for anything else."""
 
@@ -452,12 +451,9 @@ def _cells(fmt: str, rows: list[dict], key: str, alone: bool):
         return map(itemgetter(key), rows)
 
     types = set(map(type, column()))
-    if types == {float} or types == {int}:
-        if fmt == "csv":
-            return ("%.17g" if types == {float} else "%d"), column()
-        if types == {int} or all(map(math.isfinite, column())):
-            return "%r", column()
     if fmt == "csv":
+        if types == {float}:
+            return "%.17g", column()
         texts = ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
                  for v in column())
         return "%s", _csv_fields(texts, alone)

@@ -585,22 +585,38 @@ class TestDelayCommand:
             assert float(row["dtau_l"]) == pytest.approx(2 * 0.7 / k, abs=1e-6)
             assert float(row["dtau_r"]) == pytest.approx(-2 * 0.7 / k, abs=1e-6)
 
+    # A barrier chain whose k grid holds a transmission resonance, at
+    # RESONANCE_K: there the 5-point stencil straddles the +-pi jump of alpha_r
+    # and unwraps it to opposite branches for the base and the displaced chain.
+    RESONANCE_ARGS = (
+        "delay", "--cell", "barrier:V0=-2.218715,w=0.327098", "--period", "1.010354",
+        "--N", "32", "--displaced", "--k-min", "0.2", "--k-max", "4.0", "--k-count", "1000",
+    )
+    RESONANCE_K = "2.5545545545545547"
+
+    def resonance_rows(self, capsys):
+        code, out, _ = run_cli(capsys, *self.RESONANCE_ARGS)
+        assert code == 0
+        return {row["k"]: row for row in parse_csv(out)}
+
+    def test_displacement_law_beside_a_transmission_resonance(self, capsys):
+        rows = self.resonance_rows(capsys)
+        assert len(rows) == 1000 and self.RESONANCE_K in rows
+        for k, row in rows.items():
+            shift = 2 * 1.010354 / float(k)
+            assert abs(float(row["dtau_t"])) < 1e-6
+            assert float(row["dtau_l"]) == pytest.approx(shift, abs=1e-6)
+            if k != self.RESONANCE_K:
+                assert float(row["dtau_r"]) == pytest.approx(-shift, abs=1e-6), k
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: k = 2.5545545545545547 sits on "
                        "a transmission resonance, and the 5-point stencil unwraps the "
                        "+-pi jump of alpha_r to opposite branches for the base and the "
                        "displaced chain (dtau_r = 14346.88)")
     def test_displacement_law_on_a_transmission_resonance(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "delay", "--cell", "barrier:V0=-2.218715,w=0.327098", "--period",
-            "1.010354", "--N", "32", "--displaced", "--k-min", "0.2", "--k-max", "4.0",
-            "--k-count", "1000",
-        )
-        assert code == 0
-        for row in parse_csv(out):
-            shift = 2 * 1.010354 / float(row["k"])
-            assert abs(float(row["dtau_t"])) < 1e-6
-            assert float(row["dtau_l"]) == pytest.approx(shift, abs=1e-6)
-            assert float(row["dtau_r"]) == pytest.approx(-shift, abs=1e-6), row["k"]
+        row = self.resonance_rows(capsys)[self.RESONANCE_K]
+        shift = 2 * 1.010354 / float(self.RESONANCE_K)
+        assert float(row["dtau_r"]) == pytest.approx(-shift, abs=1e-6)
 
     def test_free_cell_zero_delay_undefined_reflections(self, capsys):
         _, out, _ = run_cli(

@@ -1,7 +1,6 @@
 """Check that the benchmark's workload commands print the same bytes as at REV.
 
-    python3 tools/same_outputs.py REV          # e.g. HEAD~1 or a base commit
-    python3 tools/same_outputs.py REV --toy    # the self-test's toy sizes
+    python3 tools/same_outputs.py REV    # e.g. HEAD~1 or a base commit
 
 Run from the root of a checkout.  The committed files of REV are exported
 (``git archive``) to a temporary directory.  On that tree and on the working
@@ -36,7 +35,7 @@ SEEDS = (7, 320, 1, 2)
 WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 
 
-def side_outputs(src: str, toy: bool) -> dict:
+def side_outputs(src: str) -> dict:
     """Run every campaign command against the package under src, in this
     interpreter; return its version and, per command, the exit code and the
     sha256 of its stdout."""
@@ -50,7 +49,7 @@ def side_outputs(src: str, toy: bool) -> dict:
     outputs = []
     for workload in WORKLOADS:
         for seed in SEEDS:
-            for index, command in enumerate(workloads.campaign(workload, seed, toy=toy)):
+            for index, command in enumerate(workloads.campaign(workload, seed)):
                 out = io.StringIO()
                 with redirect_stdout(out), redirect_stderr(io.StringIO()):
                     code = cli.main(list(command.argv))
@@ -60,10 +59,9 @@ def side_outputs(src: str, toy: bool) -> dict:
     return {"version": scatterchain.__version__, "outputs": outputs}
 
 
-def run_side(src: str, toy: bool) -> dict:
+def run_side(src: str) -> dict:
     """side_outputs in a fresh interpreter, so each side imports its own package."""
-    argv = [sys.executable, "-B", os.path.abspath(__file__), "--side", src,
-            *(["--toy"] if toy else [])]
+    argv = [sys.executable, "-B", os.path.abspath(__file__), "--side", src]
     done = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT)
     if done.returncode != 0:
         raise RuntimeError(f"the run on {src} failed:\n{done.stderr}")
@@ -94,18 +92,17 @@ def compare(base: dict, change: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="the git revision to compare against")
-    parser.add_argument("--toy", action="store_true", help="run the toy-size campaigns")
     parser.add_argument("--side", help=argparse.SUPPRESS)  # internal: one side's run
     args = parser.parse_args(argv)
     if args.side:
-        json.dump(side_outputs(args.side, args.toy), sys.stdout)
+        json.dump(side_outputs(args.side), sys.stdout)
         return 0
     if not args.rev:
         parser.error("REV is required")
     with tempfile.TemporaryDirectory() as tree:
         export(args.rev, tree)
-        base = run_side(os.path.join(tree, "src"), args.toy)
-    change = run_side(os.path.join(ROOT, "src"), args.toy)
+        base = run_side(os.path.join(tree, "src"))
+    change = run_side(os.path.join(ROOT, "src"))
     if base["version"] != change["version"]:
         print(f"scatterchain {base['version']} at {args.rev}, {change['version']} here: "
               "outputs are only promised identical within one version; not compared")
