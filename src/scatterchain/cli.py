@@ -17,7 +17,6 @@ import re
 import sys
 import warnings
 from dataclasses import make_dataclass
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -288,10 +287,18 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {"command": cfg.command, "version": __version__, "config": config}
 
 
-def _rows(columns: dict) -> list[dict]:
-    """One dict per row of the named, equally long columns (arrays or lists)."""
-    values = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
+class _Table:
+    """Named columns of Python scalars, one tolist() per array; len() is the row count."""
+
+    def __init__(self, columns: dict):
+        self.columns = {key: c.tolist() if isinstance(c, np.ndarray) else c
+                        for key, c in columns.items()}
+        lengths = {key: len(c) for key, c in self.columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"columns differ in length: {lengths}")
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _unitarity_column(cfg: ExperimentConfig, t, l, r, where) -> np.ndarray:
@@ -315,7 +322,7 @@ def _amplitude_columns(cfg: ExperimentConfig, t, l, r, where) -> dict:
 def run_cell(cfg: ExperimentConfig):
     k = cfg.k_grid()
     t, l, r = cell_lanes(cfg.potential, k)
-    return _meta(cfg), _rows({
+    return _meta(cfg), _Table({
         "k": k,
         "re_t": t.real, "im_t": t.imag,
         "re_l": l.real, "im_l": l.imag,
@@ -339,7 +346,7 @@ def run_chain(cfg: ExperimentConfig):
         t, l, r, t_rec = state.t, state.l, state.r, state.transmissions
         z, rho = chebyshev_input_lanes(k[:1], t[:1], cfg.period)  # t^(1) is the cell's t
     t_cheb = chebyshev_closed_form(z, rho, n)[1]
-    return _meta(cfg), _rows({
+    return _meta(cfg), _Table({
         "k": k, "N": n, "T_recurrence": t_rec, "T_chebyshev": t_cheb,
         "dual_path_diff": np.abs(t_rec - t_cheb),
         **_amplitude_columns(cfg, t, l, r, lambda i: f"k={k[i]}, N={n[i]}"),
@@ -351,7 +358,7 @@ def run_bands(cfg: ExperimentConfig):
     t, l, r = cell_lanes(cfg.potential, k)
     _unitarity_column(cfg, t, l, r, lambda i: f"k={k[i]}")
     z, rho = chebyshev_input_lanes(k, t, cfg.period)
-    return _meta(cfg), _rows({
+    return _meta(cfg), _Table({
         "k": k, "z": z, "abs_z": np.abs(z),
         "verdict": [kind.value for kind in band_class_lanes(z, cfg.tol_edge)],
         "T_N_max": chebyshev_closed_form(z, rho, cfg.n_max)[1],
@@ -366,7 +373,7 @@ def run_hartman(cfg: ExperimentConfig):
         )
     warning = next((str(w.message) for w in caught if issubclass(w.category, InBandWarning)), "")
     times = [rec.T_t_N for rec in records]
-    return _meta(cfg), _rows({
+    return _meta(cfg), _Table({
         "N": [rec.N for rec in records],
         "tau_t": [rec.tau_t_N for rec in records],
         "T_t": times,
@@ -386,7 +393,7 @@ def run_delay(cfg: ExperimentConfig):
             f"dtau_{x}": [None if a is None or b is None else b - a for a, b in zip(base, moved)]
             for x, base, moved in zip("tlr", *tables)
         })
-    return _meta(cfg), _rows(columns)
+    return _meta(cfg), _Table(columns)
 
 
 def run_packet(cfg: ExperimentConfig):
@@ -401,7 +408,7 @@ def run_packet(cfg: ExperimentConfig):
     z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0], cfg.period)
     plan, average = _ChebyshevPlan(z, rho), _packet_averager(k_values, k0, sigma)
     n = np.arange(1, cfg.n_max + 1)
-    return _meta(cfg), _rows({
+    return _meta(cfg), _Table({
         "N": n,
         # one profile row at a time, so memory stays O(k count), not O(N_max x k count)
         "averaged_T": [average(plan.evaluate(m)[1]) for m in n.tolist()],
@@ -438,50 +445,43 @@ def _csv_fields(texts, alone: bool):
             yield '""' if alone and not text else text
 
 
-def _cells(fmt: str, rows: list[dict], key: str, alone: bool):
-    """The conversion of the column under key in the row template, and the
-    values it is applied to.  In CSV a column of plain floats is spelled by
-    the template itself, as %.17g.  Any other column is spelled here and goes
-    in as %s: in CSV with 17 significant digits for floats, "" for None and
-    str for the rest, quoted by _csv_fields; in JSON as json.dumps spells it:
-    repr for plain floats and ints, json's NaN, Infinity, -Infinity and null
-    for the non-finite floats and None, and json itself for anything else."""
-
-    def column():  # one pass over the values under key
-        return map(itemgetter(key), rows)
-
-    types = set(map(type, column()))
+def _cells(fmt: str, values: list, alone: bool):
+    """The conversion of a column in the row template, and the cells it fills.
+    In CSV a column of plain floats is spelled by the template, as %.17g; any
+    other goes in as %s, spelled here with 17 digits for floats, "" for None
+    and str otherwise, quoted by _csv_fields.  In JSON every column is spelled
+    as json.dumps spells it: repr for plain floats and ints, NaN, Infinity,
+    -Infinity and null for non-finite floats and None, json itself otherwise."""
+    types = set(map(type, values))
     if fmt == "csv":
         if types == {float}:
-            return "%.17g", column()
+            return "%.17g", values
         texts = ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-                 for v in column())
+                 for v in values)
         return "%s", _csv_fields(texts, alone)
     if types <= {float, int, type(None)}:
-        return "%s", map(_JSON_SPELLING.get, *itertools.tee(map(repr, column())))
-    return "%s", map(json.dumps, column())
+        return "%s", map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
+    return "%s", map(json.dumps, values)
 
 
-def _render(meta: dict, rows: list[dict], fmt: str) -> str:
+def _render(meta: dict, table: _Table, fmt: str) -> str:
     """The table as text: the bytes of json.dumps({"meta": meta, "rows":
-    rows}, indent=2) plus a newline, or RFC 4180 CSV with a header row and
-    CRLF line ends.  Every row holds JSON scalars under the first row's
-    keys, of which there is at least one.  Each column is spelled by the
-    types of its values, and every row is filled in from one % template of
-    the columns' conversions."""
-    if not rows:
+    rows}, indent=2) plus a newline, with one dict per row under the column
+    keys, or RFC 4180 CSV with a header row and CRLF line ends, empty if no
+    rows.  Each column, of JSON scalars, is spelled by the types of its
+    values; every row is filled in from one % template of their conversions."""
+    if not table:
         return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
-    keys = list(rows[0])
-    alone = len(keys) == 1
-    conversions, cells = zip(*(_cells(fmt, rows, key, alone) for key in keys))
+    alone = len(table.columns) == 1
+    conversions, cells = zip(*(_cells(fmt, values, alone) for values in table.columns.values()))
     if fmt == "json":
         frame, end = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
         fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: {conversion}"
-                          for key, conversion in zip(keys, conversions))
+                          for key, conversion in zip(table.columns, conversions))
         head, template = frame + "[\n", "    {" + fields + "\n    }"
         sep, tail = ",\n", "\n  ]" + end + "\n"
     else:
-        head = ",".join(_csv_fields(keys, alone)) + "\r\n"
+        head = ",".join(_csv_fields(table.columns, alone)) + "\r\n"
         template, sep, tail = ",".join(conversions), "\r\n", "\r\n"
     # one join builds the whole text: concatenating head and tail to it
     # afterwards would copy it, and raise the process's peak memory
@@ -528,8 +528,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        meta, rows = _RUNNERS[cfg.command](cfg)
-        _write(cfg.out, _render(meta, rows, cfg.format))
+        meta, table = _RUNNERS[cfg.command](cfg)
+        _write(cfg.out, _render(meta, table, cfg.format))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

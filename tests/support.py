@@ -3,8 +3,9 @@ scattering-to-transfer conversion with its matrix product (the reverse of
 the package's transfer_to_smatrix path), amplitudes whose squared modulus
 numpy rounds differently from CPython, the scalar closed forms of the
 cells, of composition and of displacement, which the package's array forms
-must equal bit for bit, the closed form's kernel in one unplanned pass, and
-the CLI's per-cell CSV rendering."""
+must equal bit for bit, the closed form's kernel in one unplanned pass, the
+CLI's per-cell CSV rendering, and the CLI's column table built from row
+dicts and read back into them."""
 
 import cmath
 import csv
@@ -25,6 +26,7 @@ from scatterchain import (
     WaveNumber,
 )
 from scatterchain.chain import CHEBYSHEV_EDGE_WINDOW
+from scatterchain.cli import _Table
 
 
 def identity_smatrix(k: WaveNumber) -> ScatteringMatrix:
@@ -222,3 +224,14 @@ def per_cell_csv(rows: list) -> str:
         for row in rows:
             writer.writerow([_format_csv_value(row[key]) for key in header])
     return buffer.getvalue()
+
+
+def column_table(keys: list, rows: list) -> _Table:
+    """The CLI's column table of rows, dicts under keys; keys alone name the
+    columns of a table of no rows."""
+    return _Table({key: [row[key] for row in rows] for key in keys})
+
+
+def table_rows(table: _Table) -> list:
+    """One dict per row of the CLI's column table, under its column keys."""
+    return [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]

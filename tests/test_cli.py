@@ -313,6 +313,21 @@ class TestCellCommand:
                 **amplitude_columns(s),
             }
 
+    def test_peak_memory_of_a_long_csv_scan(self, tmp_path):
+        # tracemalloc peak with numpy 2.4.6: 26.3 MB while rows were dicts
+        # built from the columns, 18.8 MB since the renderer reads the columns
+        out = tmp_path / "cell.csv"
+        tracemalloc.start()
+        try:
+            code = main(["cell", "--cell", "piecewise:0.5:1.2,0.4:-1.5,0.6:0.8",
+                         "--k-min", "0.05", "--k-max", "6", "--k-count", "20000",
+                         "--format", "csv", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.read_bytes().count(b"\r\n") == 20001
+        assert peak < 22e6
+
 
 class TestChainCommand:
     def test_dual_path_agreement_column(self, capsys):
@@ -467,6 +482,16 @@ class TestChainCommand:
         code, _, err = run_cli(
             capsys, "chain", "--cell", "delta:g=1", "--period", "1",
             "--k0", "3.14158265", "--N-max", "10000",
+        )
+        assert code == 0, err
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7: mid-band (z = -0.107) the "
+                       "recurrence's unitarity defect reaches 1.004e-10 at N=125396")
+    def test_long_chain_mid_band_holds_unitarity(self, capsys):
+        # long_chain seed 7's band k0; with --N-max 125395 the command exits 0
+        code, _, err = run_cli(
+            capsys, "chain", "--cell", "delta:g=1.171994", "--period", "0.987217",
+            "--k0", "4.905507556349526", "--N-max", "125396",
         )
         assert code == 0, err
 

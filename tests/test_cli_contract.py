@@ -2,13 +2,15 @@
 the JSON meta echo of one run per command, the row value types, and the exit
 code and stderr of every single-fault input."""
 
+import csv
+import io
 import json
 
 import pytest
 
 from scatterchain import cli
 import scatterchain as sc
-from support import per_cell_csv
+from support import per_cell_csv, table_rows
 
 
 def flag(key):
@@ -499,15 +501,31 @@ ROW_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run_id", ROW_RUNS)
-def test_row_values_are_plain_python(run_id):
+def run_table(run_id):
+    """The meta and the column table that the runner of ROW_RUNS[run_id] returns."""
     command, options = ROW_RUNS[run_id]
     cfg = cli._resolve(cli.build_parser().parse_args(argv_for(command, options)))
-    meta, rows = cli._RUNNERS[command](cfg)
+    return cli._RUNNERS[command](cfg)
+
+
+@pytest.mark.parametrize("run_id", ROW_RUNS)
+def test_row_values_are_plain_python(run_id):
+    meta, table = run_table(run_id)
+    rows = table_rows(table)
     assert rows
     kinds = {type(value) for row in rows for value in row.values()}
     assert kinds <= {type(None), int, float, str}
     # the row template spells the runner's real rows as the per-cell writers do
-    assert cli._render(meta, rows, "csv") == per_cell_csv(rows)
+    assert cli._render(meta, table, "csv") == per_cell_csv(rows)
     expected = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
-    assert cli._render(meta, rows, "json") == expected
+    assert cli._render(meta, table, "json") == expected
+
+
+@pytest.mark.parametrize("run_id", ROW_RUNS)
+def test_table_length_is_the_rendered_row_count(run_id):
+    # the benchmark's tracer counts a runner's rows as len(result[1]), the
+    # length of the table it returns
+    meta, table = run_table(run_id)
+    csv_rows = list(csv.reader(io.StringIO(cli._render(meta, table, "csv"), newline="")))
+    assert len(table) == len(csv_rows) - 1
+    assert len(table) == len(json.loads(cli._render(meta, table, "json"))["rows"])

@@ -4,12 +4,13 @@ json.dumps(indent=2) and of the per-cell CSV writer, on any table of scalars."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scatterchain.cli import _render, main
-from support import per_cell_csv
+from scatterchain.cli import _render, _Table, main
+from support import column_table, per_cell_csv
 
 FLOATS = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
@@ -32,7 +33,7 @@ def tables(draw):
     count = draw(st.sampled_from([0, 1, 2, 7]))
     rows = [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
     meta = {"command": draw(TEXT), "config": {draw(TEXT): draw(SCALARS)}}
-    return meta, rows
+    return meta, keys, rows
 
 
 # Tables that pin the edge cases of the csv module's quoting, which the
@@ -53,8 +54,8 @@ EDGE_TABLES = [
 
 
 def with_edge_tables(test):
-    for table in reversed(EDGE_TABLES):
-        test = example(table)(test)
+    for meta, rows in reversed(EDGE_TABLES):
+        test = example((meta, list(rows[0]), rows))(test)
     return test
 
 
@@ -62,24 +63,39 @@ def with_edge_tables(test):
 @with_edge_tables
 @settings(max_examples=400, deadline=None)
 def test_json_is_json_dumps(table):
-    meta, rows = table
-    assert _render(meta, rows, "json") == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    meta, keys, rows = table
+    text = _render(meta, column_table(keys, rows), "json")
+    assert text == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
 
 
 @given(tables())
 @with_edge_tables
 @settings(max_examples=400, deadline=None)
 def test_csv_is_the_per_cell_writer(table):
-    meta, rows = table
-    assert _render(meta, rows, "csv") == per_cell_csv(rows)
+    meta, keys, rows = table
+    assert _render(meta, column_table(keys, rows), "csv") == per_cell_csv(rows)
 
 
 def test_columns_of_floats_with_gaps():
     rows = [{"x": v, "n": i} for i, v in enumerate([None, 1.5, math.nan, None, -math.inf, -0.0])]
-    text = _render({}, rows, "json")
+    table = column_table(["x", "n"], rows)
+    text = _render({}, table, "json")
     assert text == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
     assert '"x": null' in text and '"x": NaN' in text and '"x": -Infinity' in text
-    assert _render({}, rows, "csv").split("\r\n")[1:4] == [",0", "1.5,1", "nan,2"]
+    assert _render({}, table, "csv").split("\r\n")[1:4] == [",0", "1.5,1", "nan,2"]
+
+
+def test_columns_of_unequal_length_raise():
+    with pytest.raises(ValueError, match="differ in length"):
+        _Table({"k": np.arange(3.0), "T": [0.5, 0.25]})
+
+
+def test_table_of_no_rows_renders_no_rows():
+    meta = {"command": "cell"}
+    table = _Table({"k": np.array([]), "verdict": []})
+    assert len(table) == 0
+    assert _render(meta, table, "json") == json.dumps({"meta": meta, "rows": []}, indent=2) + "\n"
+    assert _render(meta, table, "csv") == ""
 
 
 DELTA = ("--cell", "delta:g=1", "--period", "1")
