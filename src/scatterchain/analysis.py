@@ -4,7 +4,10 @@ wave-packet averaged transmission."""
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -15,6 +18,7 @@ import numpy as np
 from .cells import Lattice, PotentialCell, cell_lanes, cell_smatrix
 from .chain import (
     ChainState,
+    _ChebyshevPlan,
     bloch_parameter,
     chain_amplitudes,
     chain_end_amplitudes,
@@ -40,8 +44,6 @@ from .errors import (
 
 DEFAULT_FD_STEP = 1e-4
 DEFAULT_EDGE_TOL = 1e-9
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 class BandClass(Enum):
@@ -395,8 +397,11 @@ def wavepacket_average(
 def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
     """wavepacket_average at fixed 1-d samples k_values, k0 and sigma, as a
     function of the transmissions: the samples are checked and the weight
-    and its integral computed once, for a scan that averages many curves."""
-    if k_values.size < 2 or np.any(np.diff(k_values) <= 0.0):
+    and its integral computed once, for a scan that averages many curves.
+    The function works in buffers of its own, so one thread calls it at a
+    time."""
+    steps = np.diff(k_values)
+    if k_values.size < 2 or np.any(steps <= 0.0):
         raise ValueError("k_values must be strictly increasing with >= 2 samples")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
@@ -408,5 +413,79 @@ def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
             f"the window [{lo:.6g}, {hi:.6g}]"
         )
     weight = np.exp(-0.5 * ((k_values - k0) / sigma) ** 2)
-    norm = _trapezoid(weight, k_values)
-    return lambda transmissions: float(_trapezoid(weight * transmissions, k_values) / norm)
+    weighted, pairs = np.empty(k_values.size), np.empty(steps.size)
+
+    def integral(y: np.ndarray):
+        # numpy's trapezoid rule, (d * (y[1:] + y[:-1]) / 2.0).sum(), in place
+        np.add(y[1:], y[:-1], out=pairs)
+        np.multiply(steps, pairs, out=pairs)
+        np.divide(pairs, 2.0, out=pairs)
+        return pairs.sum()
+
+    norm = integral(weight)
+
+    def average(transmissions) -> float:
+        np.multiply(weight, transmissions, out=weighted)
+        return float(integral(weighted) / norm)
+
+    return average
+
+
+def _packet_profile(z, rho, k_values: np.ndarray, k0: float, sigma: float,
+                    n_max: int) -> list[float]:
+    """wavepacket_average of the closed-form |t^(N)|^2 at (z, rho) for
+    N = 1..n_max, as a list.  The rows run in contiguous blocks at once, one
+    per CPU, each a row at a time in (u, t) buffers and an averager of its
+    own, all allocated here: memory is O(blocks x k count), not
+    O(n_max x k count), and a row's bits do not depend on its block."""
+    plan = _ChebyshevPlan(z, rho)
+    plan.reach(n_max)  # so that no block extends an edge recurrence
+    averaged = [0.0] * n_max
+    _run_all([functools.partial(_packet_rows, plan, _packet_averager(k_values, k0, sigma),
+                                (np.empty(z.shape), np.empty(z.shape)), rows, averaged)
+              for rows in _row_blocks(n_max)])
+    return averaged
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _row_blocks(rows: int) -> list[range]:
+    """range(rows) cut into contiguous blocks, one per CPU this process may
+    run on and none empty."""
+    count = max(1, min(rows, _cpu_count()))
+    bounds = [rows * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_all(tasks: list) -> None:
+    """Call every task: the first on this thread, each other on a thread of
+    its own.  Once all have returned, the first exception, in task order, is
+    raised here."""
+    errors = [None] * len(tasks)
+
+    def run(i):
+        try:
+            tasks[i]()
+        except BaseException as exc:  # re-raised below, on the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(tasks))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _packet_rows(plan: _ChebyshevPlan, average, buffers, rows: range, out: list) -> None:
+    # out[i] = the averaged |t^(i+1)|^2 for i in rows, evaluated into buffers
+    for i in rows:
+        out[i] = average(plan.evaluate(i + 1, buffers)[1])

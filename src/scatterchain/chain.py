@@ -253,11 +253,20 @@ def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     return _ChebyshevPlan(z + zeros, rho + zeros).evaluate(N)
 
 
+def _extend_recurrence(seq: list, zj: float, length: int) -> None:
+    # append U_{n+1} = 2z U_n - U_{n-1} until seq holds U_0..U_{length-1}
+    for _ in range(length - len(seq)):
+        seq.append(2.0 * zj * seq[-1] - seq[-2])
+
+
 class _ChebyshevPlan:
     """The part of chebyshev_closed_form that does not depend on N, for
     equally shaped z and rho: the band/gap/edge masks, g and sin g on band
     entries, h, e^{-2h} - 1 and log rho on gap entries, and the three-term
-    recurrence of each distinct edge z, extended as far as N asks."""
+    recurrence of each distinct edge z, extended as far as N asks.
+
+    Threads may evaluate one plan at once after reach(n_max) has run on it,
+    as long as each asks for N <= n_max and passes out buffers of its own."""
 
     def __init__(self, z: np.ndarray, rho: np.ndarray) -> None:
         self.zeros = np.zeros(z.shape)
@@ -265,6 +274,7 @@ class _ChebyshevPlan:
         self.band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
         self.gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
         self.edge = ~(self.band | self.gap)
+        self.band_only = bool(self.band.all())
         # gap entries get their own |t|^2; rho = inf there would give inf * 0
         self.rho = np.where(self.gap, 0.0, rho)
         self.gamma = np.arccos(z[self.band])
@@ -278,11 +288,33 @@ class _ChebyshevPlan:
         with np.errstate(divide="ignore"):  # rho = 0 gives log 0
             self.gap_log_rho = np.log(rho[self.gap])
 
-    def evaluate(self, N) -> tuple[np.ndarray, np.ndarray]:
-        """(U_{N-1}(z), |t^(N)|^2) at the cell counts N, which broadcast to the plan's shape."""
+    def reach(self, n_max: int) -> None:
+        """Extend every edge z's recurrence to U_{n_max-1}, so that evaluating
+        at N <= n_max reads the recurrences and appends to none."""
+        for zj, seq in zip(self.edge_z.tolist(), self.edge_seqs):
+            _extend_recurrence(seq, zj, n_max)
+
+    def evaluate(self, N, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(U_{N-1}(z), |t^(N)|^2) at the cell counts N, which broadcast to the
+        plan's shape.  out, a (u, t) pair of arrays of that shape, receives
+        the result of one N on a plan of band entries alone; other
+        evaluations return new arrays."""
         N = np.asarray(N)
         if (N < 1).any():
             raise ValueError("cell counts must be >= 1")
+        if N.ndim == 0 and self.band_only:
+            # one N on band entries alone: no mask gather or scatter, and no
+            # allocation into out; the general path's operations in its order
+            shape = self.zeros.shape
+            u, t = out if out is not None else (np.empty(shape), np.empty(shape))
+            np.multiply(float(N), self.gamma.reshape(shape), out=u)
+            np.sin(u, out=u)
+            np.divide(u, self.sin_gamma.reshape(shape), out=u)
+            np.multiply(self.rho, u, out=t)
+            np.multiply(t, u, out=t)
+            np.add(1.0, t, out=t)
+            np.divide(1.0, t, out=t)
+            return u, t
         N = N + self.zeros  # float, exact for any realistic chain length
         u = np.zeros(N.shape)  # gap entries are filled last, with their own |t|^2
 
@@ -293,8 +325,7 @@ class _ChebyshevPlan:
             values = np.empty(orders.size)
             for j, (zj, seq) in enumerate(zip(self.edge_z.tolist(), self.edge_seqs)):
                 mine = self.edge_which == j
-                for _ in range(int(orders[mine].max()) + 1 - len(seq)):
-                    seq.append(2.0 * zj * seq[-1] - seq[-2])
+                _extend_recurrence(seq, zj, int(orders[mine].max()) + 1)
                 values[mine] = np.array(seq)[orders[mine]]
             u[self.edge] = values
         t = 1.0 / (1.0 + self.rho * u * u)

@@ -13,6 +13,7 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import re
 import sys
 import warnings
@@ -25,14 +26,13 @@ from . import __version__
 from .analysis import (
     DEFAULT_EDGE_TOL,
     DEFAULT_FD_STEP,
-    _packet_averager,
+    _packet_profile,
     band_class_lanes,
     delay_scan,
     hartman_scan,
 )
 from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
 from .chain import (
-    _ChebyshevPlan,
     chain_amplitudes,
     chain_end_amplitudes,
     chebyshev_closed_form,
@@ -287,10 +287,24 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {"command": cfg.command, "version": __version__, "config": config}
 
 
+def _uniform(column) -> bool:
+    """Whether every value of column spells the same: an array of real
+    numbers holds one bit pattern, or a list one object (so -0.0 is not 0.0,
+    nor True 1)."""
+    if not len(column):
+        return False
+    if isinstance(column, np.ndarray):
+        bits = column.view(f"u{column.itemsize}")
+        return bool(bits[-1] == bits[0]) and not (bits != bits[0]).any()
+    return all(map(operator.is_, column, itertools.repeat(column[0])))
+
+
 class _Table:
-    """Named columns of Python scalars, one tolist() per array; len() is the row count."""
+    """Named columns of Python scalars, one tolist() per array; len() is the
+    row count, and uniform names the columns whose values all spell the same."""
 
     def __init__(self, columns: dict):
+        self.uniform = {key for key, c in columns.items() if _uniform(c)}
         self.columns = {key: c.tolist() if isinstance(c, np.ndarray) else c
                         for key, c in columns.items()}
         lengths = {key: len(c) for key, c in self.columns.items()}
@@ -406,12 +420,9 @@ def run_packet(cfg: ExperimentConfig):
         raise ConfigError(f"field 'sigma': the window k0 +- 5 sigma with k0={k0!r} and "
                           f"sigma={sigma!r} has no {count} strictly increasing doubles")
     z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0], cfg.period)
-    plan, average = _ChebyshevPlan(z, rho), _packet_averager(k_values, k0, sigma)
-    n = np.arange(1, cfg.n_max + 1)
     return _meta(cfg), _Table({
-        "N": n,
-        # one profile row at a time, so memory stays O(k count), not O(N_max x k count)
-        "averaged_T": [average(plan.evaluate(m)[1]) for m in n.tolist()],
+        "N": np.arange(1, cfg.n_max + 1),
+        "averaged_T": _packet_profile(z, rho, k_values, k0, sigma, cfg.n_max),
         "pointwise_T_k0": chain_amplitudes(cfg.lattice(cfg.n_max), WaveNumber(k0)).transmissions,
     })
 
@@ -445,13 +456,17 @@ def _csv_fields(texts, alone: bool):
             yield '""' if alone and not text else text
 
 
-def _cells(fmt: str, values: list, alone: bool):
+def _cells(fmt: str, values: list, alone: bool, uniform: bool = False):
     """The conversion of a column in the row template, and the cells it fills.
     In CSV a column of plain floats is spelled by the template, as %.17g; any
     other goes in as %s, spelled here with 17 digits for floats, "" for None
     and str otherwise, quoted by _csv_fields.  In JSON every column is spelled
     as json.dumps spells it: repr for plain floats and ints, NaN, Infinity,
-    -Infinity and null for non-finite floats and None, json itself otherwise."""
+    -Infinity and null for non-finite floats and None, json itself otherwise.
+    A uniform column's first value is spelled once and repeated."""
+    if uniform:
+        conversion, cells = _cells(fmt, values[:1], alone)
+        return "%s", itertools.repeat(conversion % tuple(cells), len(values))
     types = set(map(type, values))
     if fmt == "csv":
         if types == {float}:
@@ -473,7 +488,8 @@ def _render(meta: dict, table: _Table, fmt: str) -> str:
     if not table:
         return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
     alone = len(table.columns) == 1
-    conversions, cells = zip(*(_cells(fmt, values, alone) for values in table.columns.values()))
+    conversions, cells = zip(*(_cells(fmt, values, alone, key in table.uniform)
+                               for key, values in table.columns.items()))
     if fmt == "json":
         frame, end = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
         fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: {conversion}"

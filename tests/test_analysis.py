@@ -2,6 +2,7 @@
 and wave-packet averaging."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -285,6 +286,51 @@ class TestAsymptoticFit:
 
 
 class TestWavepacketAverage:
+    def test_threaded_row_blocks_equal_a_serial_scan(self, monkeypatch):
+        # one plan of band, gap and edge entries, evaluated by four row
+        # blocks at once after reach(), against one plan evaluated in order
+        z = np.concatenate([np.linspace(-1.2, 1.2, 401), [1.0, -1.0, 1.0 + 5e-9, -1.0 + 9e-9]])
+        rho = np.linspace(0.0, 3.0, z.size)
+        n_max = 300
+        serial_plan = sc.chain._ChebyshevPlan(z, rho)
+        serial = [serial_plan.evaluate(m) for m in range(1, n_max + 1)]
+        plan = sc.chain._ChebyshevPlan(z, rho)
+        plan.reach(n_max)
+        reached = [list(seq) for seq in plan.edge_seqs]
+        threaded = [None] * n_max
+
+        def block(rows):
+            for i in rows:
+                threaded[i] = plan.evaluate(i + 1)
+
+        monkeypatch.setattr(analysis, "_cpu_count", lambda: 4)
+        blocks = analysis._row_blocks(n_max)
+        assert [len(rows) for rows in blocks] == [75] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            analysis._run_all([lambda rows=rows: block(rows) for rows in blocks])
+        finally:
+            sys.setswitchinterval(interval)
+        assert plan.edge_seqs == reached
+        for m, (want, got) in enumerate(zip(serial, threaded), 1):
+            assert [w.tobytes() for w in want] == [g.tobytes() for g in got], m
+
+    def test_averager_is_numpys_trapezoid_rule(self):
+        # the averager runs the trapezoid rule in its own buffers; each
+        # average equals numpy's rule on fresh arrays, bit for bit, however
+        # often the buffers are reused
+        k0, sigma = 2.0, 0.02
+        k_values = np.linspace(k0 - 5 * sigma, k0 + 5 * sigma, 2001)
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        weight = np.exp(-0.5 * ((k_values - k0) / sigma) ** 2)
+        norm = trapezoid(weight, k_values)
+        average = analysis._packet_averager(k_values, k0, sigma)
+        profile = sc.transmission_profile(DELTA, 1.0, np.arange(1, 41), k_values)
+        for transmissions in [*profile, profile[3]]:
+            want = float(trapezoid(weight * transmissions, k_values) / norm)
+            assert average(transmissions) == want
+
     def test_free_cell_is_one(self):
         k_values = np.linspace(1.0, 3.0, 501)
         ones = np.ones_like(k_values)

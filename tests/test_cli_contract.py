@@ -529,3 +529,13 @@ def test_table_length_is_the_rendered_row_count(run_id):
     csv_rows = list(csv.reader(io.StringIO(cli._render(meta, table, "csv"), newline="")))
     assert len(table) == len(csv_rows) - 1
     assert len(table) == len(json.loads(cli._render(meta, table, "json"))["rows"])
+
+
+@pytest.mark.parametrize("run_id, repeated", [
+    ("chain_n", {"k"}), ("chain_k", {"N"}), ("hartman_gap", {"warning"}),
+    ("hartman_band", {"warning"}),
+])
+def test_repeated_columns_are_spelled_once(run_id, repeated):
+    # k0 on every row of the per-N chain table, N on every row of the per-k
+    # one, and hartman's one warning: each column's value is spelled once
+    assert run_table(run_id)[1].uniform == repeated

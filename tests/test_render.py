@@ -98,6 +98,39 @@ def test_table_of_no_rows_renders_no_rows():
     assert _render(meta, table, "csv") == ""
 
 
+@pytest.mark.parametrize("values, uniform", [
+    (np.array([-0.0, -0.0, -0.0]), True),
+    (np.array([-0.0, 0.0, -0.0]), False),  # equal, but spelled -0.0 and 0.0
+    (np.array([0.0, 0.0, -0.0]), False),
+    (np.full(3, math.nan), True),
+    (np.array([math.nan, -math.nan, math.nan]), False),  # another bit pattern
+    (np.array([True, True, True]), True),
+    (np.array([7, 7, 7]), True),
+    (["Band"] * 3, True),  # one object, as hartman's warning column
+    ([True, 1, True], False),  # equal, but spelled true and 1
+    ([1, True, 1.0], False),
+    ([math.nan, math.nan, math.nan], True),
+    ([None, None, None], True),
+    ([-0.0, 0.0, -0.0], False),
+], ids=["neg-zero", "neg-and-pos-zero", "pos-and-neg-zero", "nan", "nan-payloads", "bool",
+        "int", "one-str", "true-and-one", "one-true-float", "one-nan", "none", "zeros-list"])
+def test_uniform_columns_are_spelled_once(values, uniform):
+    # a column spells its first value once when all its values are
+    # bit-identical (arrays) or one object (lists): never when they are
+    # merely equal
+    table = _Table({"x": values, "n": np.arange(3)})
+    assert ("x" in table.uniform) == uniform and "n" not in table.uniform
+    rows = [{"x": x, "n": n} for x, n in zip(table.columns["x"], range(3))]
+    assert _render({}, table, "json") == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
+    assert _render({}, table, "csv") == per_cell_csv(rows)
+
+
+def test_a_lone_uniform_column_of_empty_text():
+    table = _Table({"": ["", "", ""]})
+    assert table.uniform == {""}
+    assert _render({}, table, "csv") == '""\r\n""\r\n""\r\n""\r\n'
+
+
 DELTA = ("--cell", "delta:g=1", "--period", "1")
 GRID = ("--k-min", "0.5", "--k-max", "4", "--k-count", "9")
 
