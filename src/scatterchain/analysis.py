@@ -401,10 +401,12 @@ def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
     The function works in buffers of its own, so one thread calls it at a
     time."""
     steps = np.diff(k_values)
-    if k_values.size < 2 or np.any(steps <= 0.0):
+    if k_values.size < 2 or not np.all(steps > 0.0):  # also where a sample is NaN
         raise ValueError("k_values must be strictly increasing with >= 2 samples")
     if not sigma > 0.0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not math.isfinite(k0):
+        raise ValueError(f"k0 must be finite, got {k0!r}")
     lo, hi = k0 - 5.0 * sigma, k0 + 5.0 * sigma
     pad = 1e-12 * max(1.0, abs(k0))
     if k_values[0] > lo + pad or k_values[-1] < hi - pad:

@@ -97,6 +97,8 @@ class Lattice:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", float(self.a))
+        if not (math.isfinite(self.N) and self.N == int(self.N)):
+            raise ValueError(f"cell count must be a whole number, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise ValueError(f"lattice period must be positive, got {self.a!r}")

@@ -217,13 +217,21 @@ def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
     reflection; for the delta comb z reduces to the Kronig-Penney dispersion
     cos(ka) + (g/k) sin(ka).
     """
-    mod = abs(s_cell.t)
-    if mod < MODULUS_FLOOR:
+    if abs(s_cell.t) < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("transmission amplitude below floor: z undefined")
-    phase = principal_phase(s_cell.t) + s_cell.k.k * a
-    if not math.isfinite(phase):
-        raise OverflowError(f"alpha_t + k a is not finite at k={s_cell.k.k!r}, a={a!r}")
-    return math.cos(phase) / mod
+    return float(_bloch_lanes(s_cell.k.k, np.array([s_cell.t]), a)[0])
+
+
+def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
+    # z = cos(alpha_t + k a) / |t| in every lane of the complex array t;
+    # OverflowError names the first k where alpha_t + k a is not finite
+    with np.errstate(over="ignore"):
+        phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
+    overflow = ~np.isfinite(phase)
+    if overflow.any():
+        k = np.broadcast_to(k_values, phase.shape)[overflow][0]
+        raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
+    return math_map(math.cos, phase) / np.hypot(t.real, t.imag)
 
 
 # Half-width of the |z| = 1 window where the trig/hyperbolic forms are 0/0
@@ -234,7 +242,7 @@ CHEBYSHEV_EDGE_WINDOW = 1e-8
 def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     """U_{N-1}(z) and |t^(N)|^2 = 1 / (1 + rho U_{N-1}(z)^2), broadcast over (z, rho, N).
 
-    The one implementation of the closed form; N >= 1 is the chain length.
+    The one implementation of the closed form; N, whole and >= 1, is the chain length.
     Band entries (|z| < 1 - w, w = CHEBYSHEV_EDGE_WINDOW) use sin(N g)/sin(g)
     with g = arccos z.  Gap entries (|z| > 1 + w) use log|U| = (N-1) h
     + log((1 - e^{-2Nh}) / (1 - e^{-2h})), h = arccosh|z|: |t^(N)|^2 stays
@@ -247,6 +255,8 @@ def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     over many N at the same (z, rho) plans once and evaluates per N.
     """
     z, rho, N = np.asarray(z, dtype=float), np.asarray(rho, dtype=float), np.asarray(N)
+    if N.dtype.kind not in "biu" and not (whole := np.isfinite(N) & (N == np.trunc(N))).all():
+        raise ValueError(f"cell counts must be whole numbers, got {float(N[~whole].flat[0])!r}")
     # Adding zeros broadcasts at a fraction of np.broadcast_arrays' cost on
     # length-1 calls; evaluate adds them to N as well.
     zeros = np.zeros(np.broadcast(z, rho, N).shape or (1,))
@@ -341,29 +351,18 @@ class _ChebyshevPlan:
         return u, t
 
 
-def chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:
-    """(z, rho) of one cell for the closed form: z = cos(alpha_t + ka)/|t| and
-    rho = (1 - |t|^2)/|t|^2."""
-    mod2 = abs(s_cell.t) ** 2
-    if mod2 == 0.0:
-        raise UndefinedAmplitudeError("transmission amplitude below floor")
-    return bloch_parameter(s_cell, a), (1.0 - mod2) / mod2
-
-
 def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """chebyshev_inputs of a cell at every wave number of k_values, bit for
-    bit, given its transmission amplitudes t there as a complex array."""
+    """(z, rho) of a cell for the closed form at every wave number of
+    k_values, given its transmission amplitudes t there as a complex array:
+    z = cos(alpha_t + ka)/|t| and rho = (1 - |t|^2)/|t|^2 with |t|^2 =
+    abs(t) ** 2.  UndefinedAmplitudeError where |t|^2 underflows to 0;
+    rho is inf where it is subnormal."""
     mod2 = squared_moduli(t)
     if (mod2 == 0.0).any():
         raise UndefinedAmplitudeError("transmission amplitude below floor")
-    with np.errstate(over="ignore"):  # rho = inf below |t| ~ 1e-154, as in the scalar form
-        phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
-        rho = (1.0 - mod2) / mod2
-    overflow = ~np.isfinite(phase)
-    if overflow.any():
-        k = np.broadcast_to(k_values, phase.shape)[overflow][0]
-        raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
-    return math_map(math.cos, phase) / np.hypot(t.real, t.imag), rho
+    z = _bloch_lanes(k_values, t, a)
+    with np.errstate(over="ignore"):
+        return z, (1.0 - mod2) / mod2
 
 
 def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
@@ -372,9 +371,9 @@ def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
         |t^(N)|^2 = 1 / (1 + U_{N-1}(z)^2 (1 - |t|^2)/|t|^2),
 
     z = cos(alpha_t + ka)/|t| from the single cell: a length-1 call of
-    chebyshev_closed_form.  Returns a value in [0, 1].
+    chebyshev_input_lanes and chebyshev_closed_form.  Returns a value in [0, 1].
     """
-    z, rho = chebyshev_inputs(s_cell, a)
+    z, rho = chebyshev_input_lanes(s_cell.k.k, np.array([s_cell.t]), a)
     return float(chebyshev_closed_form(z, rho, N)[1][0])
 
 
@@ -386,4 +385,4 @@ def transmission_profile(
     Returns an array of shape (len(n_values), len(k_values)).
     """
     z, rho = chebyshev_input_lanes(k_values, cell_lanes(cell, k_values)[0], a)
-    return chebyshev_closed_form(z, rho, np.asarray(n_values, dtype=int)[:, None])[1]
+    return chebyshev_closed_form(z, rho, np.asarray(n_values)[:, None])[1]

@@ -113,11 +113,8 @@ def squared_moduli(z) -> np.ndarray:
 
 
 def principal_phase(z: complex) -> float:
-    """Argument of z on the branch (-pi, pi]."""
-    p = cmath.phase(z)
-    if p <= -math.pi:
-        p += TWO_PI
-    return p
+    """Argument of z on the branch (-pi, pi]: a length-1 call of principal_phase_array."""
+    return float(principal_phase_array(z))
 
 
 def math_map(fn, *arrays) -> np.ndarray:
@@ -206,18 +203,21 @@ def compose_lanes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def principal_phase_array(z) -> np.ndarray:
-    """principal_phase of every entry of a complex array, bit for bit."""
+    """Argument of every entry of a complex array on the branch (-pi, pi]:
+    math.atan2(imag, real), which is cmath.phase with its signed zeros,
+    infinities and NaN, with -pi folded onto pi."""
     z = np.asarray(z, dtype=complex)
-    p = math_map(math.atan2, z.imag, z.real)
+    return _fold(math_map(math.atan2, z.imag, z.real))
+
+
+def _fold(p):
+    # angles in [-pi, pi] onto the branch (-pi, pi]
     return np.where(p <= -math.pi, p + TWO_PI, p)
 
 
 def wrap_to_principal(angle: float) -> float:
     """Reduce an angle to the (-pi, pi] branch."""
-    r = math.remainder(angle, TWO_PI)
-    if r <= -math.pi:
-        r += TWO_PI
-    return r
+    return float(_fold(math.remainder(angle, TWO_PI)))
 
 
 def branch_distance(angle: float, period: float = TWO_PI) -> float:
@@ -228,23 +228,16 @@ def branch_distance(angle: float, period: float = TWO_PI) -> float:
 def principal_phases(
     s: ScatteringMatrix,
 ) -> tuple[Optional[float], Optional[float], Optional[float]]:
-    """Principal phases (alpha_t, alpha_l, alpha_r) of the three amplitudes.
-
-    An amplitude whose modulus is below MODULUS_FLOOR has no meaningful
-    phase; its slot is returned as None rather than as a number.
-    """
-
-    def arg_or_none(z: complex) -> Optional[float]:
-        if abs(z) < MODULUS_FLOOR:
-            return None
-        return principal_phase(z)
-
-    return arg_or_none(s.t), arg_or_none(s.l), arg_or_none(s.r)
+    """Principal phases (alpha_t, alpha_l, alpha_r) of the three amplitudes,
+    None for an amplitude with no meaningful phase: a length-1 call of
+    phase_column over (t, l, r)."""
+    return tuple(phase_column(np.array((s.t, s.l, s.r))))
 
 
 def phase_column(z) -> list[Optional[float]]:
-    """principal_phases' slot for every entry of the complex array z: its
-    principal phase, or None where the modulus is below MODULUS_FLOOR."""
+    """For every entry of the complex array z, its principal phase on
+    (-pi, pi], or None where its modulus hypot(re, im) is below
+    MODULUS_FLOOR and it carries no meaningful phase."""
     defined = (np.hypot(z.real, z.imag) >= MODULUS_FLOOR).tolist()
     return [p if ok else None for p, ok in zip(principal_phase_array(z).tolist(), defined)]
 

@@ -2,8 +2,9 @@
 scattering-to-transfer conversion with its matrix product (the reverse of
 the package's transfer_to_smatrix path), amplitudes whose squared modulus
 numpy rounds differently from CPython, the scalar closed forms of the
-cells, of composition and of displacement, which the package's array forms
-must equal bit for bit, the closed form's kernel in one unplanned pass, the
+cells, of composition, of displacement, of the principal phases and of the
+closed form's inputs (z, rho), which the package's array forms must equal
+bit for bit, the closed form's kernel in one unplanned pass, the
 CLI's per-cell CSV rendering, and the CLI's column table built from row
 dicts and read back into them."""
 
@@ -11,6 +12,8 @@ import cmath
 import csv
 import functools
 import io
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -23,10 +26,12 @@ from scatterchain import (
     ScatteringMatrix,
     SingularConversionError,
     TransferMatrix,
+    UndefinedAmplitudeError,
     WaveNumber,
 )
 from scatterchain.chain import CHEBYSHEV_EDGE_WINDOW
 from scatterchain.cli import _Table
+from scatterchain.core import TWO_PI
 
 
 def identity_smatrix(k: WaveNumber) -> ScatteringMatrix:
@@ -160,6 +165,49 @@ def scalar_cell_smatrix(cell, k: WaveNumber) -> ScatteringMatrix:
     if isinstance(cell, PiecewiseConstant):
         return _piecewise_smatrix(cell, k)
     raise TypeError(f"unsupported cell type: {type(cell).__name__}")
+
+
+def scalar_principal_phase(z: complex) -> float:
+    """Argument of z on the branch (-pi, pi]."""
+    p = cmath.phase(z)
+    if p <= -math.pi:
+        p += TWO_PI
+    return p
+
+
+def scalar_principal_phases(s: ScatteringMatrix) -> tuple[Optional[float], ...]:
+    """Principal phases (alpha_t, alpha_l, alpha_r) of the three amplitudes.
+
+    An amplitude whose modulus is below MODULUS_FLOOR has no meaningful
+    phase; its slot is returned as None rather than as a number.
+    """
+
+    def arg_or_none(z: complex) -> Optional[float]:
+        if abs(z) < MODULUS_FLOOR:
+            return None
+        return scalar_principal_phase(z)
+
+    return arg_or_none(s.t), arg_or_none(s.l), arg_or_none(s.r)
+
+
+def scalar_bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
+    """z = cos(alpha_t + k a) / |t| of a single cell, in floats."""
+    mod = abs(s_cell.t)
+    if mod < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("transmission amplitude below floor: z undefined")
+    phase = scalar_principal_phase(s_cell.t) + s_cell.k.k * a
+    if not math.isfinite(phase):
+        raise OverflowError(f"alpha_t + k a is not finite at k={s_cell.k.k!r}, a={a!r}")
+    return math.cos(phase) / mod
+
+
+def scalar_chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:
+    """(z, rho) of one cell for the closed form: z = cos(alpha_t + ka)/|t| and
+    rho = (1 - |t|^2)/|t|^2."""
+    mod2 = abs(s_cell.t) ** 2
+    if mod2 == 0.0:
+        raise UndefinedAmplitudeError("transmission amplitude below floor")
+    return scalar_bloch_parameter(s_cell, a), (1.0 - mod2) / mod2
 
 
 # --- the closed form in one pass, and per-cell CSV ---------------------------

@@ -364,11 +364,20 @@ class TestWavepacketAverage:
          "k_values must be strictly increasing with >= 2 samples"),
         (np.linspace(1.0, 3.0, 11), np.ones(10),
          "k_values and transmissions must be 1-d and equally long"),
-    ], ids=["decreasing", "mismatched"])
+        (np.where(np.arange(11) == 5, math.nan, np.linspace(1.0, 3.0, 11)), np.ones(11),
+         "k_values must be strictly increasing with >= 2 samples"),
+    ], ids=["decreasing", "mismatched", "nan-sample"])
     def test_rejects_bad_samples(self, k_values, transmissions, message):
         with pytest.raises(ValueError) as info:
             sc.wavepacket_average(k_values, transmissions, 2.0, 0.02)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("k0", [math.nan, math.inf])
+    def test_rejects_non_finite_k0(self, k0):
+        k_values = np.linspace(1.0, 3.0, 11)
+        with pytest.raises(ValueError) as info:
+            sc.wavepacket_average(k_values, np.ones_like(k_values), k0, 0.02)
+        assert str(info.value) == f"k0 must be finite, got {k0!r}"
 
     def test_rejects_bad_sigma(self):
         k_values = np.linspace(1.0, 3.0, 11)

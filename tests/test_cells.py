@@ -60,10 +60,11 @@ class TestShapes:
         (lambda: sc.PiecewiseConstant(()), "piecewise cell needs at least one segment"),
         (lambda: sc.PiecewiseConstant(((0.5, math.nan),)), "segment height must be finite"),
         (lambda: sc.Lattice(sc.DeltaSpike(1.0), 0.0, 1), "lattice period must be positive, got 0.0"),
+        (lambda: sc.Lattice(sc.DeltaSpike(1.0), 1.0, 2.5), "cell count must be a whole number, got 2.5"),
         (lambda: sc.TransferMatrix(m11=math.nan, m12=0.0, m21=0.0, m22=1.0, k=K1),
          "entry 'm11' must be finite, got (nan+0j)"),
     ], ids=["delta-nan", "barrier-inf", "piecewise-empty", "segment-nan", "period-zero",
-            "transfer-nan"])
+            "count-fraction", "transfer-nan"])
     def test_rejects_non_finite_or_empty_input(self, build, message):
         with pytest.raises(ValueError) as info:
             build()

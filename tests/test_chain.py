@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
-from support import identity_smatrix, matmul, pow_square_mismatches, unplanned_closed_form
+from support import (identity_smatrix, matmul, pow_square_mismatches, scalar_chebyshev_inputs,
+                     unplanned_closed_form)
 
 
 K1 = sc.WaveNumber(1.0)
@@ -319,6 +320,17 @@ class TestBlochParameter:
             sc.bloch_parameter(s, 1.0)
         assert str(info.value) == "transmission amplitude below floor: z undefined"
 
+    @pytest.mark.parametrize("mod", [1e-200, 1e-170])
+    def test_tiny_t_has_z_but_no_closed_form(self, mod):
+        # above MODULUS_FLOOR z is defined, while |t|^2 underflows to 0 and
+        # leaves rho undefined
+        s = sc.ScatteringMatrix(t=mod, l=1.0, r=1.0, k=K1)
+        z = sc.bloch_parameter(s, 1.0)
+        assert z == math.cos(1.0) / mod and math.isfinite(z)
+        with pytest.raises(sc.UndefinedAmplitudeError) as info:
+            sc.chebyshev_transmission(s, 1.0, 4)
+        assert str(info.value) == "transmission amplitude below floor"
+
     def test_phase_past_the_double_range_overflows(self):
         s = sc.cell_smatrix(sc.DeltaSpike(1.0), sc.WaveNumber(3.0))
         message = "alpha_t + k a is not finite at k=3.0, a=1e+308"
@@ -331,7 +343,7 @@ class TestBlochParameter:
 
 
 class TestChebyshevInputLanes:
-    """The array (z, rho) against the scalar chebyshev_inputs, lane by lane, with ==."""
+    """The array (z, rho) against scalar_chebyshev_inputs, lane by lane, with ==."""
 
     CELLS = {
         "free": (sc.DeltaSpike(0.0), 1.0),
@@ -342,8 +354,8 @@ class TestChebyshevInputLanes:
 
     @staticmethod
     def scalar(k_values, t, a):
-        return [sc.chain.chebyshev_inputs(sc.ScatteringMatrix(t=tv, l=0.0, r=0.0,
-                                                              k=sc.WaveNumber(kv)), a)
+        return [scalar_chebyshev_inputs(sc.ScatteringMatrix(t=tv, l=0.0, r=0.0,
+                                                            k=sc.WaveNumber(kv)), a)
                 for kv, tv in zip(k_values.tolist(), t.tolist())]
 
     @pytest.mark.parametrize("name", sorted(CELLS))
@@ -352,7 +364,7 @@ class TestChebyshevInputLanes:
         k_values = np.append(np.linspace(0.3, 9.0, 300), math.pi / a)
         t = sc.cells.cell_lanes(cell, k_values)[0]
         z, rho = sc.chain.chebyshev_input_lanes(k_values, t, a)
-        expected = [sc.chain.chebyshev_inputs(sc.cell_smatrix(cell, sc.WaveNumber(kv)), a)
+        expected = [scalar_chebyshev_inputs(sc.cell_smatrix(cell, sc.WaveNumber(kv)), a)
                     for kv in k_values.tolist()]
         assert list(zip(z.tolist(), rho.tolist())) == expected
 
@@ -394,6 +406,18 @@ class TestChebyshevU:
         with pytest.raises(ValueError) as info:
             sc.chebyshev_closed_form(0.5, 1.0, 0)
         assert str(info.value) == "cell counts must be >= 1"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: sc.chebyshev_closed_form([0.5, 1.0, 1.5], 1.0, 2.5),
+         "cell counts must be whole numbers, got 2.5"),
+        (lambda: sc.transmission_profile(DELTA, 1.0, [1.5, 2.5], np.linspace(0.5, 2.0, 4)),
+         "cell counts must be whole numbers, got 1.5"),
+    ], ids=["closed-form", "profile"])
+    def test_rejects_fractional_cell_counts(self, call, message):
+        # a float count is not truncated: 2.5 cells is not a chain
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
     def test_special_value_minus_one(self):
         u = sc.chebyshev_closed_form(-1.0, 0.0, np.arange(1, 7))[0]

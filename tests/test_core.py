@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
-from support import identity_smatrix, pow_square_mismatches
+from support import (identity_smatrix, pow_square_mismatches, scalar_principal_phase,
+                     scalar_principal_phases)
 
 
 K1 = sc.WaveNumber(1.0)
@@ -164,7 +165,7 @@ class TestPhaseColumn:
             floor * (0.6 + 0.8j), below * (0.6 - 0.8j),
             *(rng.normal(size=50) + 1j * rng.normal(size=50)).tolist(),
         ]
-        expected = [sc.principal_phases(sc.ScatteringMatrix(t=v, l=0.0, r=0.0, k=K1))[0]
+        expected = [scalar_principal_phases(sc.ScatteringMatrix(t=v, l=0.0, r=0.0, k=K1))[0]
                     for v in values]
         assert expected[4:7] == [0.0, -math.pi / 2, math.pi]  # at the floor
         assert expected[7:10] == [None, None, None]  # just below it
@@ -195,6 +196,27 @@ class TestPrincipalPhases:
         before = sc.principal_phases(s)[0]
         after = sc.principal_phases(rotated)[0]
         assert sc.branch_distance(after - before - phi) < 1e-9
+
+    @pytest.mark.parametrize("slot", [1, 2], ids=["l", "r"])
+    def test_floor_in_the_reflection_slots(self, slot):
+        floor = sc.MODULUS_FLOOR
+        below = math.nextafter(floor, 0.0)
+        cases = [(complex(-floor, -0.0), math.pi), (complex(0.0, floor), math.pi / 2),
+                 (complex(below, 0.0), None), (complex(0.0, -below), None)]
+        for value, expected in cases:
+            amplitudes = dict(zip("lr", (value, 0.0) if slot == 1 else (0.0, value)))
+            s = sc.ScatteringMatrix(t=1.0, **amplitudes, k=K1)
+            assert sc.principal_phases(s)[slot] == expected, value
+
+    @pytest.mark.parametrize("z", [
+        complex(-1.0, -0.0), complex(-1.0, 0.0), complex(0.0, 0.0), complex(-0.0, 0.0),
+        complex(0.0, -0.0), complex(-0.0, -0.0), complex(math.inf, 1.0),
+        complex(-math.inf, -0.0), complex(1.0, -math.inf), complex(-math.inf, math.inf),
+        complex(math.nan, 1.0), complex(1.0, math.nan),
+    ])
+    def test_special_values_are_cmath_phase_folded(self, z):
+        # repr tells -0.0 from 0.0 and matches nan with nan
+        assert repr(sc.principal_phase(z)) == repr(scalar_principal_phase(z))
 
     def test_wrap_maps_minus_pi_to_pi(self):
         # the branch is (-pi, pi]: its open end folds onto the closed one
