@@ -29,7 +29,6 @@ from .core import (
     ScatteringMatrix,
     WaveNumber,
     displace_lanes,
-    math_map,
     principal_phase_array,
     unwrap_phases,
     wrap_to_principal,
@@ -215,9 +214,8 @@ def _window_amplitudes(cell: PotentialCell, a: float, N: int, ks: np.ndarray):
     t_log = -inf where t vanishes."""
     if N == 1:
         t, l, r = cell_lanes(cell, ks)
-        mod = np.hypot(t.real, t.imag)
-        t_log = math_map(lambda m: math.log(m) if m > 0.0 else -math.inf, mod)
-        return t_log, principal_phase_array(t), l, r
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            return np.log(np.abs(t)), principal_phase_array(t), l, r
     t_log, t_phase, _, l, r = chain_end_amplitudes(Lattice(cell, a, N), ks)
     return t_log, t_phase, l, r
 
@@ -229,8 +227,8 @@ def _window_phases(ks, t_log, t_phase, l, r, displacement: float):
     if displacement != 0.0:
         l, r = displace_lanes(ks, l, r, displacement)
     t_ok = (t_log >= math.log(MODULUS_FLOOR)).all(axis=-1)
-    l_ok = (np.hypot(l.real, l.imag) >= MODULUS_FLOOR).all(axis=-1)
-    r_ok = (np.hypot(r.real, r.imag) >= MODULUS_FLOOR).all(axis=-1)
+    l_ok = (np.abs(l) >= MODULUS_FLOOR).all(axis=-1)
+    r_ok = (np.abs(r) >= MODULUS_FLOOR).all(axis=-1)
     return (t_phase, t_ok), (principal_phase_array(l), l_ok), (principal_phase_array(r), r_ok)
 
 
@@ -350,7 +348,7 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
     ka = k.k * a
     ns = np.arange(1, n_max + 1)
 
-    if np.hypot(chain.r.real, chain.r.imag).min() < MODULUS_FLOOR:
+    if np.abs(chain.r).min() < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("right reflection amplitude below floor")
     raw_r = principal_phase_array(chain.r) + 2.0 * ns * ka
     comp_r = unwrap_phases(raw_r, ns)

@@ -12,14 +12,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _complex, _mul,
-                   _quot, check_finite, compose_lanes, displace_lanes, math_map)
+from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, check_finite,
+                   compose_lanes, displace_lanes)
 from .errors import NonFiniteAmplitudeError, SingularConversionError
 
 
@@ -149,36 +148,12 @@ class TransferMatrix:
         )
 
 
-# The closed forms on arrays of wave numbers: each line is the scalar expression
-# with complex * written _mul and / written _quot, and cos, sin and sqrt follow
-# cmath's formulas through libm, so every lane equals it bit for bit.
-_LOG_LARGE = math.log(sys.float_info.max / 4.0)  # cmath scales cosh, sinh by e past it
-
-
-def _cos_sin(z) -> tuple[np.ndarray, np.ndarray]:
-    # (cmath.cos(z), cmath.sin(z)): cosh(iz) and -i sinh(iz) by c_cosh and
-    # c_sinh.  A finite z whose result overflows raises OverflowError("math
-    # range error") as cmath does; a non-finite z gives NaN.
-    finite = np.isfinite(z)
-    x, y = np.where(finite, -z.imag, 0.0), np.where(finite, z.real, 0.0)  # iz
-    big = np.abs(x) > _LOG_LARGE
-    x, scale = np.where(big, x - np.copysign(1.0, x), x), np.where(big, math.e, 1.0)
-    cos_y, sin_y = math_map(math.cos, y), math_map(math.sin, y)
-    cosh_x, sinh_x = math_map(math.cosh, x), math_map(math.sinh, x)
-    cos_z = _complex(cos_y * cosh_x * scale, sin_y * sinh_x * scale)
-    sin_z = _complex(sin_y * cosh_x * scale, -(cos_y * sinh_x * scale))
-    if not (np.isfinite(cos_z[finite]).all() and np.isfinite(sin_z[finite]).all()):
-        raise OverflowError("math range error")
-    return np.where(finite, cos_z, math.nan), np.where(finite, sin_z, math.nan)
-
-
 def _delta_lanes(g: float, k):
     # Matching psi'(0+) - psi'(0-) = 2 g psi(0) gives t = 1/(1 + i g/k).
     u = g / k
-    den = 1.0 + _mul(1.0j, u)
-    t = _quot(1.0, den)
-    lr = _quot(_mul(-1.0j, u), den)
-    return t, lr, lr
+    den = 1.0 + 1j * u
+    lr = -1j * u / den
+    return 1.0 / den, lr, lr
 
 
 def _rect_lanes(V0: float, w: float, k):
@@ -191,17 +166,15 @@ def _rect_lanes(V0: float, w: float, k):
     sin(qw)/q -> w instead of epsilon-shifting the energy.
     """
     q2 = k * k - 2.0 * V0
-    ax = np.abs(q2)  # q = cmath.sqrt(complex(q2)) by c_sqrt, on the real or imaginary axis
-    root = np.where(ax < sys.float_info.min, np.sqrt(ax), 2.0 * np.sqrt(ax / 8.0 + ax / 8.0))
-    q = _complex(np.where(q2 < 0.0, 0.0, root), np.where(q2 < 0.0, root, 0.0))
-    cos_qw, sin_qw = _cos_sin(_mul(q, w))
-    den = np.where(q2 == 0.0, 1.0 - _mul(_mul(0.5j, k), w),
-                   cos_qw - _mul(_mul(0.5j, _quot(k, q) + _quot(q, k)), sin_qw))
-    sin_over_q = np.where(q2 == 0.0, complex(w), _quot(sin_qw, q))
-    t = _quot(np.exp(_mul(_mul(-1.0j, k), w)), den)
-    l = _mul(_mul(_quot(_mul(-1.0j * V0, sin_over_q), k), t), np.exp(_mul(_mul(1.0j, k), w)))
-    r = _mul(l, np.exp(_mul(_mul(-2.0j, k), w)))
-    return t, l, r
+    q = np.sqrt(q2 + 0j)
+    sin_qw = np.sin(q * w)
+    degenerate = q2 == 0.0
+    den = np.where(degenerate, 1.0 - 0.5j * k * w,
+                   np.cos(q * w) - 0.5j * (k / q + q / k) * sin_qw)
+    sin_over_q = np.where(degenerate, w, sin_qw / q)
+    t = np.exp(-1j * k * w) / den
+    l = -1j * V0 * sin_over_q / k * t * np.exp(1j * k * w)
+    return t, l, l * np.exp(-2j * k * w)
 
 
 def _piecewise_lanes(cell: PiecewiseConstant, k):

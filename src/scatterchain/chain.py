@@ -16,14 +16,15 @@ import numpy as np
 
 from .cells import Lattice, cell_lanes, cell_smatrix
 from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _LOG_HUGE, _exp_lanes,
-                   _mul, _quot, check_finite, compose_lanes, displace_lanes, math_map,
-                   position_phase, principal_phase, principal_phase_array, squared_moduli)
+                   _lanes, check_finite, compose_lanes, displace_lanes, position_phase, principal_phase,
+                   principal_phase_array)
 from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
 
 
 def displace(s: ScatteringMatrix, a: float) -> ScatteringMatrix:
     """s rigidly shifted right by a: a length-1 call of displace_lanes."""
-    return ScatteringMatrix(s.t, *displace_lanes(s.k.k, s.l, s.r, a), k=s.k)
+    l, r = displace_lanes(*_lanes(s.k.k, s.l, s.r), a)
+    return ScatteringMatrix(s.t, l[0], r[0], k=s.k)
 
 
 def compose(sA: ScatteringMatrix, sB: ScatteringMatrix) -> ScatteringMatrix:
@@ -31,7 +32,8 @@ def compose(sA: ScatteringMatrix, sB: ScatteringMatrix) -> ScatteringMatrix:
     wave number: a length-1 call of compose_lanes."""
     if sA.k.k != sB.k.k:
         raise ValueError("cannot compose scattering matrices at different wave numbers")
-    return ScatteringMatrix(*compose_lanes((sA.t, sA.l, sA.r), (sB.t, sB.l, sB.r)), k=sA.k)
+    t, l, r = compose_lanes(_lanes(sA.t, sA.l, sA.r), _lanes(sB.t, sB.l, sB.r))
+    return ScatteringMatrix(t[0], l[0], r[0], k=sA.k)
 
 
 @dataclass(frozen=True)
@@ -142,20 +144,25 @@ def chain_end_amplitudes(
     """(t_log, t_phase, t, l, r) of the N-cell chain at every wave number of k_values.
 
     The k-batched form of chain_amplitudes: the loop runs over n and each
-    step's arithmetic is vectorised over the k lanes.  Every lane equals
-    chain_amplitudes at n = N bit for bit (t_log_moduli[-1], t_phases[-1],
-    t[-1], l[-1] and r[-1]), because the complex arithmetic follows
-    CPython's formulas and log and phase go through math.  The per-step
-    numpy overhead makes it slower than the scalar loop below ~20 lanes;
-    long chains at one k use chain_amplitudes.  Results have k_values'
-    shape.
+    step's arithmetic is vectorised over the k lanes.  Every lane agrees
+    with chain_amplitudes at n = N (t_log_moduli[-1], t_phases[-1], t[-1],
+    l[-1] and r[-1]) to rounding, and a length-1 call equals the same lane
+    of a longer call bit for bit.  The per-step numpy overhead makes it
+    slower than the scalar loop below ~20 lanes; long chains at one k use
+    chain_amplitudes.  Results have k_values' shape.
     """
     k = np.asarray(k_values, dtype=float)
-    tc, lc, rc = (x.ravel() for x in cell_lanes(lattice.cell, k))
-    mod = np.hypot(tc.real, tc.imag)
+    return _end_amplitudes(lattice, k, cell_lanes(lattice.cell, k))
+
+
+def _end_amplitudes(lattice: Lattice, k: np.ndarray, cell):
+    # chain_end_amplitudes given the cell's (t, l, r) at k, for a caller that
+    # has them already
+    tc, lc, rc = (x.ravel() for x in cell)
+    mod = np.abs(tc)
     if (mod < MODULUS_FLOOR).any():
         raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    lt, pt, t, l, r = math_map(math.log, mod), principal_phase_array(tc), tc, lc, rc
+    lt, pt, t, l, r = np.log(mod), principal_phase_array(tc), tc, lc, rc
     if lattice.N > 1:
         position_phase(k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
         t, l, r = t.copy(), l.copy(), r.copy()
@@ -168,24 +175,23 @@ def chain_end_amplitudes(
 
 
 def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc):
-    # chain_amplitudes' loop, one vectorised step per n over the lanes; each
-    # step line is the scalar one with * as _mul and / as _quot
+    # chain_amplitudes' loop, one vectorised step per n over the lanes
     lt, pt, l, r = lt_c, pt_c, lc, rc
-    tt = _mul(tc, tc)
+    tt = tc * tc
     two_k = 2.0 * k
     for n in range(1, lattice.N):
-        pos = _exp_lanes(np.zeros(two_k.shape), two_k * n * lattice.a)
-        den = 1.0 - _mul(_mul(lc, r), pos)
-        abs_den = np.hypot(den.real, den.imag)
+        pos = np.exp(1j * (two_k * n * lattice.a))
+        den = 1.0 - lc * r * pos
+        abs_den = np.abs(den)
         if (abs_den < 1e-14).any():
             raise ResonanceDivergenceError(
                 f"recurrence denominator vanished at n={n}; inputs corrupted"
             )
         t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
-        l = l + _quot(_mul(_mul(t_sq, lc), pos), den)
-        r = _mul(rc, pos.conj()) + _quot(_mul(tt, r), den)
-        lt = lt + (lt_c - math_map(math.log, abs_den))
-        pt = pt + (pt_c - math_map(math.atan2, den.imag, den.real))
+        l = l + t_sq * lc * pos / den
+        r = rc * pos.conj() + tt * r / den
+        lt = lt + (lt_c - np.log(abs_den))
+        pt = pt + (pt_c - np.angle(den))
     return lt, pt, _exp_lanes(lt, pt), l, r
 
 
@@ -219,7 +225,7 @@ def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
     """
     if abs(s_cell.t) < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("transmission amplitude below floor: z undefined")
-    return float(_bloch_lanes(s_cell.k.k, np.array([s_cell.t]), a)[0])
+    return float(_bloch_lanes(s_cell.k.k, *_lanes(s_cell.t), a)[0])
 
 
 def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
@@ -231,7 +237,7 @@ def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
     if overflow.any():
         k = np.broadcast_to(k_values, phase.shape)[overflow][0]
         raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
-    return math_map(math.cos, phase) / np.hypot(t.real, t.imag)
+    return np.cos(phase) / np.abs(t)
 
 
 # Half-width of the |z| = 1 window where the trig/hyperbolic forms are 0/0
@@ -354,10 +360,10 @@ class _ChebyshevPlan:
 def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray]:
     """(z, rho) of a cell for the closed form at every wave number of
     k_values, given its transmission amplitudes t there as a complex array:
-    z = cos(alpha_t + ka)/|t| and rho = (1 - |t|^2)/|t|^2 with |t|^2 =
-    abs(t) ** 2.  UndefinedAmplitudeError where |t|^2 underflows to 0;
-    rho is inf where it is subnormal."""
-    mod2 = squared_moduli(t)
+    z = cos(alpha_t + ka)/|t| and rho = (1 - |t|^2)/|t|^2.
+    UndefinedAmplitudeError where |t|^2 underflows to 0; rho is inf where
+    it is subnormal."""
+    mod2 = np.abs(t) ** 2
     if (mod2 == 0.0).any():
         raise UndefinedAmplitudeError("transmission amplitude below floor")
     z = _bloch_lanes(k_values, t, a)
@@ -373,7 +379,7 @@ def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
     z = cos(alpha_t + ka)/|t| from the single cell: a length-1 call of
     chebyshev_input_lanes and chebyshev_closed_form.  Returns a value in [0, 1].
     """
-    z, rho = chebyshev_input_lanes(s_cell.k.k, np.array([s_cell.t]), a)
+    z, rho = chebyshev_input_lanes(s_cell.k.k, *_lanes(s_cell.t), a)
     return float(chebyshev_closed_form(z, rho, N)[1][0])
 
 

@@ -32,13 +32,8 @@ from .analysis import (
     hartman_scan,
 )
 from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
-from .chain import (
-    chain_amplitudes,
-    chain_end_amplitudes,
-    chebyshev_closed_form,
-    chebyshev_input_lanes,
-)
-from .core import WaveNumber, phase_column, squared_moduli, unitarity_defect_lanes
+from .chain import _end_amplitudes, chain_amplitudes, chebyshev_closed_form, chebyshev_input_lanes
+from .core import WaveNumber, phase_column, unitarity_defect_lanes
 from .errors import ConfigError, InBandWarning
 
 
@@ -341,7 +336,7 @@ def run_cell(cfg: ExperimentConfig):
         "re_t": t.real, "im_t": t.imag,
         "re_l": l.real, "im_l": l.imag,
         "re_r": r.real, "im_r": r.imag,
-        "T": squared_moduli(t),
+        "T": np.abs(t) ** 2,
         **_amplitude_columns(cfg, t, l, r, lambda i: f"k={k[i]}"),
     })
 
@@ -350,8 +345,9 @@ def run_chain(cfg: ExperimentConfig):
     if cfg.n is not None:
         k = cfg.k_grid()
         n = np.full(k.size, cfg.n)
-        z, rho = chebyshev_input_lanes(k, cell_lanes(cfg.potential, k)[0], cfg.period)
-        t_log, _, t, l, r = chain_end_amplitudes(cfg.lattice(cfg.n), k)
+        cell = cell_lanes(cfg.potential, k)  # one evaluation for both paths
+        z, rho = chebyshev_input_lanes(k, cell[0], cfg.period)
+        t_log, _, t, l, r = _end_amplitudes(cfg.lattice(cfg.n), k, cell)
         t_rec = np.exp(2.0 * t_log)
     else:
         n = np.arange(1, cfg.n_max + 1)

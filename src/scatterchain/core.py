@@ -84,32 +84,29 @@ def check_finite(**columns) -> None:
         raise NonFiniteAmplitudeError(f"amplitude {name!r} must be finite, got {value!r}")
 
 
+def _lanes(*values) -> tuple[np.ndarray, ...]:
+    # each value as a 1-element array, so a length-1 call runs numpy's array
+    # arithmetic, not Python's complex scalars, and equals its lane bit for bit
+    return tuple(np.array([v]) for v in values)
+
+
 def unitarity_defect(s: ScatteringMatrix) -> float:
     """Largest violation of the unitarity relations among (t, l, r).
 
     Evaluates |t|^2 + |l|^2 - 1, |t|^2 + |r|^2 - 1 and the column overlap
     t*conj(r) + l*conj(t), and returns the maximum magnitude of the three.
-    Zero for an exactly unitary matrix.
+    Zero for an exactly unitary matrix.  A length-1 call of
+    unitarity_defect_lanes.
     """
-    t2 = abs(s.t) ** 2
-    left = abs(t2 + abs(s.l) ** 2 - 1.0)
-    right = abs(t2 + abs(s.r) ** 2 - 1.0)
-    overlap = abs(s.t * s.r.conjugate() + s.l * s.t.conjugate())
-    return max(left, right, overlap)
+    return float(unitarity_defect_lanes(*_lanes(s.t, s.l, s.r))[0])
 
 
 def unitarity_defect_lanes(t, l, r) -> np.ndarray:
-    """unitarity_defect of every lane of the complex arrays t, l and r, bit for bit."""
-    t2 = squared_moduli(t)
-    left = np.abs(t2 + squared_moduli(l) - 1.0)
-    right = np.abs(t2 + squared_moduli(r) - 1.0)
-    overlap = _mul(t, r.conj()) + _mul(l, t.conj())
-    return np.maximum(np.maximum(left, right), np.hypot(overlap.real, overlap.imag))
-
-
-def squared_moduli(z) -> np.ndarray:
-    """abs(z) ** 2 of every entry of the complex array z, bit for bit (pow, not m * m)."""
-    return math_map(pow, np.hypot(z.real, z.imag), 2.0)
+    """unitarity_defect of every lane of the complex arrays t, l and r."""
+    t2 = np.abs(t) ** 2
+    left = np.abs(t2 + np.abs(l) ** 2 - 1.0)
+    right = np.abs(t2 + np.abs(r) ** 2 - 1.0)
+    return np.maximum(np.maximum(left, right), np.abs(t * r.conj() + l * t.conj()))
 
 
 def principal_phase(z: complex) -> float:
@@ -117,50 +114,11 @@ def principal_phase(z: complex) -> float:
     return float(principal_phase_array(z))
 
 
-def math_map(fn, *arrays) -> np.ndarray:
-    """fn, a function of the math module, applied to every entry of the
-    broadcast float arrays.
-
-    numpy's vectorised log and arctan2 differ from the C library in the last
-    bit on some inputs; going through math keeps array code bit-identical to
-    the scalar code it replaces.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in arrays))
-    values = map(fn, *(x.ravel() for x in arrays))  # no lists: bounded memory
-    return np.fromiter(values, dtype=float, count=arrays[0].size).reshape(arrays[0].shape)
-
-
-def _complex(re, im) -> np.ndarray:
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
-
-
-def _mul(a, b) -> np.ndarray:
-    # a * b of complex arrays in CPython's formula, _Py_c_prod; numpy's
-    # complex multiply and divide round differently on some inputs
-    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
-
-
-def _quot(a, b) -> np.ndarray:
-    # a / b (b != 0) as _mul does *: _Py_c_quot, Smith's method, scaled by
-    # the larger part of b.  The branches differ only in the order of
-    # commuting operands.
-    real_big = np.abs(b.real) >= np.abs(b.imag)
-    p, q = np.where(real_big, b.real, b.imag), np.where(real_big, b.imag, b.real)
-    x, y = np.where(real_big, a.real, a.imag), np.where(real_big, a.imag, a.real)
-    ratio = q / p
-    denom = p + q * ratio
-    return _complex((x + y * ratio) / denom,
-                    np.where(real_big, y - x * ratio, x * ratio - y) / denom)
-
-
 def _exp_lanes(log_mod, phase) -> np.ndarray:
-    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE: chain._safe_exp
-    # per lane (numpy's complex exp matches cmath.exp)
+    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE: chain._safe_exp per lane
     out = np.zeros(log_mod.shape, dtype=complex)
     keep = ~(log_mod < -_LOG_HUGE)
-    out[keep] = np.exp(_complex(log_mod[keep], phase[keep]))
+    out[keep] = np.exp(log_mod[keep] + 1j * phase[keep])
     return out
 
 
@@ -182,7 +140,7 @@ def displace_lanes(k_values, l, r, x: float) -> tuple[np.ndarray, np.ndarray]:
     """l and r of the scatterer rigidly shifted right by x (left for x < 0),
     in every lane: l e^{2ikx} and r e^{-2ikx}; t is untouched."""
     rot = np.exp(1j * position_phase(k_values, x))
-    return _mul(l, rot), _mul(r, rot.conj())
+    return l * rot, r * rot.conj()
 
 
 def compose_lanes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,21 +151,18 @@ def compose_lanes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = tA tB / D,  l = lA + tA^2 lB / D,  r = rB + tB^2 rA / D,  D = 1 - lB rA.
     """
     (ta, la, ra), (tb, lb, rb) = a, b
-    den = 1.0 - _mul(lb, ra)
-    if (np.hypot(den.real, den.imag) < 1e-14).any():
+    den = 1.0 - lb * ra
+    if (np.abs(den) < 1e-14).any():
         raise ResonanceDivergenceError("composition denominator 1 - lB*rA vanished; "
                                        "inputs are not a valid unitary pair")
-    return (_quot(_mul(ta, tb), den),
-            la + _quot(_mul(_mul(ta, ta), lb), den),
-            rb + _quot(_mul(_mul(tb, tb), ra), den))
+    return ta * tb / den, la + ta * ta * lb / den, rb + tb * tb * ra / den
 
 
 def principal_phase_array(z) -> np.ndarray:
     """Argument of every entry of a complex array on the branch (-pi, pi]:
-    math.atan2(imag, real), which is cmath.phase with its signed zeros,
-    infinities and NaN, with -pi folded onto pi."""
-    z = np.asarray(z, dtype=complex)
-    return _fold(math_map(math.atan2, z.imag, z.real))
+    np.angle, which is atan2(imag, real) with its signed zeros, infinities
+    and NaN, with -pi folded onto pi."""
+    return _fold(np.angle(np.asarray(z, dtype=complex)))
 
 
 def _fold(p):
@@ -236,9 +191,9 @@ def principal_phases(
 
 def phase_column(z) -> list[Optional[float]]:
     """For every entry of the complex array z, its principal phase on
-    (-pi, pi], or None where its modulus hypot(re, im) is below
-    MODULUS_FLOOR and it carries no meaningful phase."""
-    defined = (np.hypot(z.real, z.imag) >= MODULUS_FLOOR).tolist()
+    (-pi, pi], or None where its modulus is below MODULUS_FLOOR and it
+    carries no meaningful phase."""
+    defined = (np.abs(z) >= MODULUS_FLOOR).tolist()
     return [p if ok else None for p, ok in zip(principal_phase_array(z).tolist(), defined)]
 
 

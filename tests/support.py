@@ -1,18 +1,19 @@
-"""Helpers that only the tests use: the free-propagation matrix, the
-scattering-to-transfer conversion with its matrix product (the reverse of
-the package's transfer_to_smatrix path), amplitudes whose squared modulus
-numpy rounds differently from CPython, the scalar closed forms of the
-cells, of composition, of displacement, of the principal phases and of the
-closed form's inputs (z, rho), which the package's array forms must equal
-bit for bit, the closed form's kernel in one unplanned pass, the
-CLI's per-cell CSV rendering, and the CLI's column table built from row
-dicts and read back into them."""
+"""Helpers that only the tests use: the double epsilon that drift bounds
+are stated in, the free-propagation matrix, the scattering-to-transfer
+conversion with its matrix product (the reverse of the package's
+transfer_to_smatrix path), the scalar closed forms of the cells, of
+composition, of displacement, of the principal phases and of the closed
+form's inputs (z, rho), which the package's array forms must agree with to
+stated bounds, the closed form's kernel in one unplanned pass, the CLI's
+per-cell CSV rendering, and the CLI's column table built from row dicts and
+read back into them."""
 
 import cmath
 import csv
 import functools
 import io
 import math
+import sys
 from typing import Optional
 
 import numpy as np
@@ -32,6 +33,8 @@ from scatterchain import (
 from scatterchain.chain import CHEBYSHEV_EDGE_WINDOW
 from scatterchain.cli import _Table
 from scatterchain.core import TWO_PI
+
+EPS = sys.float_info.epsilon
 
 
 def identity_smatrix(k: WaveNumber) -> ScatteringMatrix:
@@ -68,22 +71,6 @@ def matmul(a: TransferMatrix, b: TransferMatrix) -> TransferMatrix:
         m22=a.m21 * b.m12 + a.m22 * b.m22,
         k=a.k,
     )
-
-
-def pow_square_mismatches(count: int, seed: int) -> np.ndarray:
-    """count complex values whose modulus m has m ** 2 != m * m.
-
-    CPython squares a float with libm pow, numpy's ** 2 with a product; an
-    array form that should equal a scalar abs(t) ** 2 fails on these values
-    if it squares the numpy way.
-    """
-    rng = np.random.default_rng(seed)
-    found = []
-    while len(found) < count:
-        z = complex(*rng.uniform(-1.0, 1.0, 2).tolist())
-        if abs(z) ** 2 != abs(z) * abs(z):
-            found.append(z)
-    return np.array(found)
 
 
 # --- scalar reference closed forms ------------------------------------------

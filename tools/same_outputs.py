@@ -7,15 +7,20 @@ Run from the root of a checkout.  The committed files of REV are exported
 tree, one fresh interpreter each runs every command of
 ``perfbench/workloads.campaign(workload, seed)`` for the three workloads and
 seeds 7, 320, 1 and 2, by calling ``scatterchain.cli.main(argv)`` in-process
-with stdout captured.  Both sides run the working tree's campaign, so they
-run the same argv lists.
+with stdout captured to a file.  Both sides run the working tree's
+campaign, so they run the same argv lists.
 
-The sha256 of each command's stdout and its exit code are compared.  Every
-command that differs is listed, and the exit status is 1.  When the two
-sides' ``scatterchain.__version__`` differ, the output contract ("byte-
-identical across reruns of the same config and version") does not apply:
-that is reported, and the exit status is 0.  perfbench/ is read, never
-written.
+The exit code and the sha256 of the stdout of each command are compared.
+Every command that differs is listed; for one whose stdout differs, the
+tables are parsed (``perfbench/checks.parse_rows``) and each column's worst
+relative change |new - old| / max(|old|, |new|) over its cells that are
+numbers on both sides is printed, with the count of its other cells that
+differ (strings, or a number against an empty cell).  The exit status
+is 1 if an exit code differs, or if a stdout differs while the two sides'
+``scatterchain.__version__`` are equal: the output contract is "byte-
+identical across reruns of the same config and version", so a version bump
+is the one point where bytes may change, and the column changes are then
+its drift table.  perfbench/ is read, never written.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,12 +40,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (7, 320, 1, 2)
 WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from checks import parse_rows  # noqa: E402
 
-def side_outputs(src: str) -> dict:
+
+def side_outputs(src: str, into: str) -> dict:
     """Run every campaign command against the package under src, in this
-    interpreter; return its version and, per command, the exit code and the
-    sha256 of its stdout."""
-    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    interpreter, writing the stdout of the i-th to into/i; return the
+    package's version and, per command, the exit code and the sha256 of its
+    stdout."""
+    sys.path.insert(0, src)
     import scatterchain
     from scatterchain import cli
     import workloads
@@ -53,15 +63,18 @@ def side_outputs(src: str) -> dict:
                 out = io.StringIO()
                 with redirect_stdout(out), redirect_stderr(io.StringIO()):
                     code = cli.main(list(command.argv))
-                digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                text = out.getvalue()
+                with open(os.path.join(into, str(len(outputs))), "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                digest = hashlib.sha256(text.encode()).hexdigest()
                 outputs.append({"command": f"{workload} seed {seed} #{index}",
                                 "argv": list(command.argv), "code": code, "sha256": digest})
     return {"version": scatterchain.__version__, "outputs": outputs}
 
 
-def run_side(src: str) -> dict:
+def run_side(src: str, into: str) -> dict:
     """side_outputs in a fresh interpreter, so each side imports its own package."""
-    argv = [sys.executable, "-B", os.path.abspath(__file__), "--side", src]
+    argv = [sys.executable, "-B", os.path.abspath(__file__), "--side", src, into]
     done = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT)
     if done.returncode != 0:
         raise RuntimeError(f"the run on {src} failed:\n{done.stderr}")
@@ -77,43 +90,91 @@ def export(rev: str, into: str) -> None:
     subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
 
 
-def compare(base: dict, change: dict) -> list[str]:
-    """One line per command whose exit code or stdout differs."""
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _change(old, new) -> float:
+    """|new - old| / max(|old|, |new|) of two numbers: 0 when equal, 1 for a
+    zero against a nonzero, inf where either is not finite and they differ."""
+    if old == new or (old != old and new != new):  # equal, or both NaN
+        return 0.0
+    scale = max(abs(old), abs(new))
+    return abs(new - old) / scale if math.isfinite(scale) else math.inf
+
+
+def column_changes(old_text: str, new_text: str, fmt: str) -> str:
+    """Each column's worst relative change between two renderings of a
+    table over the cells that are numbers on both sides, and how many other
+    cells differ (a string, or a number against an empty cell)."""
+    old, new = parse_rows(old_text, fmt), parse_rows(new_text, fmt)
+    if len(old) != len(new) or (old and old[0].keys() != new[0].keys()):
+        return f"table shape {len(old)} -> {len(new)} rows"
+    parts = []
+    for key in old[0] if old else ():
+        numbers, others = [], 0
+        for a, b in ((row[key], changed[key]) for row, changed in zip(old, new)):
+            if _number(a) and _number(b):
+                numbers.append(_change(a, b))
+            else:
+                others += a != b
+        text = f"{key} {max(numbers):.1e}" if numbers else key
+        parts.append(f"{text} +{others} cells" if others else text)
+    return ", ".join(parts)
+
+
+def compare(base: dict, change: dict, base_dir: str, change_dir: str) -> list[str]:
+    """One line per command whose exit code or stdout differs, a stdout
+    change followed by an indented line of its column changes."""
     lines = []
-    for old, new in zip(base["outputs"], change["outputs"], strict=True):
+    for i, (old, new) in enumerate(zip(base["outputs"], change["outputs"], strict=True)):
         what = [f"exit {old['code']} -> {new['code']}"] if old["code"] != new["code"] else []
         if old["sha256"] != new["sha256"]:
             what.append(f"stdout {old['sha256'][:12]} -> {new['sha256'][:12]}")
-        if what:
-            lines.append(f"{new['command']}: {', '.join(what)}: {' '.join(new['argv'])}")
+        if not what:
+            continue
+        lines.append(f"{new['command']}: {', '.join(what)}: {' '.join(new['argv'])}")
+        if old["sha256"] != new["sha256"]:
+            argv = new["argv"]
+            fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+            texts = []
+            for side in (base_dir, change_dir):
+                with open(os.path.join(side, str(i)), encoding="utf-8") as fh:
+                    texts.append(fh.read())
+            lines.append(f"    {column_changes(*texts, fmt)}")
     return lines
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="the git revision to compare against")
-    parser.add_argument("--side", help=argparse.SUPPRESS)  # internal: one side's run
+    parser.add_argument("--side", nargs=2, help=argparse.SUPPRESS)  # internal: one side's run
     args = parser.parse_args(argv)
     if args.side:
-        json.dump(side_outputs(args.side), sys.stdout)
+        json.dump(side_outputs(*args.side), sys.stdout)
         return 0
     if not args.rev:
         parser.error("REV is required")
-    with tempfile.TemporaryDirectory() as tree:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, base_dir, change_dir = (os.path.join(tmp, name) for name in ("tree", "base", "change"))
+        for path in (tree, base_dir, change_dir):
+            os.mkdir(path)
         export(args.rev, tree)
-        base = run_side(os.path.join(tree, "src"))
-    change = run_side(os.path.join(ROOT, "src"))
+        base = run_side(os.path.join(tree, "src"), base_dir)
+        change = run_side(os.path.join(ROOT, "src"), change_dir)
+        for line in compare(base, change, base_dir, change_dir):
+            print(line)
+    pairs = list(zip(base["outputs"], change["outputs"]))
+    same = sum(old == new for old, new in pairs)
+    codes = sum(old["code"] == new["code"] for old, new in pairs)
+    print(f"{same} of {len(pairs)} commands identical to {args.rev} "
+          f"(stdout sha256 and exit code, seeds {', '.join(map(str, SEEDS))})")
     if base["version"] != change["version"]:
         print(f"scatterchain {base['version']} at {args.rev}, {change['version']} here: "
-              "outputs are only promised identical within one version; not compared")
-        return 0
-    differ = compare(base, change)
-    for line in differ:
-        print(line)
-    total = len(change["outputs"])
-    print(f"{total - len(differ)} of {total} commands identical to {args.rev} "
-          f"(stdout sha256 and exit code, seeds {', '.join(map(str, SEEDS))})")
-    return 1 if differ else 0
+              "outputs are only promised identical within one version; "
+              f"{codes} of {len(pairs)} exit codes equal")
+        return 0 if codes == len(pairs) else 1
+    return 0 if same == len(pairs) else 1
 
 
 if __name__ == "__main__":
