@@ -177,6 +177,16 @@ def scalar_principal_phases(s: ScatteringMatrix) -> tuple[Optional[float], ...]:
     return arg_or_none(s.t), arg_or_none(s.l), arg_or_none(s.r)
 
 
+def scalar_unitarity_defect(s: ScatteringMatrix) -> float:
+    """max(||t|^2 + |l|^2 - 1|, ||t|^2 + |r|^2 - 1|, |t conj(r) + l conj(t)|)
+    in complex scalars."""
+    t2 = abs(s.t) ** 2
+    left = abs(t2 + abs(s.l) ** 2 - 1.0)
+    right = abs(t2 + abs(s.r) ** 2 - 1.0)
+    overlap = abs(s.t * s.r.conjugate() + s.l * s.t.conjugate())
+    return max(left, right, overlap)
+
+
 def scalar_bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
     """z = cos(alpha_t + k a) / |t| of a single cell, in floats."""
     mod = abs(s_cell.t)

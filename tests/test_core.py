@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scatterchain as sc
-from support import EPS, identity_smatrix, scalar_principal_phase, scalar_principal_phases
+from support import (EPS, identity_smatrix, scalar_principal_phase, scalar_principal_phases,
+                     scalar_unitarity_defect)
 
 
 K1 = sc.WaveNumber(1.0)
@@ -56,12 +57,26 @@ class TestUnitarityDefect:
 
 
 class TestUnitarityDefectLanes:
-    """The array defect against the scalar unitarity_defect, lane by lane, with ==."""
+    """The array defect against scalar_unitarity_defect, CPython's complex
+    arithmetic, lane by lane to DRIFT; a length-1 call equals its lane."""
+
+    # numpy's complex multiply and abs round differently from CPython's:
+    # worst seen 2 eps on unitary cells, 4.6 eps relative on the random
+    # triples, whose defects are of order 1 to 10
+    DRIFT = 10 * EPS
 
     @staticmethod
     def scalar(t, l, r):
-        return [sc.unitarity_defect(sc.ScatteringMatrix(t=tv, l=lv, r=rv, k=K1))
+        return [scalar_unitarity_defect(sc.ScatteringMatrix(t=tv, l=lv, r=rv, k=K1))
                 for tv, lv, rv in zip(t.tolist(), l.tolist(), r.tolist())]
+
+    def assert_lanes(self, t, l, r):
+        got = sc.core.unitarity_defect_lanes(t, l, r).tolist()
+        for value, want in zip(got, self.scalar(t, l, r), strict=True):
+            assert abs(value - want) <= self.DRIFT * max(1.0, want), (value, want)
+        for j in range(0, t.size, 37):
+            s = sc.ScatteringMatrix(t=t[j].item(), l=l[j].item(), r=r[j].item(), k=K1)
+            assert sc.unitarity_defect(s) == got[j]
 
     @pytest.mark.parametrize("cell", [
         sc.DeltaSpike(0.0), sc.DeltaSpike(5.0), sc.RectBarrier(-1.5, 0.5),
@@ -69,13 +84,11 @@ class TestUnitarityDefectLanes:
         sc.PiecewiseConstant(((0.4, 1.2), (0.3, -2.0), (0.5, 0.8))),
     ])
     def test_cell_amplitudes(self, cell):
-        t, l, r = sc.cells.cell_lanes(cell, np.linspace(0.3, 9.0, 400))
-        assert sc.core.unitarity_defect_lanes(t, l, r).tolist() == self.scalar(t, l, r)
+        self.assert_lanes(*sc.cells.cell_lanes(cell, np.linspace(0.3, 9.0, 400)))
 
     def test_non_unitary_triples(self):
         rng = np.random.default_rng(2)
-        t, l, r = (rng.normal(size=500) + 1j * rng.normal(size=500) for _ in range(3))
-        assert sc.core.unitarity_defect_lanes(t, l, r).tolist() == self.scalar(t, l, r)
+        self.assert_lanes(*(rng.normal(size=500) + 1j * rng.normal(size=500) for _ in range(3)))
 
 
 class TestPhaseColumn:

@@ -15,7 +15,8 @@ Every command that differs is listed; for one whose stdout differs, the
 tables are parsed (``perfbench/checks.parse_rows``) and each column's worst
 relative change |new - old| / max(|old|, |new|) over its cells that are
 numbers on both sides is printed, with the count of its other cells that
-differ (strings, or a number against an empty cell).  The exit status
+differ (strings, or a number against an empty cell); where either side
+exited non-zero, its partial stdout is not parsed.  The exit status
 is 1 if an exit code differs, or if a stdout differs while the two sides'
 ``scatterchain.__version__`` are equal: the output contract is "byte-
 identical across reruns of the same config and version", so a version bump
@@ -134,7 +135,11 @@ def compare(base: dict, change: dict, base_dir: str, change_dir: str) -> list[st
         if not what:
             continue
         lines.append(f"{new['command']}: {', '.join(what)}: {' '.join(new['argv'])}")
-        if old["sha256"] != new["sha256"]:
+        if old["sha256"] == new["sha256"]:
+            continue
+        if old["code"] != 0 or new["code"] != 0:
+            lines.append("    tables not parsed: a side exited non-zero")
+        else:
             argv = new["argv"]
             fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
             texts = []
