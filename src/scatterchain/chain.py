@@ -79,37 +79,32 @@ class ChainState:
         return np.exp(2.0 * self.t_log_moduli)
 
 
-def _safe_exp(log_mod: float, phase: float) -> complex:
-    # Underflows to 0 for very negative log moduli instead of raising.
-    if log_mod < -_LOG_HUGE:
-        return 0.0 + 0.0j
-    return cmath.exp(complex(log_mod, phase))
-
-
-def _checked(den: complex, n: int) -> complex:
-    if abs(den) < 1e-14:
-        raise ResonanceDivergenceError(
-            f"recurrence denominator vanished at n={n}; inputs corrupted"
-        )
-    return den
+def _vanished(n: int) -> ResonanceDivergenceError:
+    return ResonanceDivergenceError(f"recurrence denominator vanished at n={n}; inputs corrupted")
 
 
 def _grow(lattice: Lattice, s_cell: ScatteringMatrix, step) -> ChainState:
     # The loop both recurrences share: step(n, l, r, (t^(n))^2) gives D_n and
-    # the next l, r; t^(n+1) = t^(n) t / D_n accumulates in log-polar form.
+    # the next l, r; t^(n+1) = t^(n) t / D_n accumulates in log-polar form,
+    # and t^(n) = exp(ln|t^(n)| + i arg t^(n)) underflows to 0 past -_LOG_HUGE.
     mod = abs(s_cell.t)
     if mod < MODULUS_FLOOR:
         raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    lt_c, pt_c = math.log(mod), principal_phase(s_cell.t)
+    exp, log, phase, floor = cmath.exp, math.log, cmath.phase, -_LOG_HUGE
+    lt_c, pt_c = log(mod), principal_phase(s_cell.t)
     lt, pt, l, r = lt_c, pt_c, s_cell.l, s_cell.r
-    rows = [(s_cell.t, l, r, lt, pt)]
+    ts, ls, rs, lts, pts = [s_cell.t], [l], [r], [lt], [pt]
     for n in range(1, lattice.N):
-        den, l, r = step(n, l, r, _safe_exp(2.0 * lt, 2.0 * pt))
-        lt += lt_c - math.log(abs(den))
-        pt += pt_c - cmath.phase(den)
-        rows.append((_safe_exp(lt, pt), l, r, lt, pt))
-    t, l, r, lt, pt = zip(*rows)
-    return ChainState(lattice=lattice, k=s_cell.k, t=t, l=l, r=r, t_log_moduli=lt, t_phases=pt)
+        lt2 = 2.0 * lt
+        den, l, r = step(n, l, r, 0j if lt2 < floor else exp(complex(lt2, 2.0 * pt)))
+        lt += lt_c - log(abs(den))
+        pt += pt_c - phase(den)
+        ts.append(0j if lt < floor else exp(complex(lt, pt)))
+        ls.append(l)
+        rs.append(r)
+        lts.append(lt)
+        pts.append(pt)
+    return ChainState(lattice=lattice, k=s_cell.k, t=ts, l=ls, r=rs, t_log_moduli=lts, t_phases=pts)
 
 
 def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
@@ -126,14 +121,15 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     """
     s_cell = cell_smatrix(lattice.cell, k)
     position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
-    tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
-    kk, a = k.k, lattice.a
+    lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
+    exp, two_ik, a = cmath.exp, 2.0j * k.k, lattice.a
 
     def step(n, l, r, t_sq):
-        pos_phase = cmath.exp(2.0j * kk * n * a)
-        den = _checked(1.0 - lc * r * pos_phase, n)
-        return (den, l + t_sq * lc * pos_phase / den,
-                rc * pos_phase.conjugate() + tc * tc * r / den)
+        pos_phase = exp(two_ik * n * a)
+        den = 1.0 - lc * r * pos_phase
+        if abs(den) < 1e-14:
+            raise _vanished(n)
+        return den, l + t_sq * lc * pos_phase / den, rc * pos_phase.conjugate() + tt * r / den
 
     return _grow(lattice, s_cell, step)
 
@@ -184,9 +180,7 @@ def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc):
         den = 1.0 - lc * r * pos
         abs_den = np.abs(den)
         if (abs_den < 1e-14).any():
-            raise ResonanceDivergenceError(
-                f"recurrence denominator vanished at n={n}; inputs corrupted"
-            )
+            raise _vanished(n)
         t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
         l = l + t_sq * lc * pos / den
         r = rc * pos.conj() + tt * r / den
@@ -206,12 +200,15 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
     """
     s_cell = cell_smatrix(lattice.cell, k)
     position_phase(k.k, lattice.a, lattice.N - 1)  # the chain's last position
-    tc, lc, rc = s_cell.t, s_cell.l, s_cell.r
+    lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
     shift = cmath.exp(2.0j * k.k * lattice.a)
+    unshift = shift.conjugate()
 
     def step(n, l, r, t_sq):
-        den = _checked(1.0 - l * shift * rc, n)
-        return den, lc + tc * tc * l * shift / den, r * shift.conjugate() + t_sq * rc / den
+        den = 1.0 - l * shift * rc
+        if abs(den) < 1e-14:
+            raise _vanished(n)
+        return den, lc + tt * l * shift / den, r * unshift + t_sq * rc / den
 
     return _grow(lattice, s_cell, step)
 

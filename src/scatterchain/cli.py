@@ -10,6 +10,7 @@ below floor).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -282,24 +283,29 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {"command": cfg.command, "version": __version__, "config": config}
 
 
-def _uniform(column) -> bool:
-    """Whether every value of column spells the same: an array of real
-    numbers holds one bit pattern, or a list one object (so -0.0 is not 0.0,
-    nor True 1)."""
-    if not len(column):
-        return False
+def _run_starts(column) -> Optional[list]:
+    """Where each run of values that spell the same starts in column, or None if
+    there are more than half as many runs as values: a run of an array holds one
+    bit pattern, a run of a list one object (so -0.0 is not 0.0, nor True 1)."""
     if isinstance(column, np.ndarray):
         bits = column.view(f"u{column.itemsize}")
-        return bool(bits[-1] == bits[0]) and not (bits != bits[0]).any()
-    return all(map(operator.is_, column, itertools.repeat(column[0])))
+        change = bits[1:] != bits[:-1]
+        if 2 * (np.count_nonzero(change) + 1) > len(column):
+            return None
+        return [0, *(np.flatnonzero(change) + 1).tolist()]
+    starts = [0, *itertools.compress(range(1, len(column)),
+                                     map(operator.is_not, column[1:], column))]
+    return starts if 2 * len(starts) <= len(column) else None
 
 
 class _Table:
     """Named columns of Python scalars, one tolist() per array; len() is the
-    row count, and uniform names the columns whose values all spell the same."""
+    row count, runs maps the columns of few runs of values that spell the
+    same to where their runs start, and uniform names those of one run."""
 
     def __init__(self, columns: dict):
-        self.uniform = {key for key, c in columns.items() if _uniform(c)}
+        self.runs = {key: starts for key, c in columns.items() if (starts := _run_starts(c))}
+        self.uniform = {key for key, starts in self.runs.items() if len(starts) == 1}
         self.columns = {key: c.tolist() if isinstance(c, np.ndarray) else c
                         for key, c in columns.items()}
         lengths = {key: len(c) for key, c in self.columns.items()}
@@ -452,17 +458,20 @@ def _csv_fields(texts, alone: bool):
             yield '""' if alone and not text else text
 
 
-def _cells(fmt: str, values: list, alone: bool, uniform: bool = False):
+def _cells(fmt: str, values: list, alone: bool, starts: Optional[list] = None):
     """The conversion of a column in the row template, and the cells it fills.
     In CSV a column of plain floats is spelled by the template, as %.17g; any
     other goes in as %s, spelled here with 17 digits for floats, "" for None
     and str otherwise, quoted by _csv_fields.  In JSON every column is spelled
-    as json.dumps spells it: repr for plain floats and ints, NaN, Infinity,
-    -Infinity and null for non-finite floats and None, json itself otherwise.
-    A uniform column's first value is spelled once and repeated."""
-    if uniform:
-        conversion, cells = _cells(fmt, values[:1], alone)
-        return "%s", itertools.repeat(conversion % tuple(cells), len(values))
+    as json.dumps spells it: repr for plain floats and ints (by the template,
+    as %r, for finite floats alone), NaN, Infinity, -Infinity and null for
+    non-finite floats and None, json itself otherwise.  A column of runs that
+    start at starts spells each run's first value once and repeats it."""
+    if starts is not None:
+        conversion, cells = _cells(fmt, [values[i] for i in starts], alone)
+        texts = [conversion % (cell,) for cell in cells]
+        lengths = map(operator.sub, [*starts[1:], len(values)], starts)
+        return "%s", itertools.chain.from_iterable(map(itertools.repeat, texts, lengths))
     types = set(map(type, values))
     if fmt == "csv":
         if types == {float}:
@@ -470,6 +479,8 @@ def _cells(fmt: str, values: list, alone: bool, uniform: bool = False):
         texts = ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
                  for v in values)
         return "%s", _csv_fields(texts, alone)
+    if types == {float} and all(map(math.isfinite, values)):
+        return "%r", values
     if types <= {float, int, type(None)}:
         return "%s", map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
     return "%s", map(json.dumps, values)
@@ -484,7 +495,7 @@ def _render(meta: dict, table: _Table, fmt: str) -> str:
     if not table:
         return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
     alone = len(table.columns) == 1
-    conversions, cells = zip(*(_cells(fmt, values, alone, key in table.uniform)
+    conversions, cells = zip(*(_cells(fmt, values, alone, table.runs.get(key))
                                for key, values in table.columns.items()))
     if fmt == "json":
         frame, end = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
@@ -535,9 +546,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call and reused after it: parse_args
+    # reads a parser and never changes it
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve(args)
         meta, table = _RUNNERS[cfg.command](cfg)

@@ -69,8 +69,8 @@ class ScatteringMatrix:
 
     @property
     def transmission(self) -> float:
-        """Transmission probability |t|^2."""
-        return abs(self.t) ** 2
+        """Transmission probability |t|^2: a length-1 call of the lanes' np.abs(t) ** 2."""
+        return float((np.abs(*_lanes(self.t)) ** 2)[0])
 
 
 def check_finite(**columns) -> None:
@@ -115,7 +115,7 @@ def principal_phase(z: complex) -> float:
 
 
 def _exp_lanes(log_mod, phase) -> np.ndarray:
-    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE: chain._safe_exp per lane
+    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE, as chain._grow's t^(n)
     out = np.zeros(log_mod.shape, dtype=complex)
     keep = ~(log_mod < -_LOG_HUGE)
     out[keep] = np.exp(log_mod[keep] + 1j * phase[keep])

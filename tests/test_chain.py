@@ -294,8 +294,9 @@ class TestChainEndAmplitudes:
         for module in (sc.cells, sc.chain):  # cell_smatrix looks it up in cells
             monkeypatch.setattr(module, "cell_lanes", corrupted)
         lattice = sc.Lattice(DELTA, 1.0, 4)
-        with pytest.raises(sc.ResonanceDivergenceError):
-            sc.chain_amplitudes(lattice, sc.WaveNumber(math.pi))
+        for scalar_route in (sc.chain_amplitudes, sc.chain_amplitudes_addleft):
+            with pytest.raises(sc.ResonanceDivergenceError, match="n=1"):
+                scalar_route(lattice, sc.WaveNumber(math.pi))
         with pytest.raises(sc.ResonanceDivergenceError, match="n=1"):
             sc.chain_end_amplitudes(lattice, [1.0, math.pi])
 

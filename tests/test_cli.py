@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from scatterchain import analysis
+from scatterchain import analysis, cli
 from scatterchain.cli import main, parse_cell_spec
 import scatterchain as sc
 from support import EPS, scalar_chebyshev_inputs
@@ -344,7 +344,7 @@ class TestCellCommand:
         assert len(rows) == k_count
         for row in rows:
             s = sc.cell_smatrix(parse_cell_spec(cell), sc.WaveNumber(row["k"]))
-            # T is numpy's |t| * |t|, transmission CPython's abs(t) ** 2
+            # T and transmission are both np.abs(t) ** 2, so T is compared with ==
             assert_rows_near([row], [{
                 "k": row["k"],
                 "re_t": s.t.real, "im_t": s.t.imag,
@@ -352,7 +352,7 @@ class TestCellCommand:
                 "re_r": s.r.real, "im_r": s.r.imag,
                 "T": s.transmission,
                 **amplitude_columns(s),
-            }], {"T": 4 * EPS})
+            }], {})
 
     def test_peak_memory_of_a_long_csv_scan(self, tmp_path):
         # tracemalloc peak with numpy 2.4.6: 26.3 MB while rows were dicts
@@ -954,6 +954,66 @@ class TestOutputFormats:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload["rows"]) == 2
+
+
+# argv lists of every subcommand, mixed with a config error (exit 2), two
+# argparse usage errors (SystemExit 2) and a contract violation (exit 3)
+MIXED_ARGVS = [
+    ["cell", "--cell", "delta:g=1", "--k-min", "0.5", "--k-max", "2", "--k-count", "5"],
+    ["chain", "--cell", "delta:g=1", "--period", "1", "--N", "4", "--k-min", "0.5",
+     "--k-max", "2", "--k-count", "5", "--format", "json"],
+    ["cell", "--cell", "delta:g=1", "--k-min", "2", "--k-max", "1", "--k-count", "5"],
+    ["chain", "--cell", "delta:g=5", "--period", "1", "--k0", "1", "--N-max", "40"],
+    ["bands", "--cell", "delta:g=1", "--period", "1", "--k-min", "0.5", "--k-max", "4",
+     "--k-count", "9", "--N-max", "8"],
+    ["hartman", "--cell", "delta:g=1", "--period", "1", "--k-count", "many"],
+    ["hartman", "--cell", "delta:g=1", "--period", "1", "--k0", "3.3", "--N-max", "12"],
+    ["delay", "--cell", "delta:g=1", "--period", "1", "--N", "3", "--displaced",
+     "--k-min", "0.5", "--k-max", "4", "--k-count", "9"],
+    VIOLATIONS["chain_per_n"][0],
+    ["packet", "--cell", "delta:g=1", "--period", "1", "--k0", "2", "--sigma", "0.05",
+     "--N-max", "5", "--format", "json"],
+    ["bands", "--bogus"],
+    ["cell", "--cell", "delta:g=1", "--k-min", "0.5", "--k-max", "2", "--k-count", "5"],
+]
+
+
+@pytest.fixture
+def fresh_parser():
+    """main's parser cache emptied before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_main_builds_its_parser_once_per_process(self, capsys, monkeypatch, fresh_parser):
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        for argv in MIXED_ARGVS[:3]:
+            run_cli(capsys, *argv)
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_a_reused_parser_answers_as_fresh_ones(self, capsys, fresh_parser):
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            return (code, *capsys.readouterr())
+
+        reused = [outcome(argv) for argv in MIXED_ARGVS]
+        fresh = []
+        for argv in MIXED_ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert reused == fresh
+        usage = ("SystemExit", 2)
+        assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, usage, 0, 0, 3, 0, usage, 0]
 
 
 class TestUnrepresentableInputs:

@@ -3,6 +3,7 @@ json.dumps(indent=2) and of the per-cell CSV writer, on any table of scalars."""
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scatterchain.cli import _render, _Table, main
-from support import column_table, per_cell_csv
+from support import column_table, per_cell_csv, table_rows
 
 FLOATS = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
@@ -129,6 +130,65 @@ def test_a_lone_uniform_column_of_empty_text():
     table = _Table({"": ["", "", ""]})
     assert table.uniform == {""}
     assert _render({}, table, "csv") == '""\r\n""\r\n""\r\n""\r\n'
+
+
+# A quiet NaN with a payload: it spells NaN, but its bits are not math.nan's.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+# Pools of 2-3 values.  Most hold values that are equal or spelled alike
+# without being the same bits (-0.0 and 0.0, NaN payloads) or the same object
+# (True and 1), so a change between them must start a new run.
+POOLS = [
+    (-0.0, 0.0), (0.0, -0.0, 1.5), (math.nan, -math.nan, NAN_PAYLOAD), (True, 1),
+    (True, 1, 1.0), (False, True), (7, -1), (None, 0.5), (math.inf, 2.0, None), ("", "a,b"),
+]
+
+
+@st.composite
+def run_tables(draw):
+    """A table of 1-3 columns whose values come from one pool per column, in
+    runs of 1-6 equal draws, so that columns of few runs occur; a column of
+    floats, bools or ints alone is an array half the time."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
+    count = draw(st.integers(0, 16))
+    columns = {}
+    for key in keys:
+        pool = draw(st.sampled_from(POOLS))
+        values = []
+        while len(values) < count:
+            values += [draw(st.sampled_from(pool))] * draw(st.integers(1, 6))
+        values = values[:count]
+        if values and len(set(map(type, values))) == 1 and type(values[0]) in (float, bool, int):
+            values = np.array(values) if draw(st.booleans()) else values
+        columns[key] = values
+    return _Table(columns)
+
+
+@given(run_tables())
+@example(_Table({"": ["", "", "", "", "x", "x"]}))  # a lone column of empty text, in runs
+@settings(max_examples=400, deadline=None)
+def test_columns_of_few_runs_render_as_json_dumps_and_the_per_cell_writer(table):
+    rows = table_rows(table)
+    assert _render({}, table, "json") == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
+    assert _render({}, table, "csv") == per_cell_csv(rows)
+
+
+@pytest.mark.parametrize("values, starts", [
+    (np.array([-0.0, -0.0, 0.0, 0.0, 0.0, -0.0]), [0, 2, 5]),
+    (np.array([math.nan, math.nan, NAN_PAYLOAD, NAN_PAYLOAD, -math.nan, -math.nan]), [0, 2, 4]),
+    (np.array([math.nan, -math.nan, math.nan, -math.nan]), None),  # 4 runs of 4 values
+    (np.array([1.5, 1.5, 2.5, 2.5]), [0, 2]),  # 2 runs of 4: at most half as many
+    (np.array([True, True, False, False, False, False]), [0, 2]),
+    ([True, True, 1, 1, 1, True], [0, 2, 5]),
+    ([None, None, None, 0.5, None, None], [0, 3, 4]),
+    (["", "", "", "", "x", "x"], [0, 4]),
+    ([1.0] * 2, [0]),
+    ([1.0], None),  # a run of one row is not half as many runs as rows
+    ([], None),
+], ids=["zeros", "nan-payloads", "alternating-nans", "two-of-four", "bools", "true-and-one",
+        "none-and-float", "empty-text", "pair", "single", "empty"])
+def test_runs_start_where_the_spelling_or_object_changes(values, starts):
+    table = _Table({"x": values})
+    assert table.runs.get("x") == starts
 
 
 DELTA = ("--cell", "delta:g=1", "--period", "1")

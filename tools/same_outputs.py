@@ -7,21 +7,21 @@ Run from the root of a checkout.  The committed files of REV are exported
 tree, one fresh interpreter each runs every command of
 ``perfbench/workloads.campaign(workload, seed)`` for the three workloads and
 seeds 7, 320, 1 and 2, by calling ``scatterchain.cli.main(argv)`` in-process
-with stdout captured to a file.  Both sides run the working tree's
-campaign, so they run the same argv lists.
+with stdout captured to a file and stderr in memory.  Both sides run the
+working tree's campaign, so they run the same argv lists.
 
-The exit code and the sha256 of the stdout of each command are compared.
-Every command that differs is listed; for one whose stdout differs, the
-tables are parsed (``perfbench/checks.parse_rows``) and each column's worst
-relative change |new - old| / max(|old|, |new|) over its cells that are
-numbers on both sides is printed, with the count of its other cells that
-differ (strings, or a number against an empty cell); where either side
-exited non-zero, its partial stdout is not parsed.  The exit status
-is 1 if an exit code differs, or if a stdout differs while the two sides'
-``scatterchain.__version__`` are equal: the output contract is "byte-
-identical across reruns of the same config and version", so a version bump
-is the one point where bytes may change, and the column changes are then
-its drift table.  perfbench/ is read, never written.
+The exit code and the sha256 of the stdout and of the stderr of each
+command are compared.  Every command that differs is listed; for one whose
+stdout differs, the tables are parsed (``perfbench/checks.parse_rows``) and
+each column's worst relative change |new - old| / max(|old|, |new|) over
+its cells that are numbers on both sides is printed, with the count of its
+other cells that differ (strings, or a number against an empty cell); where
+either side exited non-zero, its partial stdout is not parsed.  The exit
+status is 1 if an exit code differs, or if a stdout or a stderr differs
+while the two sides' ``scatterchain.__version__`` are equal: the output
+contract is "byte-identical across reruns of the same config and version",
+so a version bump is the one point where bytes may change, and the column
+changes are then its drift table.  perfbench/ is read, never written.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def side_outputs(src: str, into: str) -> dict:
     """Run every campaign command against the package under src, in this
     interpreter, writing the stdout of the i-th to into/i; return the
     package's version and, per command, the exit code and the sha256 of its
-    stdout."""
+    stdout and of its stderr."""
     sys.path.insert(0, src)
     import scatterchain
     from scatterchain import cli
@@ -61,16 +61,20 @@ def side_outputs(src: str, into: str) -> dict:
     for workload in WORKLOADS:
         for seed in SEEDS:
             for index, command in enumerate(workloads.campaign(workload, seed)):
-                out = io.StringIO()
-                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
                     code = cli.main(list(command.argv))
                 text = out.getvalue()
                 with open(os.path.join(into, str(len(outputs))), "w", encoding="utf-8") as fh:
                     fh.write(text)
-                digest = hashlib.sha256(text.encode()).hexdigest()
                 outputs.append({"command": f"{workload} seed {seed} #{index}",
-                                "argv": list(command.argv), "code": code, "sha256": digest})
+                                "argv": list(command.argv), "code": code,
+                                "sha256": _digest(text), "stderr_sha256": _digest(err.getvalue())})
     return {"version": scatterchain.__version__, "outputs": outputs}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_side(src: str, into: str) -> dict:
@@ -125,13 +129,15 @@ def column_changes(old_text: str, new_text: str, fmt: str) -> str:
 
 
 def compare(base: dict, change: dict, base_dir: str, change_dir: str) -> list[str]:
-    """One line per command whose exit code or stdout differs, a stdout
-    change followed by an indented line of its column changes."""
+    """One line per command whose exit code, stdout or stderr differs, a
+    stdout change followed by an indented line of its column changes."""
     lines = []
     for i, (old, new) in enumerate(zip(base["outputs"], change["outputs"], strict=True)):
         what = [f"exit {old['code']} -> {new['code']}"] if old["code"] != new["code"] else []
         if old["sha256"] != new["sha256"]:
             what.append(f"stdout {old['sha256'][:12]} -> {new['sha256'][:12]}")
+        if old["stderr_sha256"] != new["stderr_sha256"]:
+            what.append(f"stderr {old['stderr_sha256'][:12]} -> {new['stderr_sha256'][:12]}")
         if not what:
             continue
         lines.append(f"{new['command']}: {', '.join(what)}: {' '.join(new['argv'])}")
@@ -173,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     same = sum(old == new for old, new in pairs)
     codes = sum(old["code"] == new["code"] for old, new in pairs)
     print(f"{same} of {len(pairs)} commands identical to {args.rev} "
-          f"(stdout sha256 and exit code, seeds {', '.join(map(str, SEEDS))})")
+          f"(stdout and stderr sha256 and exit code, seeds {', '.join(map(str, SEEDS))})")
     if base["version"] != change["version"]:
         print(f"scatterchain {base['version']} at {args.rev}, {change['version']} here: "
               "outputs are only promised identical within one version; "
