@@ -19,8 +19,9 @@ from .cells import Lattice, PotentialCell, cell_lanes, cell_smatrix
 from .chain import (
     ChainState,
     _ChebyshevPlan,
+    _end_amplitudes,
+    _transmission_phase_slopes,
     bloch_parameter,
-    chain_amplitudes,
     chain_end_amplitudes,
 )
 from .core import (
@@ -134,43 +135,28 @@ class AsymptoticFit:
     l_limit_modulus: float
 
 
-def _stencil_windows(k_centers, fd_step: float) -> np.ndarray:
-    """The 5-point windows k + j*fd_step, j = -2..2, along a new last axis."""
-    offsets = np.arange(-2, 3) * fd_step
-    ks = np.asarray(k_centers, dtype=float)[..., None] + offsets
-    if (ks[..., 0] <= 0.0).any():
-        k = float(np.min(k_centers))
-        raise ConfigError(
-            f"field 'fd_step': finite-difference window around k={k!r} "
-            "extends to k <= 0; lower fd_step"
-        )
+def _stencil_window(k_center: float, fd_step: float) -> np.ndarray:
+    """The 5-point window k + j*fd_step, j = -2..2."""
+    ks = k_center + np.arange(-2, 3) * fd_step
+    if ks[0] <= 0.0:
+        raise ConfigError(f"field 'fd_step': finite-difference window around k={k_center!r} "
+                          "extends to k <= 0; lower fd_step")
     return ks
 
 
-def _stencil_step(windows: np.ndarray) -> np.ndarray:
-    """Step h of every 5-point window along the last axis.
-
-    Raises ConfigError unless each window is uniform to 1e-9 relative: at
-    large k or small fd_step, rounding of k + j*fd_step breaks the stencil.
-    """
-    steps = np.diff(windows, axis=-1)
-    h = steps[..., 0]
-    uniform = (h > 0.0) & (np.abs(steps - h[..., None]).max(axis=-1) <= 1e-9 * h)
-    if not uniform.all():
-        k = np.atleast_1d(windows[..., 2])[~np.atleast_1d(uniform)][0]
-        raise ConfigError(
-            f"field 'fd_step': stencil around k={float(k)!r} is not uniformly spaced "
-            "after rounding; raise fd_step"
-        )
-    return h
-
-
-def _five_point(values: np.ndarray, h) -> np.ndarray:
-    """d/dk at the centre of 5-point windows along the last axis: central
-    differences at steps h and 2h combined by one Richardson step."""
-    d_h = (values[..., 3] - values[..., 1]) / (2.0 * h)
-    d_2h = (values[..., 4] - values[..., 0]) / (4.0 * h)
-    return (4.0 * d_h - d_2h) / 3.0
+def _five_point(values: np.ndarray, window: np.ndarray) -> float:
+    """d/dk at the centre of a 5-point window: central differences at steps
+    h and 2h combined by one Richardson step.  Raises ConfigError unless
+    the window is uniform to 1e-9 relative: at large k or small fd_step,
+    rounding of k + j*fd_step breaks the stencil."""
+    steps = np.diff(window)
+    h = float(steps[0])
+    if not (h > 0.0 and np.abs(steps - h).max() <= 1e-9 * h):
+        raise ConfigError(f"field 'fd_step': stencil around k={float(window[2])!r} is not "
+                          "uniformly spaced after rounding; raise fd_step")
+    d_h = (values[3] - values[1]) / (2.0 * h)
+    d_2h = (values[4] - values[0]) / (4.0 * h)
+    return float((4.0 * d_h - d_2h) / 3.0)
 
 
 def _stencil_derivative(curve: PhaseCurve, k: WaveNumber) -> float:
@@ -182,7 +168,7 @@ def _stencil_derivative(curve: PhaseCurve, k: WaveNumber) -> float:
     if idx < 2 or idx > grid.size - 3:
         raise EdgeOfGridError("stencil needs at least two neighbors on each side of k")
     window = slice(idx - 2, idx + 3)
-    return float(_five_point(curve.values[window], _stencil_step(grid[window])))
+    return _five_point(curve.values[window], grid[window])
 
 
 def time_delays(
@@ -208,30 +194,6 @@ def time_delays(
     return DelayRecord(k=k, tau_t=taus[0], tau_l=taus[1], tau_r=taus[2], method=method)
 
 
-def _window_amplitudes(cell: PotentialCell, a: float, N: int, ks: np.ndarray):
-    """(t_log, t_phase, l, r) of the N-cell chain at every k of ks, in one
-    batched recurrence; for N = 1 the cell amplitudes directly, with
-    t_log = -inf where t vanishes."""
-    if N == 1:
-        t, l, r = cell_lanes(cell, ks)
-        with np.errstate(divide="ignore"):  # log 0 = -inf
-            return np.log(np.abs(t)), principal_phase_array(t), l, r
-    t_log, t_phase, _, l, r = chain_end_amplitudes(Lattice(cell, a, N), ks)
-    return t_log, t_phase, l, r
-
-
-def _window_phases(ks, t_log, t_phase, l, r, displacement: float):
-    """Raw (t, l, r) phases on the windows ks (window points along the last
-    axis), each with a per-window flag that its modulus stays >= MODULUS_FLOOR;
-    displacement shifts the chain right, rotating l and r."""
-    if displacement != 0.0:
-        l, r = displace_lanes(ks, l, r, displacement)
-    t_ok = (t_log >= math.log(MODULUS_FLOOR)).all(axis=-1)
-    l_ok = (np.abs(l) >= MODULUS_FLOOR).all(axis=-1)
-    r_ok = (np.abs(r) >= MODULUS_FLOOR).all(axis=-1)
-    return (t_phase, t_ok), (principal_phase_array(l), l_ok), (principal_phase_array(r), r_ok)
-
-
 def chain_phase_curves(
     cell: PotentialCell,
     a: float,
@@ -247,17 +209,22 @@ def chain_phase_curves(
     if its amplitude modulus falls below MODULUS_FLOOR anywhere on the
     window.  The t curve comes from the recurrence's accumulated phase, so
     it stays usable deep in a gap; displacement shifts the whole chain right
-    by that distance before phases are read off.  The one-centre case of
-    delay_scan's window phases.
+    by that distance before phases are read off.  With time_delays, the
+    stencil cross-check of delay_scan's analytic delays.
     """
-    ks = _stencil_windows(float(k_center), fd_step)
-    amplitudes = _window_amplitudes(cell, a, N, ks)
-    return tuple(
-        PhaseCurve(grid=ks, values=unwrap_phases(phases, ks), label=label) if ok else None
-        for label, (phases, ok) in zip(
-            "tlr", _window_phases(ks, *amplitudes, displacement)
-        )
-    )
+    ks = _stencil_window(float(k_center), fd_step)
+    if N == 1:
+        t, l, r = cell_lanes(cell, ks)
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            t_log, t_phase = np.log(np.abs(t)), principal_phase_array(t)
+    else:
+        t_log, t_phase, _, l, r = chain_end_amplitudes(Lattice(cell, a, N), ks)
+    if displacement != 0.0:
+        l, r = displace_lanes(ks, l, r, displacement)
+    phases = [(t_phase, (t_log >= math.log(MODULUS_FLOOR)).all())]
+    phases += [(principal_phase_array(z), (np.abs(z) >= MODULUS_FLOOR).all()) for z in (l, r)]
+    return tuple(PhaseCurve(grid=ks, values=unwrap_phases(p, ks), label=label) if ok else None
+                 for label, (p, ok) in zip("tlr", phases))
 
 
 def delay_scan(
@@ -266,43 +233,50 @@ def delay_scan(
     N: int,
     k_values,
     *,
-    fd_step: float = DEFAULT_FD_STEP,
     displacements: Sequence[float] = (0.0,),
 ) -> list[tuple[list[Optional[float]], ...]]:
     """Time delays (tau_t, tau_l, tau_r) of the N-cell chain at every k of k_values.
 
-    One batched recurrence covers all 5-point stencil windows of the scan;
-    every displacement in displacements reuses the same amplitudes with l
-    and r rotated.  Returns one (tau_t, tau_l, tau_r) triple of lists per
-    displacement, None where the phase is undefined on the window; each
-    value equals time_delays(chain_phase_curves(...)) at that k.  For N = 1
-    the cell's own amplitudes are used and a is not read (it may be None).
-    Raises ConfigError when a window is not uniformly spaced.
+    One batched recurrence, one lane per k, carries the amplitudes with
+    their analytic k-derivatives, and tau_x = Im(x'/x)/k: for t from
+    g = d ln t/dk in log form, so it stays defined deep in a gap.  Every
+    displacement in displacements reuses them with l and r rotated, which
+    adds exactly +-2x/k to tau_l and tau_r.  Returns one (tau_t, tau_l,
+    tau_r) triple of lists per displacement, None where the amplitude's
+    modulus at k is below MODULUS_FLOOR.  For N = 1 the cell's own
+    amplitudes are used and a is not read (it may be None).
     """
     k = np.asarray(k_values, dtype=float)
-    ks = _stencil_windows(k, fd_step)
-    h = _stencil_step(ks)
-    amplitudes = _window_amplitudes(cell, a, N, ks)
+    cell_dk = cell_lanes(cell, k, derivatives=True)
+    if N == 1:
+        _, l, r, g, dl, dr = cell_dk
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            t_log = np.log(np.abs(cell_dk[0]))
+    else:
+        t_log, _, _, l, r, g, dl, dr = _end_amplitudes(Lattice(cell, a, N), k, cell_dk)
+    tau_t = _defined(g.imag / k, t_log >= math.log(MODULUS_FLOOR))
     tables = []
     for displacement in displacements:
-        taus = []
-        for phases, ok in _window_phases(ks, *amplitudes, displacement):
-            tau = np.zeros(k.shape)
-            tau[ok] = _five_point(unwrap_phases(phases[ok], ks[ok]), h[ok]) / k[ok]
-            taus.append([v if defined else None for v, defined in zip(tau.tolist(), ok.tolist())])
+        l_x, r_x, dl_x, dr_x = (displace_lanes(k, l, r, displacement, dl, dr) if displacement
+                                else (l, r, dl, dr))
+        taus = [tau_t]
+        for z, dz in ((l_x, dl_x), (r_x, dr_x)):
+            ok = np.abs(z) >= MODULUS_FLOOR
+            log_dz = np.divide(dz, z, out=np.zeros(z.shape, dtype=complex), where=ok)
+            taus.append(_defined(log_dz.imag / k, ok))
         tables.append(tuple(taus))
     return tables
 
 
-def hartman_scan(
-    cell: PotentialCell,
-    a: float,
-    k: WaveNumber,
-    n_max: int,
-    *,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> list[HartmanRecord]:
-    """Traversal times T_t(N) for N = 1..n_max at fixed k.
+def _defined(values: np.ndarray, ok: np.ndarray) -> list[Optional[float]]:
+    # values as a list, None where ok is False
+    return [v if defined else None for v, defined in zip(values.tolist(), ok.tolist())]
+
+
+def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> list[HartmanRecord]:
+    """Traversal times T_t(N) = N a/v + tau_t(N) for N = 1..n_max at fixed k,
+    with tau_t(N) = Im(d ln t^(N)/dk)/k from one recurrence that carries
+    the k-derivative analytically.
 
     In a gap the time delay approaches -N*a/v, so T_t(N) saturates instead
     of growing: the transmitted particle's effective traversal velocity is
@@ -317,14 +291,10 @@ def hartman_scan(
                 "traversal time will grow with N instead of saturating"
             )
         )
-    ks = _stencil_windows(k.k, fd_step)
-    h = _stencil_step(ks)
-    sweeps = [chain_amplitudes(Lattice(cell, a, n_max), WaveNumber(kv)) for kv in ks.tolist()]
-    phases = np.stack([sweep.t_phases for sweep in sweeps], axis=-1)
-    taus = _five_point(unwrap_phases(phases, ks), h) / k.velocity
     a = float(a)
+    taus = [slope / k.velocity for slope in _transmission_phase_slopes(Lattice(cell, a, n_max), k)]
     return [HartmanRecord(N=n, tau_t_N=tau, T_t_N=n * a / k.velocity + tau, k=k, a=a)
-            for n, tau in enumerate(taus.tolist(), 1)]
+            for n, tau in enumerate(taus, 1)]
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
@@ -416,10 +386,11 @@ def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
     weighted, pairs = np.empty(k_values.size), np.empty(steps.size)
 
     def integral(y: np.ndarray):
-        # numpy's trapezoid rule, (d * (y[1:] + y[:-1]) / 2.0).sum(), in place
+        # numpy's trapezoid rule, (d * (y[1:] + y[:-1]) / 2.0).sum(), in place;
+        # halving by * 0.5 is exact, so it equals / 2.0 bit for bit
         np.add(y[1:], y[:-1], out=pairs)
         np.multiply(steps, pairs, out=pairs)
-        np.divide(pairs, 2.0, out=pairs)
+        np.multiply(pairs, 0.5, out=pairs)
         return pairs.sum()
 
     norm = integral(weight)

@@ -148,15 +148,25 @@ class TransferMatrix:
         )
 
 
-def _delta_lanes(g: float, k):
-    # Matching psi'(0+) - psi'(0-) = 2 g psi(0) gives t = 1/(1 + i g/k).
+def _delta_lanes(g: float, k, derivatives: bool = False):
+    # Matching psi'(0+) - psi'(0-) = 2 g psi(0) gives t = 1/(1 + i g/k); with
+    # u = g/k, d ln t/dk = i u/(k D) and dl/dk = dr/dk = i u/(k D^2), D = 1 + i u.
     u = g / k
     den = 1.0 + 1j * u
     lr = -1j * u / den
-    return 1.0 / den, lr, lr
+    if not derivatives:
+        return 1.0 / den, lr, lr
+    g_t = 1j * u / (k * den)
+    return 1.0 / den, lr, lr, g_t, g_t / den, g_t / den
 
 
-def _rect_lanes(V0: float, w: float, k):
+# Taylor coefficients in x = q^2 w^2 of dS/d(q^2) / w^3, S = sin(qw)/q: the
+# n-th is (-1)^n n/(2n+1)!, for n = 1..10; at |x| <= 1 the first omitted
+# one is below 1e-21.
+_DS_SERIES = tuple((-1) ** n * n / math.factorial(2 * n + 1) for n in range(10, 0, -1))
+
+
+def _rect_lanes(V0: float, w: float, k, derivatives: bool = False):
     """Closed-form amplitudes for a rectangular barrier on [0, w].
 
     Inside wavevector q = sqrt(k^2 - 2*V0) (imaginary under the barrier).
@@ -164,35 +174,52 @@ def _rect_lanes(V0: float, w: float, k):
     l = -i V0 sin(qw)/(k q) * t * e^{ikw},  r = l * e^{-2ikw}.
     The degenerate case q = 0 (E = V0) uses the linear-solution limit
     sin(qw)/q -> w instead of epsilon-shifting the energy.
+
+    With derivatives, also d ln t/dk, dl/dk and dr/dk.  In s = q^2, with
+    C = cos(qw) and S = sin(qw)/q (both entire in s), the denominator is
+    D = C - i S (k - V0/k), and d/dk = 2k d/ds; dS/ds = (wC - S)/(2s) is
+    summed as its Taylor series where |s w^2| <= 1, so that it stays exact
+    through s = 0 and no 1/q appears.
     """
     q2 = k * k - 2.0 * V0
     q = np.sqrt(q2 + 0j)
-    sin_qw = np.sin(q * w)
+    cos_qw, sin_qw = np.cos(q * w), np.sin(q * w)
     degenerate = q2 == 0.0
     den = np.where(degenerate, 1.0 - 0.5j * k * w,
-                   np.cos(q * w) - 0.5j * (k / q + q / k) * sin_qw)
+                   cos_qw - 0.5j * (k / q + q / k) * sin_qw)
     sin_over_q = np.where(degenerate, w, sin_qw / q)
     t = np.exp(-1j * k * w) / den
     l = -1j * V0 * sin_over_q / k * t * np.exp(1j * k * w)
-    return t, l, l * np.exp(-2j * k * w)
+    back = np.exp(-2j * k * w)
+    if not derivatives:
+        return t, l, l * back
+    x = q2 * w * w
+    ds = np.where(np.abs(x) <= 1.0, np.polyval(_DS_SERIES, x) * w ** 3,
+                  (w * cos_qw - sin_over_q) / (2.0 * q2))
+    dlog = (-k * w * sin_over_q - 1j * (2.0 * (k * k - V0) * ds
+                                        + sin_over_q * (1.0 + V0 / (k * k)))) / den
+    dl = -1j * V0 / (k * den) * (2.0 * k * ds - sin_over_q * (1.0 / k + dlog))
+    return t, l, l * back, -1j * w - dlog, dl, (dl - 2j * w * l) * back
 
 
-def _piecewise_lanes(cell: PiecewiseConstant, k):
+def _piecewise_lanes(cell: PiecewiseConstant, k, derivatives: bool = False):
     # Compose the closed-form segment matrices left to right; positioning is
     # injected through displace_lanes, independent of the transfer-matrix oracle.
     segments, x = [], 0.0
     for width, height in cell.segments:
-        t, l, r = _rect_lanes(height, width, k)
-        segments.append((t, *displace_lanes(k, l, r, x)))
+        t, l, r, *dk = _rect_lanes(height, width, k, derivatives)  # dk: [g, dl, dr] or []
+        l, r, *dl_dr = displace_lanes(k, l, r, x, *dk[1:])
+        segments.append((t, l, r, *dk[:1], *dl_dr))
         x += width
     return functools.reduce(compose_lanes, segments)
 
 
-def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cell_lanes(cell, k_values, derivatives: bool = False) -> tuple[np.ndarray, ...]:
     """Closed-form (t, l, r) of the cell at every wave number of k_values, as
     complex arrays of k_values' shape, evaluated LANE_CHUNK lanes at a time.
-    The wave numbers must be finite and positive; one check per call names
-    the first non-finite amplitude."""
+    With derivatives, (t, l, r, g, dl/dk, dr/dk), g = d ln t/dk, which stays
+    finite where t is tiny.  The wave numbers must be finite and positive;
+    one check per call names the first non-finite amplitude."""
     if isinstance(cell, DeltaSpike):
         closed_form = functools.partial(_delta_lanes, cell.g)
     elif isinstance(cell, RectBarrier):
@@ -205,13 +232,14 @@ def cell_lanes(cell, k_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     valid = np.isfinite(k) & (k > 0.0)
     if not valid.all():
         raise ValueError(f"wave number must be finite and positive, got {float(k[~valid][0])!r}")
-    lanes = np.empty((3, k.size), dtype=complex)
+    lanes = np.empty((6 if derivatives else 3, k.size), dtype=complex)
     with np.errstate(all="ignore"):  # overflow leaves inf or NaN for the check below
         for start in range(0, k.size, LANE_CHUNK):
-            lanes[:, start:start + LANE_CHUNK] = closed_form(k.ravel()[start:start + LANE_CHUNK])
-    t, l, r = lanes.reshape((3, *k.shape))
-    check_finite(t=t, l=l, r=r)
-    return t, l, r
+            lanes[:, start:start + LANE_CHUNK] = closed_form(
+                k.ravel()[start:start + LANE_CHUNK], derivatives)
+    lanes = lanes.reshape((len(lanes), *k.shape))
+    check_finite(**dict(zip(("t", "l", "r", "d ln t/dk", "dl/dk", "dr/dk"), lanes)))
+    return tuple(lanes)
 
 
 def cell_smatrix(cell: PotentialCell, k: WaveNumber) -> ScatteringMatrix:

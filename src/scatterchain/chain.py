@@ -153,40 +153,81 @@ def chain_end_amplitudes(
 
 def _end_amplitudes(lattice: Lattice, k: np.ndarray, cell):
     # chain_end_amplitudes given the cell's (t, l, r) at k, for a caller that
-    # has them already
-    tc, lc, rc = (x.ravel() for x in cell)
+    # has them already; given the cell's (t, l, r, g, dl/dk, dr/dk) of
+    # cell_lanes(..., derivatives=True), the chain's g, dl/dk and dr/dk follow
+    tc, lc, rc, *dk = (x.ravel() for x in cell)
     mod = np.abs(tc)
     if (mod < MODULUS_FLOOR).any():
         raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    lt, pt, t, l, r = np.log(mod), principal_phase_array(tc), tc, lc, rc
+    one_cell = (np.log(mod), principal_phase_array(tc), tc, lc, rc, *dk)
+    state = one_cell
     if lattice.N > 1:
         position_phase(k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
-        t, l, r = t.copy(), l.copy(), r.copy()
+        state = tuple(x.copy() for x in one_cell)
         for start in range(0, k.size, LANE_CHUNK):
             lanes = slice(start, start + LANE_CHUNK)
-            lt[lanes], pt[lanes], t[lanes], l[lanes], r[lanes] = _grow_lanes(
-                lattice, k.ravel()[lanes], lt[lanes], pt[lanes], tc[lanes], lc[lanes], rc[lanes]
-            )
-    return tuple(x.reshape(k.shape) for x in (lt, pt, t, l, r))
+            grown = _grow_lanes(lattice, k.ravel()[lanes], *(x[lanes] for x in one_cell))
+            for x, y in zip(state, grown):
+                x[lanes] = y
+    return tuple(x.reshape(k.shape) for x in state)
 
 
-def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc):
-    # chain_amplitudes' loop, one vectorised step per n over the lanes
+def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc, *dk):
+    # chain_amplitudes' loop, one vectorised step per n over the lanes; given
+    # the cell's dk = (g, dl/dk, dr/dk), g = d ln t/dk, the chain's follow by
+    # the product rule, with g_{n+1} = g_n + g - D_n'/D_n in log form
     lt, pt, l, r = lt_c, pt_c, lc, rc
     tt = tc * tc
     two_k = 2.0 * k
+    if dk:
+        g_c, dl_c, dr_c = dk
+        g, dl, dr = dk
     for n in range(1, lattice.N):
         pos = np.exp(1j * (two_k * n * lattice.a))
+        back = pos.conj()
         den = 1.0 - lc * r * pos
         abs_den = np.abs(den)
         if (abs_den < 1e-14).any():
             raise _vanished(n)
         t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
+        if dk:  # from the step's old g, l and r
+            x2i = 2j * n * lattice.a  # d/dk of e^{2ikna} is 2ina e^{2ikna}
+            dlog = -pos * (dl_c * r + lc * (dr + x2i * r)) / den  # D_n'/D_n
+            dl = dl + t_sq * pos / den * (lc * (2.0 * g + x2i - dlog) + dl_c)
+            dr = (dr_c - x2i * rc) * back + tt / den * (2.0 * g_c * r + dr - r * dlog)
+            g = g + (g_c - dlog)
         l = l + t_sq * lc * pos / den
-        r = rc * pos.conj() + tt * r / den
+        r = rc * back + tt * r / den
         lt = lt + (lt_c - np.log(abs_den))
         pt = pt + (pt_c - np.angle(den))
-    return lt, pt, _exp_lanes(lt, pt), l, r
+    return (lt, pt, _exp_lanes(lt, pt), l, r, *((g, dl, dr) if dk else ()))
+
+
+def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> list[float]:
+    """d arg t^(n)/dk = Im g_n for n = 1..N at one k, g_n = d ln t^(n)/dk:
+    chain_amplitudes' recurrence carrying only what g needs, r^(n), its
+    k-derivative and g_n itself, in the log form of _grow_lanes."""
+    cell = cell_lanes(lattice.cell, [k.k], derivatives=True)
+    tc, lc, rc, g_c, dl_c, dr_c = (complex(x[0]) for x in cell)
+    if abs(tc) < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
+    exp, two_ik, a, tt = cmath.exp, 2.0j * k.k, lattice.a, tc * tc
+    g, r, dr = g_c, rc, dr_c
+    out = [g.imag]
+    for n in range(1, lattice.N):
+        pos = exp(two_ik * n * a)
+        lc_pos = lc * pos
+        den = 1.0 - lc_pos * r
+        if abs(den) < 1e-14:
+            raise _vanished(n)
+        x2i, back = 2j * n * a, pos.conjugate()
+        dlog = -(pos * dl_c * r + lc_pos * (dr + x2i * r)) / den
+        dr = (dr_c - x2i * rc) * back + tt / den * (2.0 * g_c * r + dr - r * dlog)
+        r = rc * back + tt * r / den
+        g += g_c - dlog
+        out.append(g.imag)
+    return out
 
 
 def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_EDGE_TOL,
-    DEFAULT_FD_STEP,
     _packet_profile,
     band_class_lanes,
     delay_scan,
@@ -111,7 +110,6 @@ _FIELDS = {
     "sigma": (float, None, "wave-packet width in k"),
     "format": (str, "csv", "output format"),
     "tol_edge": (float, DEFAULT_EDGE_TOL, None),
-    "fd_step": (float, DEFAULT_FD_STEP, None),
     "tol_unitarity": (float, 1e-10, None),
     "displaced": (bool, False, "also tabulate the system displaced by one period"),
     "out": (str, "", "output path (default: stdout)"),
@@ -154,7 +152,6 @@ _CHECKS = (
     ("sigma", lambda v, c: c["k0"] - 5.0 * v > 0.0, "packet window extends to k <= 0"),
     ("period", _positive, _POSITIVE),
     ("tol_edge", _positive, _POSITIVE),
-    ("fd_step", _positive, _POSITIVE),
     ("tol_unitarity", _positive, _POSITIVE),
 )
 
@@ -384,9 +381,7 @@ def run_bands(cfg: ExperimentConfig):
 def run_hartman(cfg: ExperimentConfig):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = hartman_scan(
-            cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max, fd_step=cfg.fd_step
-        )
+        records = hartman_scan(cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max)
     warning = next((str(w.message) for w in caught if issubclass(w.category, InBandWarning)), "")
     times = [rec.T_t_N for rec in records]
     return _meta(cfg), _Table({
@@ -400,7 +395,7 @@ def run_hartman(cfg: ExperimentConfig):
 
 def run_delay(cfg: ExperimentConfig):
     k_grid = cfg.k_grid()
-    tables = delay_scan(cfg.potential, cfg.period, cfg.n, k_grid, fd_step=cfg.fd_step,
+    tables = delay_scan(cfg.potential, cfg.period, cfg.n, k_grid,
                         displacements=(0.0, cfg.period) if cfg.displaced else (0.0,))
     columns = {"k": k_grid, **{f"tau_{x}": taus for x, taus in zip("tlr", tables[0])}}
     if cfg.displaced:

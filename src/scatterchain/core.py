@@ -136,26 +136,44 @@ def position_phase(k_values, a: float, n: int = 1) -> np.ndarray:
     return phase
 
 
-def displace_lanes(k_values, l, r, x: float) -> tuple[np.ndarray, np.ndarray]:
+def displace_lanes(k_values, l, r, x: float, *derivatives) -> tuple[np.ndarray, ...]:
     """l and r of the scatterer rigidly shifted right by x (left for x < 0),
-    in every lane: l e^{2ikx} and r e^{-2ikx}; t is untouched."""
+    in every lane: l e^{2ikx} and r e^{-2ikx}; t is untouched.  Given also
+    derivatives, (dl/dk, dr/dk), returns theirs after l and r: the product
+    rule adds 2ix l to dl/dk and -2ix r to dr/dk before the rotation."""
     rot = np.exp(1j * position_phase(k_values, x))
-    return l * rot, r * rot.conj()
+    back = rot.conj()
+    moved = (l * rot, r * back)
+    if not derivatives:
+        return moved
+    dl, dr = derivatives
+    return (*moved, (dl + 2j * x * l) * rot, (dr - 2j * x * r) * back)
 
 
-def compose_lanes(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def compose_lanes(a, b) -> tuple[np.ndarray, ...]:
     """(t, l, r) of a = (tA, lA, rA) followed on its right by b = (tB, lB, rB),
     both in the same coordinates, in every lane.  Summing the bounces
     between the two gives the unitary, associative closed form
 
         t = tA tB / D,  l = lA + tA^2 lB / D,  r = rB + tB^2 rA / D,  D = 1 - lB rA.
+
+    When a and b each carry their k-derivatives (g, dl/dk, dr/dk) after
+    (t, l, r), with g = d ln t/dk, so does the result, by the product rule:
+    g = gA + gB - D'/D, which stays finite where t underflows.
     """
-    (ta, la, ra), (tb, lb, rb) = a, b
+    (ta, la, ra, *da), (tb, lb, rb, *db) = a, b
     den = 1.0 - lb * ra
     if (np.abs(den) < 1e-14).any():
         raise ResonanceDivergenceError("composition denominator 1 - lB*rA vanished; "
                                        "inputs are not a valid unitary pair")
-    return ta * tb / den, la + ta * ta * lb / den, rb + tb * tb * ra / den
+    tta, ttb = ta * ta, tb * tb
+    out = ta * tb / den, la + tta * lb / den, rb + ttb * ra / den
+    if not da:
+        return out
+    (ga, dla, dra), (gb, dlb, drb) = da, db
+    dlog = -(dlb * ra + lb * dra) / den  # D'/D
+    return (*out, ga + gb - dlog, dla + tta / den * (2.0 * ga * lb + dlb - lb * dlog),
+            drb + ttb / den * (2.0 * gb * ra + dra - ra * dlog))
 
 
 def principal_phase_array(z) -> np.ndarray:

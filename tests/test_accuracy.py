@@ -1,4 +1,5 @@
-"""Accuracy of the cell and chain amplitudes against a 40-digit mpmath oracle.
+"""Accuracy of the cell and chain amplitudes, their k-derivatives and the time
+delays against a 40-digit mpmath oracle.
 
 The oracle is independent of the package's arithmetic: each cell's
 transfer matrix is the product of exact (psi, psi') segment maps, as in
@@ -6,11 +7,14 @@ transfer_oracle, and the N-cell chain's is M_N = S^{-N} (S M)^N with
 S = diag(e^{ika}, e^{-ika}), raised to N by binary powering.  Errors are
 absolute, in units of the double epsilon, over t, l, r and ln|t| (the
 amplitudes have modulus <= 1; ln|t| carries the relative error of t where
-t itself underflows).  The bounds hold at least twice the worst error seen,
+t itself underflows).  The k-derivatives of the amplitudes, and the delays
+built on them, are checked against a central difference of the oracle at
+twice its digits.  The bounds hold at least twice the worst error seen,
 so they gate accuracy without fixing a single output bit.
 """
 
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -86,10 +90,10 @@ def exact_transfer(cell, k):
     return m11, m12, m21, m22
 
 
-def exact_amplitudes(cell, k, a=None, n=1):
+def exact_amplitudes(cell, k, a=None, n=1, dps=DPS):
     """(t, l, r) of n cells of period a at k: t = 1/m22, l = -m21/m22,
-    r = m12/m22 of M_N = S^{-N} (S M)^N."""
-    with mpmath.workdps(DPS):
+    r = m12/m22 of M_N = S^{-N} (S M)^N, at dps digits."""
+    with mpmath.workdps(dps):
         m = exact_transfer(cell, k)
         if n > 1:
             phase = mpmath.exp(1j * mpmath.mpf(k) * mpmath.mpf(a))
@@ -98,6 +102,26 @@ def exact_amplitudes(cell, k, a=None, n=1):
         else:
             m11, m12, m21, m22 = m
         return 1 / m22, -m21 / m22, m12 / m22
+
+
+def exact_derivatives(cell, k, a=None, n=1):
+    """(t, l, r) of exact_amplitudes and their k-derivatives (t', l', r'),
+    by a central difference of step k 10^-DPS at 2 DPS digits: its
+    truncation error is near 10^-2DPS relative, its rounding error near
+    10^-DPS."""
+    with mpmath.workdps(2 * DPS):
+        k = mpmath.mpf(k)
+        h = k * mpmath.mpf(10) ** -DPS
+        plus, minus = (exact_amplitudes(cell, kv, a, n, 2 * DPS) for kv in (k + h, k - h))
+        return (exact_amplitudes(cell, k, a, n, 2 * DPS),
+                tuple((p - m) / (2 * h) for p, m in zip(plus, minus)))
+
+
+def exact_delays(cell, k, a=None, n=1):
+    """The exact (tau_t, tau_l, tau_r) = Im(x'/x)/k, as floats."""
+    amplitudes, derivatives = exact_derivatives(cell, k, a, n)
+    with mpmath.workdps(2 * DPS):
+        return tuple(float(mpmath.im(d / x) / k) for x, d in zip(amplitudes, derivatives))
 
 
 def error_eps(exact, t, l, r, t_log=None) -> float:
@@ -146,3 +170,100 @@ def test_cell_lanes(name):
 def test_chain_routes(name, n):
     errors = chain_errors(name, n)
     assert max(errors.values()) <= CHAIN_BOUNDS[name][n], errors
+
+
+# Bounds in eps on the worst error of the k-derivatives (g = d ln t/dk,
+# dl/dk, dr/dk), each relative to max(1, |exact value|), of cell_lanes per
+# cell (worst seen: delta 0.83, barrier 4.7, well 1.3, piecewise 11.9) ...
+DERIVATIVE_CELL_BOUNDS = {"delta": 2.0, "barrier": 10.0, "well": 3.0, "piecewise": 24.0}
+# ... barrier wave numbers on and next to q^2 = k^2 - 2 V0 = 0 (V0 = 2): k = 2
+# exactly, and |q^2| <= 1e-10 ...
+DEGENERATE_K = [2.0, 2.0 + 1e-11, 2.0 - 1e-11, 2.0 + 2.5e-11, 2.0 - 2.5e-11, 2.0 + 4e-16]
+# ... and of the chain's, per cell and N, over its three routes (worst seen
+# at N = 2, 64, 400: delta 4.5, 846, 47752; well 7.6, 1348, 27904;
+# piecewise 16.1, 2388, 16482, each time on the lanes' derivatives)
+DERIVATIVE_CHAIN_BOUNDS = {
+    "delta": {2: 10.0, 64: 1800.0, 400: 96000.0},
+    "well": {2: 16.0, 64: 2700.0, 400: 56000.0},
+    "piecewise": {2: 33.0, 64: 4800.0, 400: 33000.0},
+}
+
+
+def derivative_error_eps(exact, derivatives) -> float:
+    """Worst error of (g, dl/dk, dr/dk) against exact_derivatives' result,
+    each relative to max(1, |exact|), in eps."""
+    (t, _, _), (dt, dl, dr) = exact
+    with mpmath.workdps(DPS):
+        errors = [abs(mpmath.mpc(got) - x) / max(1, abs(x))
+                  for got, x in zip(derivatives, (dt / t, dl, dr))]
+    return float(max(errors)) / EPS
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_cell_derivatives(name):
+    cell = CELLS[name]
+    ks = np.concatenate([K_VALUES, DEGENERATE_K if name == "barrier" else []])
+    lanes = zip(*(x.tolist() for x in sc.cells.cell_lanes(cell, ks, derivatives=True)[3:]))
+    worst = max(derivative_error_eps(exact_derivatives(cell, kv), dk)
+                for kv, dk in zip(ks.tolist(), lanes))
+    assert worst <= DERIVATIVE_CELL_BOUNDS[name], worst
+
+
+def delay_error_eps(k, taus, exact) -> float:
+    """Worst error of (tau_t, tau_l, tau_r) times k against Im(x'/x) of
+    exact_derivatives' result, in eps.  For t it is relative to
+    max(1, |t'/t|), as for g.  For l and r, errors dx' and dx give the
+    error (|dx'| + |x'/x| |dx|)/|x| of x'/x, which grows without bound as
+    |x| -> 0, so it is divided by (max(1, |x'|) + |x'/x|)/|x|: what remains
+    is in the units of derivative_error_eps and error_eps."""
+    errors = []
+    with mpmath.workdps(DPS):
+        for i, (tau, x, d) in enumerate(zip(taus, *exact)):
+            ratio = abs(d / x)
+            scale = 1 / max(1, ratio) if i == 0 else abs(x) / (max(1, abs(d)) + ratio)
+            errors.append(abs(mpmath.mpf(tau) * k - mpmath.im(d / x)) * scale)
+    return float(max(errors)) / EPS
+
+
+def chain_derivative_errors(name, n) -> dict:
+    """Worst error of each route to the chain's k-derivatives at n cells
+    over K_VALUES, in eps: the lanes' (g, dl/dk, dr/dk), and the delays of
+    delay_scan and of hartman_scan (tau_t(n) alone)."""
+    cell, a = CELLS[name], PERIODS[name]
+    exact = [exact_derivatives(cell, kv, a, n) for kv in K_VALUES.tolist()]
+    lanes = sc.chain._end_amplitudes(sc.Lattice(cell, a, n), K_VALUES,
+                                     sc.cells.cell_lanes(cell, K_VALUES, derivatives=True))
+    delays = zip(*sc.delay_scan(cell, a, n, K_VALUES)[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sc.InBandWarning)
+        hartman = [sc.hartman_scan(cell, a, sc.WaveNumber(kv), n)[-1].tau_t_N
+                   for kv in K_VALUES.tolist()]
+    ks = K_VALUES.tolist()
+    return {
+        "lanes": max(map(derivative_error_eps, exact, zip(*(x.tolist() for x in lanes[5:])))),
+        "delay_scan": max(map(delay_error_eps, ks, delays, exact)),
+        "hartman_scan": max(delay_error_eps(kv, [tau], ([x[0]], [d[0]]))
+                            for kv, tau, (x, d) in zip(ks, hartman, exact)),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 64, 400])
+@pytest.mark.parametrize("name", sorted(PERIODS))
+def test_chain_derivatives(name, n):
+    errors = chain_derivative_errors(name, n)
+    assert max(errors.values()) <= DERIVATIVE_CHAIN_BOUNDS[name][n], errors
+
+
+# k from 1e-2 to 1e5, where tau_t = g/(k (k^2 + g^2)) spans some 17 decades
+DELTA_DELAY_K = np.geomspace(1e-2, 1e5, 29)
+
+
+@pytest.mark.parametrize("g", [1.0, -0.7, 5.0])
+def test_single_delta_delay_closed_form(g):
+    # worst relative error seen: 1.5 eps (g = 1), 2.0 (g = -0.7), 2.3 (g = 5)
+    taus = sc.delay_scan(sc.DeltaSpike(g), None, 1, DELTA_DELAY_K)[0]
+    with mpmath.workdps(DPS):
+        exact = [g / (k * (k * k + g * g)) for k in map(mpmath.mpf, DELTA_DELAY_K.tolist())]
+        worst = max(float(abs(tau - x) / abs(x)) / EPS for column in taus
+                    for tau, x in zip(column, exact))
+    assert worst <= 5.0, worst

@@ -11,6 +11,7 @@ import pytest
 import scatterchain as sc
 from scatterchain import analysis
 from support import identity_smatrix
+from test_accuracy import exact_delays
 
 
 K1 = sc.WaveNumber(1.0)
@@ -128,7 +129,8 @@ class TestHartmanScan:
     @pytest.mark.parametrize("k", [1.0, 2.5], ids=["gap", "band"])
     def test_equals_per_n_loop_reference(self, k):
         # Five scalar sweeps, then per N: unwrap the window and apply the
-        # 5-point formula, as hartman_scan did one N at a time.
+        # 5-point formula, the stencil cross-check of the analytic delays,
+        # met to the delay-oracle tolerance, relative above 1.
         h, n_max = 1e-4, 40
         ks = [k + j * h for j in range(-2, 3)]
         sweeps = [sc.chain_amplitudes(sc.Lattice(COMB5, 1.0, n_max), sc.WaveNumber(kv))
@@ -142,13 +144,19 @@ class TestHartmanScan:
             expected.append(float((4.0 * d_h - d_2h) / 3.0) / k)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", sc.InBandWarning)
-            records = sc.hartman_scan(COMB5, 1.0, sc.WaveNumber(k), n_max, fd_step=h)
-        assert [rec.tau_t_N for rec in records] == expected
+            records = sc.hartman_scan(COMB5, 1.0, sc.WaveNumber(k), n_max)
+        for rec, want in zip(records, expected, strict=True):
+            assert rec.tau_t_N == pytest.approx(want, rel=1e-6, abs=1e-6)
 
-    def test_nonuniform_window_is_a_config_error(self):
-        with warnings.catch_warnings(), pytest.raises(sc.ConfigError, match="fd_step"):
+    def test_large_k_delays_are_exact(self):
+        # at k = 1e5 rounding of k + j*1e-4 breaks a 5-point stencil; the
+        # analytic derivative needs no step
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", sc.InBandWarning)
-            sc.hartman_scan(COMB5, 1.0, sc.WaveNumber(1e5), 4)
+            records = sc.hartman_scan(COMB5, 1.0, sc.WaveNumber(1e5), 4)
+        for rec in records:
+            exact = exact_delays(COMB5, 1e5, 1.0, rec.N)[0]
+            assert rec.tau_t_N == pytest.approx(exact, rel=1e-12)
 
     def test_gap_point_does_not_warn(self):
         with warnings.catch_warnings():

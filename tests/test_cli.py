@@ -19,6 +19,7 @@ from scatterchain import analysis, cli
 from scatterchain.cli import main, parse_cell_spec
 import scatterchain as sc
 from support import EPS, scalar_chebyshev_inputs
+from test_accuracy import exact_delays
 
 
 def run_cli(capsys, *args):
@@ -87,9 +88,9 @@ def count_cell_smatrix(monkeypatch):
     calls = []
     original = sc.cells.cell_lanes
 
-    def counted(cell, k_values):
+    def counted(cell, k_values, *args, **kwargs):
         calls.extend(np.ravel(k_values).tolist())
-        return original(cell, k_values)
+        return original(cell, k_values, *args, **kwargs)
 
     for module in (sc.cells, sc.chain, sc.analysis, sc.cli):
         monkeypatch.setattr(module, "cell_lanes", counted)
@@ -129,10 +130,12 @@ def assert_rows_near(rows, expected, bounds):
 # complex arithmetic, log, arctan2, cos and squares differently from numpy:
 # amplitude columns against the scalar recurrence (worst seen 6.7 eps, on
 # alpha_r), closed-form columns against (z, rho) from CPython (19 eps, on
-# T_N_max next to band edges), and delays, per fd_step (0.16 eps).
+# T_N_max next to band edges).
 CHAIN_DRIFT = 16 * EPS
 CHEBYSHEV_DRIFT = 40 * EPS
-DELAY_DRIFT = 0.4 * EPS
+# Analytic delays against the 5-point stencil of the scalar loop: the
+# delay-oracle tolerance, relative where the reference exceeds 1 in magnitude.
+DELAY_ORACLE_TOL = 1e-6
 
 
 def amplitude_columns(s):
@@ -665,14 +668,21 @@ class TestHartmanCommand:
         assert all("not in a gap" in row["warning"] for row in rows)
 
 
-    @pytest.mark.parametrize("k0", ["1e5", "1e-5"])
-    def test_unresolvable_stencil_is_a_config_error(self, capsys, k0):
+    # A 5-point stencil cannot resolve these k0; the analytic derivative
+    # needs no step.  At k0 = 1e-5 the cell's |l| is 1 - 5e-11, so D_n cancels
+    # to about 4e-5 and the rounding of l alone moves d ln t/dk, whose real
+    # part is about 1/k0, by ~1e-11 of it: tau_t keeps ~6 digits (worst seen
+    # 3.0e-6 relative).
+    @pytest.mark.parametrize("k0, rel", [("1e5", 1e-12), ("1e-5", 1e-5)], ids=["1e5", "1e-5"])
+    def test_extreme_k0_delays_are_exact(self, capsys, k0, rel):
         code, out, err = run_cli(
             capsys, "hartman", "--cell", "delta:g=1", "--period", "1",
             "--k0", k0, "--N-max", "4",
         )
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and "fd_step" in err
+        assert code == 0 and err == ""
+        for row in parse_csv(out):
+            exact = exact_delays(sc.DeltaSpike(1.0), float(k0), 1.0, int(row["N"]))[0]
+            assert float(row["tau_t"]) == pytest.approx(exact, rel=rel)
 
 
 class TestDelayCommand:
@@ -689,8 +699,8 @@ class TestDelayCommand:
             assert float(row["dtau_r"]) == pytest.approx(-2 * 0.7 / k, abs=1e-6)
 
     # A barrier chain whose k grid holds a transmission resonance, at
-    # RESONANCE_K: there the 5-point stencil straddles the +-pi jump of alpha_r
-    # and unwraps it to opposite branches for the base and the displaced chain.
+    # RESONANCE_K, where |r| is about 3.8e-3: a 5-point stencil there straddles
+    # the +-pi jump of alpha_r (it gave dtau_r = 14346.88); Im(r'/r) has no branch.
     RESONANCE_ARGS = (
         "delay", "--cell", "barrier:V0=-2.218715,w=0.327098", "--period", "1.010354",
         "--N", "32", "--displaced", "--k-min", "0.2", "--k-max", "4.0", "--k-count", "1000",
@@ -712,10 +722,6 @@ class TestDelayCommand:
             if k != self.RESONANCE_K:
                 assert float(row["dtau_r"]) == pytest.approx(-shift, abs=1e-6), k
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: k = 2.5545545545545547 sits on "
-                       "a transmission resonance, and the 5-point stencil unwraps the "
-                       "+-pi jump of alpha_r to opposite branches for the base and the "
-                       "displaced chain (dtau_r = 14346.88)")
     def test_displacement_law_on_a_transmission_resonance(self, capsys):
         row = self.resonance_rows(capsys)[self.RESONANCE_K]
         shift = 2 * 1.010354 / float(self.RESONANCE_K)
@@ -744,10 +750,11 @@ class TestDelayCommand:
         assert code == 0
         rows = json.loads(out)["rows"]
         k_grid = [row.pop("k") for row in rows]
+        # a step of 1e-5: at 1e-4 the stencil's truncation error reaches 7e-5
+        # relative next to the N = 64 comb's in-band resonances (k = 2.318)
         expected = reference_delay_rows(parse_cell_spec(cell), float(period), n, k_grid,
-                                        1e-4, displaced)
-        # the 5-point stencil divides the phases' drift by its step
-        assert_rows_near(rows, expected, dict.fromkeys(expected[0], DELAY_DRIFT * n / 1e-4))
+                                        1e-5, displaced)
+        assert_rows_near(rows, expected, dict.fromkeys(expected[0], DELAY_ORACLE_TOL))
 
     def test_displaced_scan_builds_each_cell_once(self, capsys, monkeypatch):
         calls = count_cell_smatrix(monkeypatch)
@@ -756,16 +763,21 @@ class TestDelayCommand:
             "--N", "32", "--k-min", "0.5", "--k-max", "2.0", "--k-count", "7", "--displaced",
         )
         assert code == 0
-        assert len(calls) == 5 * 7  # one per stencil point, shared by both tables
+        assert len(calls) == 7  # one per k, shared by both tables
 
     @pytest.mark.parametrize("grid", [
-        ("--k-min", "100", "--k-max", "101", "--k-count", "3", "--fd-step", "1e-7"),
+        ("--k-min", "100", "--k-max", "101", "--k-count", "3"),
         ("--k-min", "1e5", "--k-max", "1.0001e5", "--k-count", "3"),
     ])
-    def test_unresolvable_stencil_is_a_config_error(self, capsys, grid):
+    def test_large_k_delays_match_the_closed_form(self, capsys, grid):
+        # grids where rounding breaks a 5-point stencil; a single delta's
+        # three delays are all g/(k (k^2 + g^2))
         code, out, err = run_cli(capsys, "delay", "--cell", "delta:g=1", *grid)
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and "fd_step" in err
+        assert code == 0 and err == ""
+        for row in parse_csv(out):
+            k = float(row["k"])
+            for key in ("tau_t", "tau_l", "tau_r"):
+                assert float(row[key]) == pytest.approx(1.0 / (k * (k * k + 1.0)), rel=1e-12)
 
 
 class TestPacketCommand:
@@ -1067,13 +1079,13 @@ class TestUnrepresentableInputs:
          "numerical failure: OverflowError: position phase 2 k x is not finite at k=3.0, "
          "x = n a with n=2, a=1e+308"),
         (("delay", *HUGE_PERIOD, "--N", "3", *GRID),
-         "numerical failure: OverflowError: position phase 2 k x is not finite at k=0.4998, "
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=0.5, "
          "x = n a with n=2, a=1e+308"),
         (("chain", "--cell", "delta:g=1", "--period", "1e307", "--k0", "3", "--N-max", "20"),
          "numerical failure: OverflowError: position phase 2 k x is not finite at k=3.0, "
          "x = n a with n=19, a=1e+307"),
         (("delay", *HUGE_PERIOD, "--N", "1", "--displaced", *GRID),
-         "numerical failure: OverflowError: position phase 2 k x is not finite at k=1.1248, "
+         "numerical failure: OverflowError: position phase 2 k x is not finite at k=1.125, "
          "x=1e+308"),
         (("cell", "--cell", "barrier:V0=1,w=1e200", "--k-min", "1e200", "--k-max", "1.1e200",
           "--k-count", "2"),  # k w overflows inside the closed form

@@ -5,6 +5,7 @@ code and stderr of every single-fault input."""
 import csv
 import io
 import json
+import re
 
 import pytest
 
@@ -40,7 +41,7 @@ BAD = [
     ("period", "-1"), ("n", "0"), ("n_max", "0"), ("k_min", "0"), ("k_min", "nan"),
     ("k_max", "0.1"), ("k_count", "1"), ("k0", "0"), ("sigma", "0"), ("sigma", "1"),
     ("tol_edge", "0"), ("fd_step", "0"), ("tol_unitarity", "-1"), ("tol_unitarity", "inf"),
-]
+]  # fd_step is a retired key: its flag is refused by argparse, its config key is unknown
 CONFIG_ONLY = [("format", "xml"), ("k_count", "2.5"), ("k0", "abc"), ("displaced", "maybe")]
 
 
@@ -73,13 +74,18 @@ def run(capsys, argv, config, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses the flag: exit 2 after its usage
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
-# id  exit code  stderr, recorded from the 0.2.0 CLI.  Exit 0 rows are inputs
-# whose command ignores the faulty key.
+# id  exit code  stderr, recorded from the 0.2.0 CLI (the fd_step rows from
+# 0.4.0, which retired that key).  Exit 0 rows are inputs whose command
+# ignores the faulty key.  For a flag that argparse refuses, stderr is its
+# usage block followed by the one line recorded here.
 SINGLE_FAULTS = """
 cell/missing/cell  2  config error: field 'cell' is required for command 'cell' (set it in the config file or via --cell)
 cell/missing/k_min  2  config error: field 'k_min' is required for command 'cell' (set it in the config file or via --k-min)
@@ -113,8 +119,8 @@ cell/flag/sigma=1  0
 cell/config/sigma=1  0
 cell/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 cell/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-cell/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-cell/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+cell/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+cell/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 cell/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 cell/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 cell/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -157,8 +163,8 @@ chain_k/flag/sigma=1  0
 chain_k/config/sigma=1  0
 chain_k/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 chain_k/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-chain_k/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-chain_k/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+chain_k/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+chain_k/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 chain_k/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 chain_k/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 chain_k/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -199,8 +205,8 @@ chain_n/flag/sigma=1  0
 chain_n/config/sigma=1  0
 chain_n/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 chain_n/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-chain_n/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-chain_n/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+chain_n/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+chain_n/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 chain_n/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 chain_n/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 chain_n/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -243,8 +249,8 @@ bands/flag/sigma=1  0
 bands/config/sigma=1  0
 bands/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 bands/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-bands/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-bands/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+bands/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+bands/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 bands/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 bands/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 bands/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -285,8 +291,8 @@ hartman/flag/sigma=1  0
 hartman/config/sigma=1  0
 hartman/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 hartman/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-hartman/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-hartman/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+hartman/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+hartman/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 hartman/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 hartman/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 hartman/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -330,8 +336,8 @@ delay/flag/sigma=1  0
 delay/config/sigma=1  0
 delay/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 delay/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-delay/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-delay/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+delay/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+delay/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 delay/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 delay/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 delay/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -373,8 +379,8 @@ packet/flag/sigma=1  2  config error: --sigma: packet window extends to k <= 0
 packet/config/sigma=1  2  config error: run.cfg:1: packet window extends to k <= 0
 packet/flag/tol_edge=0  2  config error: --tol-edge: field 'tol_edge' must be > 0, got 0.0
 packet/config/tol_edge=0  2  config error: run.cfg:1: field 'tol_edge' must be > 0, got 0.0
-packet/flag/fd_step=0  2  config error: --fd-step: field 'fd_step' must be > 0, got 0.0
-packet/config/fd_step=0  2  config error: run.cfg:1: field 'fd_step' must be > 0, got 0.0
+packet/flag/fd_step=0  2  scatterchain: error: unrecognized arguments: --fd-step 0
+packet/config/fd_step=0  2  config error: run.cfg:1: unknown key 'fd_step'
 packet/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got -1.0
 packet/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 packet/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
@@ -402,6 +408,7 @@ def test_fault_table_covers_every_case():
                          [pytest.param(*case, id=case[0]) for case in fault_cases()])
 def test_single_fault(capsys, tmp_path, monkeypatch, case_id, argv, config):
     code, _, err = run(capsys, argv, config, tmp_path, monkeypatch)
+    err = re.sub(r"\Ausage: .*\n(?: .*\n)*", "", err)  # argparse's usage block
     assert (code, err) == expected_faults()[case_id]
 
 
@@ -422,7 +429,7 @@ def test_non_finite_k_max_is_a_config_error(capsys, tmp_path, monkeypatch, mode,
     assert err == f"config error: {where}: field 'k_max' must be finite, got {value}\n"
 
 
-FLAGS = ["--cell", "--config", "--fd-step", "--format", "--k-count", "--k-max", "--k-min",
+FLAGS = ["--cell", "--config", "--format", "--k-count", "--k-max", "--k-min",
          "--k0", "--N", "--N-max", "--out", "--period", "--sigma", "--tol-edge",
          "--tol-unitarity", "-h", "--help"]
 
@@ -440,7 +447,7 @@ def test_flags_of_each_subcommand():
 def golden_config(**overrides):
     config = {"cell": "delta:g=1", "period": 1.0, "n": None, "n_max": None, "k_min": 0.5,
               "k_max": 1.5, "k_count": 3, "k0": None, "sigma": None, "format": "json",
-              "tol_edge": 1e-09, "fd_step": 0.0001, "tol_unitarity": 1e-10,
+              "tol_edge": 1e-09, "tol_unitarity": 1e-10,
               "displaced": False}
     assert set(overrides) <= set(config)
     return {**config, **overrides}

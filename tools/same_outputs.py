@@ -6,9 +6,12 @@ Run from the root of a checkout.  The committed files of REV are exported
 (``git archive``) to a temporary directory.  On that tree and on the working
 tree, one fresh interpreter each runs every command of
 ``perfbench/workloads.campaign(workload, seed)`` for the three workloads and
-seeds 7, 320, 1 and 2, by calling ``scatterchain.cli.main(argv)`` in-process
-with stdout captured to a file and stderr in memory.  Both sides run the
-working tree's campaign, so they run the same argv lists.
+seeds 7, 320, 1 and 2, and then every argv list of ``FAILING``, by calling
+``scatterchain.cli.main(argv)`` in-process with stdout captured to a file and
+stderr in memory.  Both sides run the working tree's campaign and list, so
+they run the same argv lists.  Every campaign command exits 0 with an empty
+stderr; ``FAILING`` holds commands that exit 2 (a config error) or 3 (a
+contract violation), so that their exit codes and messages are compared too.
 
 The exit code and the sha256 of the stdout and of the stderr of each
 command are compared.  Every command that differs is listed; for one whose
@@ -41,6 +44,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (7, 320, 1, 2)
 WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 
+# label and argv of commands that fail: exit 2, then exit 3 twice (a
+# non-finite cell amplitude, and the unitarity defect of a long chain next
+# to a band edge, first past 1e-10 at N = 1228)
+FAILING = (
+    ("config error", ("delay", "--cell", "delta:g=1", "--period", "1", "--N", "3",
+                      "--k-min", "0", "--k-max", "1", "--k-count", "3")),
+    ("non-finite amplitude", ("cell", "--cell", "barrier:V0=1e6,w=10", "--k-min", "1",
+                              "--k-max", "2", "--k-count", "2")),
+    ("unitarity violation", ("chain", "--cell", "delta:g=1", "--period", "1",
+                             "--k0", "3.14158265", "--N-max", "10000")),
+)
+
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from checks import parse_rows  # noqa: E402
 
@@ -57,19 +72,19 @@ def side_outputs(src: str, into: str) -> dict:
 
     if not os.path.abspath(scatterchain.__file__).startswith(os.path.abspath(src) + os.sep):
         raise RuntimeError(f"imported {scatterchain.__file__}, not the package under {src}")
+    commands = [(f"{workload} seed {seed} #{index}", command.argv)
+                for workload in WORKLOADS for seed in SEEDS
+                for index, command in enumerate(workloads.campaign(workload, seed))]
     outputs = []
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            for index, command in enumerate(workloads.campaign(workload, seed)):
-                out, err = io.StringIO(), io.StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    code = cli.main(list(command.argv))
-                text = out.getvalue()
-                with open(os.path.join(into, str(len(outputs))), "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                outputs.append({"command": f"{workload} seed {seed} #{index}",
-                                "argv": list(command.argv), "code": code,
-                                "sha256": _digest(text), "stderr_sha256": _digest(err.getvalue())})
+    for label, argv in commands + [(f"failing: {label}", argv) for label, argv in FAILING]:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(list(argv))
+        text = out.getvalue()
+        with open(os.path.join(into, str(len(outputs))), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        outputs.append({"command": label, "argv": list(argv), "code": code,
+                        "sha256": _digest(text), "stderr_sha256": _digest(err.getvalue())})
     return {"version": scatterchain.__version__, "outputs": outputs}
 
 
@@ -179,7 +194,8 @@ def main(argv: list[str] | None = None) -> int:
     same = sum(old == new for old, new in pairs)
     codes = sum(old["code"] == new["code"] for old, new in pairs)
     print(f"{same} of {len(pairs)} commands identical to {args.rev} "
-          f"(stdout and stderr sha256 and exit code, seeds {', '.join(map(str, SEEDS))})")
+          f"(stdout and stderr sha256 and exit code, seeds {', '.join(map(str, SEEDS))}, "
+          f"and {len(FAILING)} failing commands)")
     if base["version"] != change["version"]:
         print(f"scatterchain {base['version']} at {args.rev}, {change['version']} here: "
               "outputs are only promised identical within one version; "
