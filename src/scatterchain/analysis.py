@@ -99,19 +99,17 @@ class DelayRecord:
 
 @dataclass(frozen=True)
 class HartmanRecord:
-    """Traversal time of the transmitted particle through N cells:
-    T = N*a/v + tau_t, the free flight over the chain plus the time delay."""
+    """Time delay tau_t_N of the transmitted particle through N cells."""
 
     N: int
     tau_t_N: float
-    T_t_N: float
     k: WaveNumber
     a: float
 
-    def __post_init__(self) -> None:
-        expected = self.N * self.a / self.k.velocity + self.tau_t_N
-        if not math.isclose(self.T_t_N, expected, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError("T_t_N must equal N*a/v + tau_t_N")
+    @property
+    def T_t_N(self) -> float:
+        """The traversal time N*a/v + tau_t_N: free flight plus time delay."""
+        return self.N * self.a / self.k.velocity + self.tau_t_N
 
 
 @dataclass(frozen=True)
@@ -293,8 +291,7 @@ def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> li
         )
     a = float(a)
     taus = [slope / k.velocity for slope in _transmission_phase_slopes(Lattice(cell, a, n_max), k)]
-    return [HartmanRecord(N=n, tau_t_N=tau, T_t_N=n * a / k.velocity + tau, k=k, a=a)
-            for n, tau in enumerate(taus, 1)]
+    return [HartmanRecord(N=n, tau_t_N=tau, k=k, a=a) for n, tau in enumerate(taus, 1)]
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Lattice, cell_lanes, cell_smatrix
-from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _LOG_HUGE, _exp_lanes,
-                   _lanes, check_finite, compose_lanes, displace_lanes, position_phase, principal_phase,
-                   principal_phase_array)
+from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _LOG_HUGE, _compose,
+                   _exp_lanes, _lanes, check_finite, compose_lanes, displace_lanes, position_phase,
+                   principal_phase, principal_phase_array)
 from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
 
 
@@ -173,40 +173,28 @@ def _end_amplitudes(lattice: Lattice, k: np.ndarray, cell):
 
 
 def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc, *dk):
-    # chain_amplitudes' loop, one vectorised step per n over the lanes; given
-    # the cell's dk = (g, dl/dk, dr/dk), g = d ln t/dk, the chain's follow by
-    # the product rule, with g_{n+1} = g_n + g - D_n'/D_n in log form
-    lt, pt, l, r = lt_c, pt_c, lc, rc
-    tt = tc * tc
-    two_k = 2.0 * k
-    if dk:
-        g_c, dl_c, dr_c = dk
-        g, dl, dr = dk
+    # chain_amplitudes' loop, one vectorised step per n over the lanes: the
+    # cell at x = n a appended by core._compose, with t^(n) in log form; given
+    # the cell's dk = (g, dl/dk, dr/dk), g = d ln t/dk, the chain's follow
+    state = cell = (lc, rc, *dk)
+    lt, pt, tt, two_k = lt_c, pt_c, tc * tc, 2.0 * k
     for n in range(1, lattice.N):
         pos = np.exp(1j * (two_k * n * lattice.a))
-        back = pos.conj()
-        den = 1.0 - lc * r * pos
-        abs_den = np.abs(den)
-        if (abs_den < 1e-14).any():
-            raise _vanished(n)
-        t_sq = _exp_lanes(2.0 * lt, 2.0 * pt)
-        if dk:  # from the step's old g, l and r
-            x2i = 2j * n * lattice.a  # d/dk of e^{2ikna} is 2ina e^{2ikna}
-            dlog = -pos * (dl_c * r + lc * (dr + x2i * r)) / den  # D_n'/D_n
-            dl = dl + t_sq * pos / den * (lc * (2.0 * g + x2i - dlog) + dl_c)
-            dr = (dr_c - x2i * rc) * back + tt / den * (2.0 * g_c * r + dr - r * dlog)
-            g = g + (g_c - dlog)
-        l = l + t_sq * lc * pos / den
-        r = rc * back + tt * r / den
+        try:
+            den, abs_den, *state = _compose(_exp_lanes(2.0 * lt, 2.0 * pt), state, tt, cell,
+                                            pos, 2j * n * lattice.a)
+        except ResonanceDivergenceError:
+            raise _vanished(n) from None
         lt = lt + (lt_c - np.log(abs_den))
         pt = pt + (pt_c - np.angle(den))
-    return (lt, pt, _exp_lanes(lt, pt), l, r, *((g, dl, dr) if dk else ()))
+    return (lt, pt, _exp_lanes(lt, pt), *state)
 
 
 def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> list[float]:
     """d arg t^(n)/dk = Im g_n for n = 1..N at one k, g_n = d ln t^(n)/dk:
     chain_amplitudes' recurrence carrying only what g needs, r^(n), its
-    k-derivative and g_n itself, in the log form of _grow_lanes."""
+    k-derivative and g_n itself: core._compose's product rule and grouping,
+    written out on Python complex scalars, which is faster at one k."""
     cell = cell_lanes(lattice.cell, [k.k], derivatives=True)
     tc, lc, rc, g_c, dl_c, dr_c = (complex(x[0]) for x in cell)
     if abs(tc) < MODULUS_FLOOR:

@@ -136,6 +136,7 @@ def _positive(value: float, _values: dict) -> bool:
 
 _POSITIVE = "field {key!r} must be > 0, got {value!r}"
 _AT_LEAST_ONE = "field {key!r} must be >= 1, got {value!r}"
+_INT64 = "field {key!r} must be < 2**63, got {value!r}"
 
 # (key, test of its value given all values, message tail), checked in this
 # order; a failed test is a config error naming where the value came from
@@ -147,7 +148,9 @@ _CHECKS = (
     ("k_count", lambda v, _: v >= 2, "field 'k_count' must be >= 2"),
     ("k0", _positive, _POSITIVE),
     ("n", lambda v, _: v >= 1, _AT_LEAST_ONE),
+    ("n", lambda v, _: v < 2 ** 63, _INT64),
     ("n_max", lambda v, _: v >= 1, _AT_LEAST_ONE),
+    ("n_max", lambda v, _: v < 2 ** 63, _INT64),
     ("sigma", _positive, _POSITIVE),
     ("sigma", lambda v, c: c["k0"] - 5.0 * v > 0.0, "packet window extends to k <= 0"),
     ("period", _positive, _POSITIVE),
@@ -410,6 +413,8 @@ def run_delay(cfg: ExperimentConfig):
 def run_packet(cfg: ExperimentConfig):
     k0, sigma = cfg.k0, cfg.sigma
     count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
+    if 48 * count > np.iinfo(np.intp).max:  # the bytes of cell_lanes' three complex lanes
+        raise ConfigError(f"field 'n_max': {count} k samples, 32 N_max + 1, do not fit in an array")
     with np.errstate(invalid="ignore"):  # an overflowed window end gives NaN samples
         k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
         increasing = (np.diff(k_values) > 0.0).all()

@@ -115,7 +115,7 @@ def principal_phase(z: complex) -> float:
 
 
 def _exp_lanes(log_mod, phase) -> np.ndarray:
-    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE, as chain._grow's t^(n)
+    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE: t^(n) from its log form
     out = np.zeros(log_mod.shape, dtype=complex)
     keep = ~(log_mod < -_LOG_HUGE)
     out[keep] = np.exp(log_mod[keep] + 1j * phase[keep])
@@ -161,19 +161,28 @@ def compose_lanes(a, b) -> tuple[np.ndarray, ...]:
     (t, l, r), with g = d ln t/dk, so does the result, by the product rule:
     g = gA + gB - D'/D, which stays finite where t underflows.
     """
-    (ta, la, ra, *da), (tb, lb, rb, *db) = a, b
-    den = 1.0 - lb * ra
-    if (np.abs(den) < 1e-14).any():
+    den, _, *out = _compose(a[0] * a[0], a[1:], b[0] * b[0], b[1:], 1.0, 0.0)
+    return (a[0] * b[0] / den, *out)
+
+
+def _compose(tta, a, ttb, b, pos, x2i) -> tuple:
+    # compose_lanes' body, b displaced right by x first: pos = e^{2ikx}, x2i = 2ix,
+    # tta, ttb = tA^2, tB^2, a, b = (l, r[, g, dl/dk, dr/dk]) -> (D, |D|, l, r[, ...]).
+    # The 2ix terms, growing with x, join what they add to before anything scales them.
+    (la, ra, *da), (lb, rb, *db) = a, b
+    den = 1.0 - lb * ra * pos
+    abs_den = np.abs(den)
+    if (abs_den < 1e-14).any():
         raise ResonanceDivergenceError("composition denominator 1 - lB*rA vanished; "
                                        "inputs are not a valid unitary pair")
-    tta, ttb = ta * ta, tb * tb
-    out = ta * tb / den, la + tta * lb / den, rb + ttb * ra / den
+    back = np.conj(pos)
+    out = den, abs_den, la + tta * lb * pos / den, rb * back + ttb * ra / den
     if not da:
         return out
     (ga, dla, dra), (gb, dlb, drb) = da, db
-    dlog = -(dlb * ra + lb * dra) / den  # D'/D
-    return (*out, ga + gb - dlog, dla + tta / den * (2.0 * ga * lb + dlb - lb * dlog),
-            drb + ttb / den * (2.0 * gb * ra + dra - ra * dlog))
+    dlog = -pos * (dlb * ra + lb * (dra + x2i * ra)) / den  # D'/D
+    return (*out, ga + (gb - dlog), dla + tta * pos / den * (lb * (2.0 * ga + x2i - dlog) + dlb),
+            (drb - x2i * rb) * back + ttb / den * (2.0 * gb * ra + dra - ra * dlog))
 
 
 def principal_phase_array(z) -> np.ndarray:

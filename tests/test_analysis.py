@@ -91,15 +91,19 @@ class TestTimeDelays:
 
 class TestTraversalTime:
     def test_free_flight(self):
-        rec = sc.HartmanRecord(N=5, tau_t_N=0.0, T_t_N=5.0, k=K1, a=1.0)
+        rec = sc.HartmanRecord(N=5, tau_t_N=0.0, k=K1, a=1.0)
         assert rec.T_t_N == 5.0
 
     def test_exact_hartman_limit(self):
-        rec = sc.HartmanRecord(N=5, tau_t_N=-5.0, T_t_N=0.0, k=K1, a=1.0)
+        rec = sc.HartmanRecord(N=5, tau_t_N=-5.0, k=K1, a=1.0)
         assert rec.T_t_N == 0.0
 
-    def test_inconsistent_record_rejected(self):
-        with pytest.raises(ValueError):
+    def test_traversal_time_is_derived(self):
+        # N a/v + tau in hartman_scan's order; no constructor argument can
+        # make a record whose time disagrees with it
+        rec = sc.HartmanRecord(N=7, tau_t_N=-0.3, k=sc.WaveNumber(1.3), a=0.9)
+        assert rec.T_t_N == 7 * 0.9 / 1.3 + -0.3
+        with pytest.raises(TypeError):
             sc.HartmanRecord(N=5, tau_t_N=0.0, T_t_N=1.0, k=K1, a=1.0)
 
 

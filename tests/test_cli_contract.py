@@ -41,7 +41,12 @@ BAD = [
     ("period", "-1"), ("n", "0"), ("n_max", "0"), ("k_min", "0"), ("k_min", "nan"),
     ("k_max", "0.1"), ("k_count", "1"), ("k0", "0"), ("sigma", "0"), ("sigma", "1"),
     ("tol_edge", "0"), ("fd_step", "0"), ("tol_unitarity", "-1"), ("tol_unitarity", "inf"),
+    ("n", "18446744073709551616"), ("n_max", "18446744073709551616"),
 ]  # fd_step is a retired key: its flag is refused by argparse, its config key is unknown
+# Values that one mode alone refuses, given as flags and by config file: packet's
+# 32 N_max + 1 samples past an array's size.  chain and hartman would grow a
+# chain that long, for longer than any test can wait.
+BAD_FOR = {"packet": [("n_max", "144115188075855872"), ("n_max", "288230376151711744")]}
 CONFIG_ONLY = [("format", "xml"), ("k_count", "2.5"), ("k0", "abc"), ("displaced", "maybe")]
 
 
@@ -59,9 +64,9 @@ def fault_cases():
         for key in base:
             options = {k: v for k, v in base.items() if k != key}
             cases.append((f"{mode}/missing/{key}", argv_for(command, options), None))
-        for key, value in BAD + CONFIG_ONLY:
+        for key, value in BAD + CONFIG_ONLY + BAD_FOR.get(mode, []):
             options = {k: v for k, v in base.items() if k != key}
-            if (key, value) in BAD:
+            if (key, value) not in CONFIG_ONLY:
                 cases.append((f"{mode}/flag/{key}={value}",
                                argv_for(command, {**options, key: value}), None))
             cases.append((f"{mode}/config/{key}={value}",
@@ -83,9 +88,10 @@ def run(capsys, argv, config, tmp_path, monkeypatch):
 
 
 # id  exit code  stderr, recorded from the 0.2.0 CLI (the fd_step rows from
-# 0.4.0, which retired that key).  Exit 0 rows are inputs whose command
-# ignores the faulty key.  For a flag that argparse refuses, stderr is its
-# usage block followed by the one line recorded here.
+# 0.4.0, which retired that key; the cell counts past 2**63, and packet's past
+# an array, from 0.5.0).  Exit 0 rows are inputs whose command ignores the
+# faulty key.  For a flag that argparse refuses, stderr is its usage block
+# followed by the one line recorded here.
 SINGLE_FAULTS = """
 cell/missing/cell  2  config error: field 'cell' is required for command 'cell' (set it in the config file or via --cell)
 cell/missing/k_min  2  config error: field 'k_min' is required for command 'cell' (set it in the config file or via --k-min)
@@ -125,6 +131,10 @@ cell/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitari
 cell/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 cell/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 cell/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+cell/flag/n=18446744073709551616  0
+cell/config/n=18446744073709551616  0
+cell/flag/n_max=18446744073709551616  0
+cell/config/n_max=18446744073709551616  0
 cell/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 cell/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 cell/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -169,6 +179,10 @@ chain_k/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unit
 chain_k/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 chain_k/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 chain_k/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+chain_k/flag/n=18446744073709551616  2  config error: --N: field 'n' must be < 2**63, got 18446744073709551616
+chain_k/config/n=18446744073709551616  2  config error: run.cfg:1: field 'n' must be < 2**63, got 18446744073709551616
+chain_k/flag/n_max=18446744073709551616  2  config error: command 'chain' needs exactly one of 'n' (per-k table) or 'n_max' (per-N table at k0)
+chain_k/config/n_max=18446744073709551616  2  config error: command 'chain' needs exactly one of 'n' (per-k table) or 'n_max' (per-N table at k0)
 chain_k/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 chain_k/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 chain_k/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -211,6 +225,10 @@ chain_n/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unit
 chain_n/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 chain_n/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 chain_n/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+chain_n/flag/n=18446744073709551616  2  config error: command 'chain' needs exactly one of 'n' (per-k table) or 'n_max' (per-N table at k0)
+chain_n/config/n=18446744073709551616  2  config error: command 'chain' needs exactly one of 'n' (per-k table) or 'n_max' (per-N table at k0)
+chain_n/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
+chain_n/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
 chain_n/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 chain_n/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 chain_n/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -255,6 +273,10 @@ bands/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitar
 bands/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 bands/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 bands/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+bands/flag/n=18446744073709551616  0
+bands/config/n=18446744073709551616  0
+bands/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
+bands/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
 bands/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 bands/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 bands/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -297,6 +319,10 @@ hartman/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unit
 hartman/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 hartman/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 hartman/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+hartman/flag/n=18446744073709551616  0
+hartman/config/n=18446744073709551616  0
+hartman/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
+hartman/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
 hartman/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 hartman/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 hartman/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -342,6 +368,10 @@ delay/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unitar
 delay/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 delay/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 delay/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+delay/flag/n=18446744073709551616  2  config error: --N: field 'n' must be < 2**63, got 18446744073709551616
+delay/config/n=18446744073709551616  2  config error: run.cfg:1: field 'n' must be < 2**63, got 18446744073709551616
+delay/flag/n_max=18446744073709551616  0
+delay/config/n_max=18446744073709551616  0
 delay/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 delay/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 delay/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -385,6 +415,14 @@ packet/flag/tol_unitarity=-1  2  config error: --tol-unitarity: field 'tol_unita
 packet/config/tol_unitarity=-1  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got -1.0
 packet/flag/tol_unitarity=inf  2  config error: --tol-unitarity: field 'tol_unitarity' must be > 0, got inf
 packet/config/tol_unitarity=inf  2  config error: run.cfg:1: field 'tol_unitarity' must be > 0, got inf
+packet/flag/n=18446744073709551616  0
+packet/config/n=18446744073709551616  0
+packet/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
+packet/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
+packet/flag/n_max=144115188075855872  2  config error: field 'n_max': 4611686018427387905 k samples, 32 N_max + 1, do not fit in an array
+packet/config/n_max=144115188075855872  2  config error: field 'n_max': 4611686018427387905 k samples, 32 N_max + 1, do not fit in an array
+packet/flag/n_max=288230376151711744  2  config error: field 'n_max': 9223372036854775809 k samples, 32 N_max + 1, do not fit in an array
+packet/config/n_max=288230376151711744  2  config error: field 'n_max': 9223372036854775809 k samples, 32 N_max + 1, do not fit in an array
 packet/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 packet/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 packet/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'

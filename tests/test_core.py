@@ -91,6 +91,39 @@ class TestUnitarityDefectLanes:
         self.assert_lanes(*(rng.normal(size=500) + 1j * rng.normal(size=500) for _ in range(3)))
 
 
+class TestDisplacedComposition:
+    """The composition body with b displaced by x against compose_lanes after
+    displace_lanes, on cells with their k-derivatives.  The two group the
+    displacement's terms differently, so they agree to rounding; each error
+    is relative to max(1, |value|) over (t, l, r, g, dl/dk, dr/dk)."""
+
+    K = np.linspace(0.3, 4.0, 400)
+    CELLS = {"delta": (sc.DeltaSpike(1.0), 1.0), "well": (sc.RectBarrier(-1.5, 0.5), 1.2),
+             "piecewise": (sc.PiecewiseConstant(((0.4, 1.2), (0.3, -2.0), (0.5, 0.8))), 1.5)}
+    # bounds in eps, twice the worst seen over x: the difference (delta 5.0,
+    # well 10.0, piecewise 3.04) and the unitarity defect of the result
+    # (delta 6, well 20, piecewise 30; at x = 0 the cells' own 4, 8 and 18)
+    DIFF_BOUNDS = {"delta": 10.0, "well": 20.0, "piecewise": 7.0}
+    DEFECT_BOUNDS = {"delta": 12.0, "well": 40.0, "piecewise": 60.0}
+
+    @pytest.mark.parametrize("cells", [0, 1, 400])
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_equals_compose_after_displace(self, name, cells):
+        cell, period = self.CELLS[name]
+        x, k = cells * period, self.K
+        a = sc.cells.cell_lanes(cell, k, derivatives=True)
+        t, lb, rb, gb, dlb, drb = a  # b is the same cell, displaced by x
+        pos = np.exp(1j * sc.core.position_phase(k, x))
+        den, _, *body = sc.core._compose(t * t, a[1:], t * t, a[1:], pos, 2j * x)
+        got = (t * t / den, *body)
+        l, r, dl, dr = sc.core.displace_lanes(k, lb, rb, x, dlb, drb)
+        want = sc.core.compose_lanes(a, (t, l, r, gb, dl, dr))
+        diff = max(np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w))) for g, w in zip(got, want))
+        assert diff <= self.DIFF_BOUNDS[name] * EPS, diff / EPS
+        defect = np.max(sc.core.unitarity_defect_lanes(*got[:3]))
+        assert defect <= self.DEFECT_BOUNDS[name] * EPS, defect / EPS
+
+
 class TestPhaseColumn:
     def test_equals_principal_phases(self):
         floor = sc.MODULUS_FLOOR
