@@ -4,10 +4,7 @@ wave-packet averaged transmission."""
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -363,8 +360,7 @@ def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
     """wavepacket_average at fixed 1-d samples k_values, k0 and sigma, as a
     function of the transmissions: the samples are checked and the weight
     and its integral computed once, for a scan that averages many curves.
-    The function works in buffers of its own, so one thread calls it at a
-    time."""
+    The function works in buffers of its own, which each call overwrites."""
     steps = np.diff(k_values)
     if k_values.size < 2 or not np.all(steps > 0.0):  # also where a sample is NaN
         raise ValueError("k_values must be strictly increasing with >= 2 samples")
@@ -402,58 +398,7 @@ def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
 def _packet_profile(z, rho, k_values: np.ndarray, k0: float, sigma: float,
                     n_max: int) -> list[float]:
     """wavepacket_average of the closed-form |t^(N)|^2 at (z, rho) for
-    N = 1..n_max, as a list.  The rows run in contiguous blocks at once, one
-    per CPU, each a row at a time in (u, t) buffers and an averager of its
-    own, all allocated here: memory is O(blocks x k count), not
-    O(n_max x k count), and a row's bits do not depend on its block."""
-    plan = _ChebyshevPlan(z, rho)
-    plan.reach(n_max)  # so that no block extends an edge recurrence
-    averaged = [0.0] * n_max
-    _run_all([functools.partial(_packet_rows, plan, _packet_averager(k_values, k0, sigma),
-                                (np.empty(z.shape), np.empty(z.shape)), rows, averaged)
-              for rows in _row_blocks(n_max)])
-    return averaged
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _row_blocks(rows: int) -> list[range]:
-    """range(rows) cut into contiguous blocks, one per CPU this process may
-    run on and none empty."""
-    count = max(1, min(rows, _cpu_count()))
-    bounds = [rows * i // count for i in range(count + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _run_all(tasks: list) -> None:
-    """Call every task: the first on this thread, each other on a thread of
-    its own.  Once all have returned, the first exception, in task order, is
-    raised here."""
-    errors = [None] * len(tasks)
-
-    def run(i):
-        try:
-            tasks[i]()
-        except BaseException as exc:  # re-raised below, on the calling thread
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, len(tasks))]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-
-
-def _packet_rows(plan: _ChebyshevPlan, average, buffers, rows: range, out: list) -> None:
-    # out[i] = the averaged |t^(i+1)|^2 for i in rows, evaluated into buffers
-    for i in rows:
-        out[i] = average(plan.evaluate(i + 1, buffers)[1])
+    N = 1..n_max, as a list: the plan's sweep writes each row over the last
+    in one buffer, so memory is O(k count), not O(n_max x k count)."""
+    average = _packet_averager(k_values, k0, sigma)
+    return [average(t) for t in _ChebyshevPlan(z, rho).sweep(n_max)]

@@ -305,18 +305,15 @@ class _ChebyshevPlan:
     """The part of chebyshev_closed_form that does not depend on N, for
     equally shaped z and rho: the band/gap/edge masks, g and sin g on band
     entries, h, e^{-2h} - 1 and log rho on gap entries, and the three-term
-    recurrence of each distinct edge z, extended as far as N asks.
-
-    Threads may evaluate one plan at once after reach(n_max) has run on it,
-    as long as each asks for N <= n_max and passes out buffers of its own."""
+    recurrence of each distinct edge z, extended as far as N asks.  evaluate
+    serves one N, or N per entry; sweep serves every N = 1..n_max in order."""
 
     def __init__(self, z: np.ndarray, rho: np.ndarray) -> None:
         self.zeros = np.zeros(z.shape)
-        abs_z = np.abs(z)
+        self.abs_z = abs_z = np.abs(z)
         self.band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
         self.gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
         self.edge = ~(self.band | self.gap)
-        self.band_only = bool(self.band.all())
         # gap entries get their own |t|^2; rho = inf there would give inf * 0
         self.rho = np.where(self.gap, 0.0, rho)
         self.gamma = np.arccos(z[self.band])
@@ -330,33 +327,12 @@ class _ChebyshevPlan:
         with np.errstate(divide="ignore"):  # rho = 0 gives log 0
             self.gap_log_rho = np.log(rho[self.gap])
 
-    def reach(self, n_max: int) -> None:
-        """Extend every edge z's recurrence to U_{n_max-1}, so that evaluating
-        at N <= n_max reads the recurrences and appends to none."""
-        for zj, seq in zip(self.edge_z.tolist(), self.edge_seqs):
-            _extend_recurrence(seq, zj, n_max)
-
-    def evaluate(self, N, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, N) -> tuple[np.ndarray, np.ndarray]:
         """(U_{N-1}(z), |t^(N)|^2) at the cell counts N, which broadcast to the
-        plan's shape.  out, a (u, t) pair of arrays of that shape, receives
-        the result of one N on a plan of band entries alone; other
-        evaluations return new arrays."""
+        plan's shape, as new arrays."""
         N = np.asarray(N)
         if (N < 1).any():
             raise ValueError("cell counts must be >= 1")
-        if N.ndim == 0 and self.band_only:
-            # one N on band entries alone: no mask gather or scatter, and no
-            # allocation into out; the general path's operations in its order
-            shape = self.zeros.shape
-            u, t = out if out is not None else (np.empty(shape), np.empty(shape))
-            np.multiply(float(N), self.gamma.reshape(shape), out=u)
-            np.sin(u, out=u)
-            np.divide(u, self.sin_gamma.reshape(shape), out=u)
-            np.multiply(self.rho, u, out=t)
-            np.multiply(t, u, out=t)
-            np.add(1.0, t, out=t)
-            np.divide(1.0, t, out=t)
-            return u, t
         N = N + self.zeros  # float, exact for any realistic chain length
         u = np.zeros(N.shape)  # gap entries are filled last, with their own |t|^2
 
@@ -372,15 +348,47 @@ class _ChebyshevPlan:
             u[self.edge] = values
         t = 1.0 / (1.0 + self.rho * u * u)
         if self.eta.size:
-            n_gap, eta = N[self.gap], self.eta
-            # log(sinh(N eta) / sinh(eta)) in a form where nothing overflows
-            ratio = np.expm1(-2.0 * n_gap * eta) / self.gap_den
-            log_u = (n_gap - 1.0) * eta + np.log(ratio)
+            n_gap = N[self.gap]
+            log_u, t[self.gap] = self._gap(n_gap)
             sign = np.where(self.gap_negative & (n_gap % 2 == 0), -1.0, 1.0)
             with np.errstate(over="ignore"):  # U -> inf
                 u[self.gap] = sign * np.exp(log_u)
-                t[self.gap] = np.exp(-np.logaddexp(0.0, self.gap_log_rho + 2.0 * log_u))
         return u, t
+
+    def _gap(self, n_gap) -> tuple[np.ndarray, np.ndarray]:
+        # (log|U_{N-1}|, |t^(N)|^2) on the gap entries at the cell counts
+        # n_gap, floats; log(sinh(N eta) / sinh(eta)) in a form where nothing
+        # overflows
+        eta = self.eta
+        ratio = np.expm1(-2.0 * n_gap * eta) / self.gap_den
+        log_u = (n_gap - 1.0) * eta + np.log(ratio)
+        return log_u, np.exp(-np.logaddexp(0.0, self.gap_log_rho + 2.0 * log_u))
+
+    def sweep(self, n_max: int):
+        """Yield |t^(N)|^2 for N = 1, 2, ..., n_max, each written over the
+        last in one buffer of the plan's shape.
+
+        U_{N-1}(|z|)^2 = U_{N-1}(z)^2 comes from the three-term recurrence in
+        Reinsch's form, e_n = e_{n-1} + c U_{n-1} and U_n = U_{n-1} + e_n with
+        c = 2(|z| - 1) and U_0 = e_0 = 1, which stays accurate next to
+        |z| = 1 (Gentleman, Comput. J. 12, 160 (1969)) and gives U_{N-1}(1) = N
+        exactly.  Band and edge entries share it; gap entries keep c = 0,
+        so nothing overflows, and their row is evaluate's log form at N."""
+        shape = self.zeros.shape
+        c = np.where(self.gap, 0.0, 2.0 * (self.abs_z - 1.0))
+        u, e, t = np.ones(shape), np.ones(shape), np.empty(shape)
+        for n in range(1, n_max + 1):
+            if n > 1:
+                np.multiply(c, u, out=t)
+                np.add(e, t, out=e)
+                np.add(u, e, out=u)
+            np.multiply(u, u, out=t)
+            np.multiply(self.rho, t, out=t)
+            np.add(1.0, t, out=t)
+            np.divide(1.0, t, out=t)
+            if self.eta.size:
+                t[self.gap] = self._gap(float(n))[1]
+            yield t
 
 
 def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray]:

@@ -415,13 +415,18 @@ def run_packet(cfg: ExperimentConfig):
     count = max(2001, 32 * cfg.n_max + 1)  # odd, so k0 is the middle sample
     if 48 * count > np.iinfo(np.intp).max:  # the bytes of cell_lanes' three complex lanes
         raise ConfigError(f"field 'n_max': {count} k samples, 32 N_max + 1, do not fit in an array")
-    with np.errstate(invalid="ignore"):  # an overflowed window end gives NaN samples
-        k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
-        increasing = (np.diff(k_values) > 0.0).all()
-    if not increasing:  # the window collapsed to a few doubles or overflowed
-        raise ConfigError(f"field 'sigma': the window k0 +- 5 sigma with k0={k0!r} and "
-                          f"sigma={sigma!r} has no {count} strictly increasing doubles")
-    z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0], cfg.period)
+    try:
+        with np.errstate(invalid="ignore"):  # an overflowed window end gives NaN samples
+            k_values = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, count)
+            increasing = (np.diff(k_values) > 0.0).all()
+        if not increasing:  # the window collapsed to a few doubles or overflowed
+            raise ConfigError(f"field 'sigma': the window k0 +- 5 sigma with k0={k0!r} and "
+                              f"sigma={sigma!r} has no {count} strictly increasing doubles")
+        z, rho = chebyshev_input_lanes(k_values, cell_lanes(cfg.potential, k_values)[0],
+                                       cfg.period)
+    except MemoryError:
+        raise ConfigError(f"field 'n_max': {count} k samples, 32 N_max + 1, do not fit in memory"
+                          ) from None
     return _meta(cfg), _Table({
         "N": np.arange(1, cfg.n_max + 1),
         "averaged_T": _packet_profile(z, rho, k_values, k0, sigma, cfg.n_max),

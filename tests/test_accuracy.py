@@ -9,7 +9,9 @@ absolute, in units of the double epsilon, over t, l, r and ln|t| (the
 amplitudes have modulus <= 1; ln|t| carries the relative error of t where
 t itself underflows).  The k-derivatives of the amplitudes, and the delays
 built on them, are checked against a central difference of the oracle at
-twice its digits.  The bounds hold at least twice the worst error seen,
+twice its digits.  The Chebyshev closed form's |t^(N)|^2, by packet's sweep
+over N and at single N, is checked against 1/(1 + rho U_{N-1}(z)^2) with
+U_{N-1} in its trigonometric or hyperbolic form, as a relative error.  The bounds hold at least twice the worst error seen,
 so they gate accuracy without fixing a single output bit.
 """
 
@@ -267,3 +269,61 @@ def test_single_delta_delay_closed_form(g):
         worst = max(float(abs(tau - x) / abs(x)) / EPS for column in taus
                     for tau, x in zip(column, exact))
     assert worst <= 5.0, worst
+
+
+# packet's rows: the closed form |t^(N)|^2 = 1/(1 + rho U_{N-1}(z)^2) of the
+# plan's sweep over N = 1..10^4, and of chebyshev_closed_form at each N, on
+# |z| in four groups, each z taken with both signs and each rho below
+SWEEP_Z = {
+    "band": np.linspace(0.0, 0.95, 20).tolist(),
+    "near-edge": [1.0 - 10.0 ** -p for p in range(2, 9)],  # 1 - |z| = 1e-2 .. 1e-8
+    "edge-window": [1.0, 1.0 - 5e-9, 1.0 + 5e-9, 1.0 + 1e-8],
+    "gap": [1.0 + 2e-8, 1.0 + 1e-4, 1.06, 1.5, 4.75],
+}
+SWEEP_RHO = (0.05, 0.7, 3.0)
+SWEEP_N = (1, 2, 3, 10, 64, 400, 1000, 4096, 9999, 10000)
+# Bounds in eps on the sweep's worst relative error per group, twice the
+# worst seen (band 4117, near-edge 722, edge-window 42, gap 279; the gap rows
+# are chebyshev_closed_form's log form, where |t|^2 = e^{-2 N h} carries the
+# rounding of its exponent).  chebyshev_closed_form's worst on the same
+# grid: band 34 834, near-edge 184 090, edge-window 328 872, gap 279.
+SWEEP_BOUNDS = {"band": 8300.0, "near-edge": 1500.0, "edge-window": 90.0, "gap": 560.0}
+
+
+def exact_closed_form(z, rho, n):
+    """|t^(n)|^2 = 1/(1 + rho U_{n-1}(z)^2) in mpmath, U_{n-1}(|z|) being
+    sin(n g)/sin g, n or sinh(n h)/sinh h with cos g = |z| or cosh h = |z|."""
+    z, rho = abs(mpmath.mpf(z)), mpmath.mpf(rho)
+    if z < 1:
+        g = mpmath.acos(z)
+        u = mpmath.sin(n * g) / mpmath.sin(g)
+    elif z == 1:
+        u = mpmath.mpf(n)
+    else:
+        h = mpmath.acosh(z)
+        u = mpmath.sinh(n * h) / mpmath.sinh(h)
+    return 1 / (1 + rho * u * u)
+
+
+def relative_error_eps(exact, got) -> float:
+    """Worst |got - exact| / max(exact, smallest normal double), in eps: the
+    relative error of |t|^2, and its absolute error in the subnormal range."""
+    floor = mpmath.mpf(sys.float_info.min)
+    with mpmath.workdps(DPS):
+        return float(max(abs(mpmath.mpf(g) - x) / max(x, floor)
+                         for g, x in zip(got.tolist(), exact))) / EPS
+
+
+@pytest.mark.parametrize("group", SWEEP_Z)
+def test_chebyshev_sweep(group):
+    z = np.repeat([s * x for x in SWEEP_Z[group] for s in (1.0, -1.0)], len(SWEEP_RHO))
+    rho = np.tile(SWEEP_RHO, z.size // len(SWEEP_RHO))
+    with mpmath.workdps(DPS):
+        exact = {n: [exact_closed_form(*lane, n) for lane in zip(z.tolist(), rho.tolist())]
+                 for n in SWEEP_N}
+    rows = sc.chain._ChebyshevPlan(z, rho).sweep(max(SWEEP_N))
+    sweep = max(relative_error_eps(exact[n], t) for n, t in enumerate(rows, 1) if n in exact)
+    closed_form = max(relative_error_eps(exact[n], sc.chebyshev_closed_form(z, rho, n)[1])
+                      for n in SWEEP_N)
+    assert sweep <= SWEEP_BOUNDS[group], sweep
+    assert sweep <= closed_form, (sweep, closed_form)

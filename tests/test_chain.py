@@ -532,32 +532,6 @@ class TestChebyshevPlan:
             want = unplanned_closed_form(z, rho, n)
             assert all(same_bits(g, w) for g, w in zip(got, want)), n
 
-    @pytest.mark.parametrize("shape", [(2001,), (3, 667)], ids=["row", "grid"])
-    def test_band_plan_at_one_n_writes_into_its_buffers(self, shape):
-        # packet's rows: a plan of band entries alone at one N, with and
-        # without caller-owned (u, t) buffers
-        z = np.linspace(-0.999, 0.999, 2001).reshape(shape)
-        rho = np.linspace(0.0, 3.0, z.size).reshape(shape)
-        plan = sc.chain._ChebyshevPlan(z, rho)
-        assert plan.band_only
-        buffers = (np.empty(shape), np.empty(shape))
-        for n in (1, 2, 64, 10000):
-            want = unplanned_closed_form(z, rho, n)
-            assert all(same_bits(g, w) for g, w in zip(plan.evaluate(n), want)), n
-            got = plan.evaluate(n, buffers)
-            assert got[0] is buffers[0] and got[1] is buffers[1]
-            assert all(same_bits(g, w) for g, w in zip(got, want)), n
-
-    def test_reach_extends_every_edge_recurrence(self):
-        z = np.array(self.BAND + self.EDGE)
-        plan = sc.chain._ChebyshevPlan(z, np.ones(z.size))
-        plan.reach(500)
-        assert {len(seq) for seq in plan.edge_seqs} == {500}
-        first = [list(seq) for seq in plan.edge_seqs]
-        for n in range(1, 501):
-            plan.evaluate(n)
-        assert plan.edge_seqs == first  # nothing appended up to N = n_max
-
     def test_rejects_zero_cells_in_a_plan(self):
         plan = sc.chain._ChebyshevPlan(np.array([0.5, 2.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="cell counts must be >= 1"):

@@ -8,14 +8,13 @@ import re
 import threading
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from scatterchain import analysis, cli
+from scatterchain import cli
 from scatterchain.cli import main, parse_cell_spec
 import scatterchain as sc
 from support import EPS, scalar_chebyshev_inputs
@@ -829,73 +828,28 @@ class TestPacketCommand:
         assert hit == regimes
         expected = [sc.wavepacket_average(k, sc.chebyshev_closed_form(z, rho, n)[1], k0, sigma)
                     for n in range(1, n_max + 1)]
-        assert [row["averaged_T"] for row in json.loads(out)["rows"]] == expected
+        # the rows come from the plan's sweep over N, which rounds otherwise
+        # than the closed form at one N: worst seen 1.6 eps
+        got = [row["averaged_T"] for row in json.loads(out)["rows"]]
+        assert len(got) == n_max
+        assert max(abs(g - e) for g, e in zip(got, expected)) <= 8 * EPS
 
     PACKET = ("packet", "--cell", "delta:g=1", "--period", "1", "--sigma", "0.01",
               "--N-max", "7", "--format", "json")
 
     @pytest.mark.parametrize("k0", ["4.5", repr(math.pi)], ids=["band", "band-edge-gap"])
-    def test_bytes_do_not_depend_on_the_worker_count(self, capsys, monkeypatch, k0):
-        # rows run in one block per CPU, at most one per row; the first block
-        # runs on the calling thread, and every thread has ended when main returns
-        started = []
+    def test_computes_on_the_calling_thread(self, capsys, monkeypatch, k0):
+        # packet constructs no thread, whichever regimes its window holds
+        built = []
 
         class CountedThread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(threading, "Thread", CountedThread)
-        outputs = set()
-        for workers in (1, 2, 3, 12):
-            monkeypatch.setattr(analysis, "_cpu_count", lambda workers=workers: workers)
-            started.clear()
-            running = threading.active_count()
-            code, out, _ = run_cli(capsys, *self.PACKET, "--k0", k0)
-            assert code == 0 and threading.active_count() == running
-            assert len(started) == min(workers, 7) - 1
-            assert not any(thread.is_alive() for thread in started)
-            outputs.add(out)
-        assert len(outputs) == 1
-
-    @staticmethod
-    def fail_off_the_main_thread(monkeypatch, fail):
-        """Run packet's rows in two blocks; the block on a thread of its own
-        calls fail() after its rows."""
-        rows_of, failed = analysis._packet_rows, []
-
-        def rows_then_fail(plan, average, buffers, rows, out):
-            rows_of(plan, average, buffers, rows, out)
-            if threading.current_thread() is not threading.main_thread():
-                failed.append(rows)
-                fail()
-
-        monkeypatch.setattr(analysis, "_cpu_count", lambda: 2)
-        monkeypatch.setattr(analysis, "_packet_rows", rows_then_fail)
-        return failed
-
-    @pytest.mark.parametrize("error, code", [
-        (sc.ConfigError("planted config error"), 2),
-        (OverflowError("planted overflow"), 3),
-    ], ids=["config-error", "overflow"])
-    def test_an_error_in_a_worker_block_is_the_exit_code(self, capsys, monkeypatch, error, code):
-        def fail():
-            raise error
-
-        failed = self.fail_off_the_main_thread(monkeypatch, fail)
-        got, out, err = run_cli(capsys, *self.PACKET, "--k0", "4.5")
-        assert failed == [range(3, 7)]
-        assert got == code and out == "" and str(error) in err
-
-    def test_a_numpy_warning_in_a_worker_block_fails_the_run(self, capsys, monkeypatch):
-        # as under python -W error: the warning is raised in the worker, then
-        # again on the calling thread and out of main, not lost with the thread
-        failed = self.fail_off_the_main_thread(monkeypatch, lambda: np.divide(np.ones(1), 0.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(RuntimeWarning, match="divide by zero"):
-                main([*self.PACKET, "--k0", "4.5"])
-        assert failed == [range(3, 7)] and capsys.readouterr().out == ""
+        code, out, _ = run_cli(capsys, *self.PACKET, "--k0", k0)
+        assert code == 0 and len(json.loads(out)["rows"]) == 7 and built == []
 
     def test_peak_memory_does_not_grow_with_the_profile(self, capsys):
         # 400 rows x 12 801 wave numbers would be a 41 MB profile

@@ -44,9 +44,11 @@ BAD = [
     ("n", "18446744073709551616"), ("n_max", "18446744073709551616"),
 ]  # fd_step is a retired key: its flag is refused by argparse, its config key is unknown
 # Values that one mode alone refuses, given as flags and by config file: packet's
-# 32 N_max + 1 samples past an array's size.  chain and hartman would grow a
-# chain that long, for longer than any test can wait.
-BAD_FOR = {"packet": [("n_max", "144115188075855872"), ("n_max", "288230376151711744")]}
+# 32 N_max + 1 samples past memory (2**52: past a 47-bit address space, so
+# nothing is allocated) and past an array's size.  chain and hartman would
+# grow a chain that long, for longer than any test can wait.
+BAD_FOR = {"packet": [("n_max", "4503599627370496"), ("n_max", "144115188075855872"),
+                      ("n_max", "288230376151711744")]}
 CONFIG_ONLY = [("format", "xml"), ("k_count", "2.5"), ("k0", "abc"), ("displaced", "maybe")]
 
 
@@ -89,8 +91,8 @@ def run(capsys, argv, config, tmp_path, monkeypatch):
 
 # id  exit code  stderr, recorded from the 0.2.0 CLI (the fd_step rows from
 # 0.4.0, which retired that key; the cell counts past 2**63, and packet's past
-# an array, from 0.5.0).  Exit 0 rows are inputs whose command ignores the
-# faulty key.  For a flag that argparse refuses, stderr is its usage block
+# an array, from 0.5.0; packet's past memory from 0.6.0).  Exit 0 rows are
+# inputs whose command ignores the faulty key.  For a flag that argparse refuses, stderr is its usage block
 # followed by the one line recorded here.
 SINGLE_FAULTS = """
 cell/missing/cell  2  config error: field 'cell' is required for command 'cell' (set it in the config file or via --cell)
@@ -419,6 +421,8 @@ packet/flag/n=18446744073709551616  0
 packet/config/n=18446744073709551616  0
 packet/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
 packet/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
+packet/flag/n_max=4503599627370496  2  config error: field 'n_max': 144115188075855873 k samples, 32 N_max + 1, do not fit in memory
+packet/config/n_max=4503599627370496  2  config error: field 'n_max': 144115188075855873 k samples, 32 N_max + 1, do not fit in memory
 packet/flag/n_max=144115188075855872  2  config error: field 'n_max': 4611686018427387905 k samples, 32 N_max + 1, do not fit in an array
 packet/config/n_max=144115188075855872  2  config error: field 'n_max': 4611686018427387905 k samples, 32 N_max + 1, do not fit in an array
 packet/flag/n_max=288230376151711744  2  config error: field 'n_max': 9223372036854775809 k samples, 32 N_max + 1, do not fit in an array
