@@ -86,6 +86,12 @@ class PiecewiseConstant:
 PotentialCell = Union[DeltaSpike, RectBarrier, PiecewiseConstant]
 
 
+def check_period(a: float) -> None:
+    """ValueError unless the lattice period a is finite and positive."""
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"lattice period must be positive, got {float(a)!r}")
+
+
 @dataclass(frozen=True)
 class Lattice:
     """N identical non-overlapping cells with period a; cell n starts at (n-1)*a."""
@@ -99,8 +105,7 @@ class Lattice:
         if not (math.isfinite(self.N) and self.N == int(self.N)):
             raise ValueError(f"cell count must be a whole number, got {self.N!r}")
         object.__setattr__(self, "N", int(self.N))
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ValueError(f"lattice period must be positive, got {self.a!r}")
+        check_period(self.a)
         if self.a < self.cell.support_width:
             raise ValueError(
                 f"period {self.a} smaller than cell support {self.cell.support_width}: "

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import Lattice, cell_lanes, cell_smatrix
+from .cells import Lattice, cell_lanes, cell_smatrix, check_period
 from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _LOG_HUGE, _compose,
                    _exp_lanes, _lanes, check_finite, compose_lanes, displace_lanes, position_phase,
                    principal_phase, principal_phase_array)
@@ -255,8 +255,9 @@ def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
 
 
 def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
-    # z = cos(alpha_t + k a) / |t| in every lane of the complex array t;
-    # OverflowError names the first k where alpha_t + k a is not finite
+    # z = cos(alpha_t + k a) / |t| in every lane of the complex array t; ValueError
+    # for a bad period, OverflowError names the first k where alpha_t + k a is inf
+    check_period(a)
     with np.errstate(over="ignore"):
         phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
     overflow = ~np.isfinite(phase)
@@ -266,22 +267,16 @@ def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
     return np.cos(phase) / np.abs(t)
 
 
-# Half-width of the |z| = 1 window where the trig/hyperbolic forms are 0/0
-# and the three-term recurrence takes over, exact at U_n(+-1) = (n+1)(+-1)^n.
-CHEBYSHEV_EDGE_WINDOW = 1e-8
-
-
 def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     """U_{N-1}(z) and |t^(N)|^2 = 1 / (1 + rho U_{N-1}(z)^2), broadcast over (z, rho, N).
 
     The one implementation of the closed form; N, whole and >= 1, is the chain length.
-    Band entries (|z| < 1 - w, w = CHEBYSHEV_EDGE_WINDOW) use sin(N g)/sin(g)
-    with g = arccos z.  Gap entries (|z| > 1 + w) use log|U| = (N-1) h
-    + log((1 - e^{-2Nh}) / (1 - e^{-2h})), h = arccosh|z|: |t^(N)|^2 stays
-    exact down to the double underflow threshold and then degrades
-    gracefully to 0.0, and U saturates to +-inf.  Edge entries run the
-    three-term recurrence, one pass per distinct z up to the largest N asked
-    of it.  Both results have the broadcast shape, at least one-dimensional.
+    It works on |z|: band entries (|z| <= 1) use sin(N g)/sin(g), g = arccos|z|
+    (U = N where g = 0), and gap entries log|U| = (N-1) h + log((1 - e^{-2Nh})
+    / (1 - e^{-2h})), h = arccosh|z|, so |t^(N)|^2 stays exact down to the double
+    underflow threshold, then reads 0.0, and U saturates to +-inf.  As
+    U_{N-1}(z) = (-1)^{N-1} U_{N-1}(|z|), |t^(N)|^2 at -z is that at z bit for
+    bit.  A NaN z gives NaNs.  Both results have the broadcast shape, at least 1-D.
 
     It plans the N-free part on (z, rho) and evaluates the plan at N; a scan
     over many N at the same (z, rho) plans once and evaluates per N.
@@ -295,35 +290,25 @@ def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     return _ChebyshevPlan(z + zeros, rho + zeros).evaluate(N)
 
 
-def _extend_recurrence(seq: list, zj: float, length: int) -> None:
-    # append U_{n+1} = 2z U_n - U_{n-1} until seq holds U_0..U_{length-1}
-    for _ in range(length - len(seq)):
-        seq.append(2.0 * zj * seq[-1] - seq[-2])
-
-
 class _ChebyshevPlan:
     """The part of chebyshev_closed_form that does not depend on N, for
-    equally shaped z and rho: the band/gap/edge masks, g and sin g on band
-    entries, h, e^{-2h} - 1 and log rho on gap entries, and the three-term
-    recurrence of each distinct edge z, extended as far as N asks.  evaluate
-    serves one N, or N per entry; sweep serves every N = 1..n_max in order."""
+    equally shaped z and rho: the band (|z| <= 1), gap (|z| > 1) and z < 0
+    masks, g and sin g on band entries, and h, e^{-2h} - 1 and log rho on gap
+    entries.  evaluate serves one N, or N per entry; sweep serves every
+    N = 1..n_max in order."""
 
     def __init__(self, z: np.ndarray, rho: np.ndarray) -> None:
         self.zeros = np.zeros(z.shape)
         self.abs_z = abs_z = np.abs(z)
-        self.band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
-        self.gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
-        self.edge = ~(self.band | self.gap)
+        self.gap = abs_z > 1.0
+        self.band = ~self.gap  # NaN z too, which arccos carries through
+        self.negative = z < 0.0
         # gap entries get their own |t|^2; rho = inf there would give inf * 0
         self.rho = np.where(self.gap, 0.0, rho)
-        self.gamma = np.arccos(z[self.band])
+        self.gamma = np.arccos(abs_z[self.band])
         self.sin_gamma = np.sin(self.gamma)
-        self.edge_z, self.edge_which = np.unique(z[self.edge], return_inverse=True)
-        self.edge_seqs = [[1.0, 2.0 * zj] for zj in self.edge_z.tolist()]
-        z_gap = z[self.gap]
-        self.eta = np.arccosh(np.abs(z_gap))
+        self.eta = np.arccosh(abs_z[self.gap])
         self.gap_den = np.expm1(-2.0 * self.eta)
-        self.gap_negative = z_gap < 0.0
         with np.errstate(divide="ignore"):  # rho = 0 gives log 0
             self.gap_log_rho = np.log(rho[self.gap])
 
@@ -337,22 +322,17 @@ class _ChebyshevPlan:
         u = np.zeros(N.shape)  # gap entries are filled last, with their own |t|^2
 
         if self.gamma.size:
-            u[self.band] = np.sin(N[self.band] * self.gamma) / self.sin_gamma
-        if self.edge_z.size:
-            orders = N[self.edge].astype(int) - 1
-            values = np.empty(orders.size)
-            for j, (zj, seq) in enumerate(zip(self.edge_z.tolist(), self.edge_seqs)):
-                mine = self.edge_which == j
-                _extend_recurrence(seq, zj, int(orders[mine].max()) + 1)
-                values[mine] = np.array(seq)[orders[mine]]
-            u[self.edge] = values
+            n_band = N[self.band]  # a copy, and U_{N-1}(1) = N where g = 0
+            u[self.band] = np.divide(np.sin(n_band * self.gamma), self.sin_gamma,
+                                     out=n_band, where=self.gamma != 0.0)
         t = 1.0 / (1.0 + self.rho * u * u)
         if self.eta.size:
-            n_gap = N[self.gap]
-            log_u, t[self.gap] = self._gap(n_gap)
-            sign = np.where(self.gap_negative & (n_gap % 2 == 0), -1.0, 1.0)
+            log_u, t[self.gap] = self._gap(N[self.gap])
             with np.errstate(over="ignore"):  # U -> inf
-                u[self.gap] = sign * np.exp(log_u)
+                u[self.gap] = np.exp(log_u)
+        if self.negative.any():  # U_{N-1}(z) = (-1)^{N-1} U_{N-1}(|z|)
+            u_neg = u[self.negative]
+            u[self.negative] = np.negative(u_neg, out=u_neg, where=N[self.negative] % 2 == 0)
         return u, t
 
     def _gap(self, n_gap) -> tuple[np.ndarray, np.ndarray]:
@@ -368,12 +348,12 @@ class _ChebyshevPlan:
         """Yield |t^(N)|^2 for N = 1, 2, ..., n_max, each written over the
         last in one buffer of the plan's shape.
 
-        U_{N-1}(|z|)^2 = U_{N-1}(z)^2 comes from the three-term recurrence in
-        Reinsch's form, e_n = e_{n-1} + c U_{n-1} and U_n = U_{n-1} + e_n with
-        c = 2(|z| - 1) and U_0 = e_0 = 1, which stays accurate next to
-        |z| = 1 (Gentleman, Comput. J. 12, 160 (1969)) and gives U_{N-1}(1) = N
-        exactly.  Band and edge entries share it; gap entries keep c = 0,
-        so nothing overflows, and their row is evaluate's log form at N."""
+        On band entries U_{N-1}(|z|)^2 = U_{N-1}(z)^2 comes from the
+        three-term recurrence in Reinsch's form, e_n = e_{n-1} + c U_{n-1}
+        and U_n = U_{n-1} + e_n with c = 2(|z| - 1) and U_0 = e_0 = 1, which
+        stays accurate next to |z| = 1 (Gentleman, Comput. J. 12, 160 (1969))
+        and gives U_{N-1}(1) = N exactly.  Gap entries keep c = 0, so nothing
+        overflows, and their row is evaluate's log form at N."""
         shape = self.zeros.shape
         c = np.where(self.gap, 0.0, 2.0 * (self.abs_z - 1.0))
         u, e, t = np.ones(shape), np.ones(shape), np.empty(shape)
@@ -420,9 +400,8 @@ def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:
 def transmission_profile(
     cell, a: float, n_values: np.ndarray, k_values: np.ndarray
 ) -> np.ndarray:
-    """|t^(N)|^2 on a (N, k) grid via the closed form.
-
-    Returns an array of shape (len(n_values), len(k_values)).
-    """
+    """|t^(N)|^2 on a (N, k) grid via the closed form, of shape
+    (len(n_values), len(k_values)); ValueError for a period Lattice rejects."""
+    Lattice(cell, a, 1)
     z, rho = chebyshev_input_lanes(k_values, cell_lanes(cell, k_values)[0], a)
     return chebyshev_closed_form(z, rho, np.asarray(n_values)[:, None])[1]

@@ -300,12 +300,11 @@ def _run_starts(column) -> Optional[list]:
 
 class _Table:
     """Named columns of Python scalars, one tolist() per array; len() is the
-    row count, runs maps the columns of few runs of values that spell the
-    same to where their runs start, and uniform names those of one run."""
+    row count, and runs maps the columns of few runs of values that spell
+    the same to where their runs start."""
 
     def __init__(self, columns: dict):
         self.runs = {key: starts for key, c in columns.items() if (starts := _run_starts(c))}
-        self.uniform = {key for key, starts in self.runs.items() if len(starts) == 1}
         self.columns = {key: c.tolist() if isinstance(c, np.ndarray) else c
                         for key, c in columns.items()}
         lengths = {key: len(c) for key, c in self.columns.items()}

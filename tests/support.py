@@ -30,7 +30,6 @@ from scatterchain import (
     UndefinedAmplitudeError,
     WaveNumber,
 )
-from scatterchain.chain import CHEBYSHEV_EDGE_WINDOW
 from scatterchain.cli import _Table
 from scatterchain.core import TWO_PI
 
@@ -211,7 +210,8 @@ def scalar_chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, 
 
 def unplanned_closed_form(z, rho, N):
     """U_{N-1}(z) and 1 / (1 + rho U_{N-1}(z)^2), broadcast over (z, rho, N),
-    with the band/gap/edge split and every branch evaluated in one pass;
+    with the band/gap split on |z|, every branch and the sign rule
+    U_{N-1}(z) = (-1)^{N-1} U_{N-1}(|z|) evaluated in one pass;
     chebyshev_closed_form must equal it bit for bit."""
     z, rho, N = np.asarray(z, dtype=float), np.asarray(rho, dtype=float), np.asarray(N)
     if (N < 1).any():
@@ -219,35 +219,25 @@ def unplanned_closed_form(z, rho, N):
     zeros = np.zeros(np.broadcast(z, rho, N).shape or (1,))
     z, rho, N = z + zeros, rho + zeros, N + zeros
     abs_z = np.abs(z)
-    band = abs_z < 1.0 - CHEBYSHEV_EDGE_WINDOW
-    gap = abs_z > 1.0 + CHEBYSHEV_EDGE_WINDOW
-    edge = ~(band | gap)
+    gap = abs_z > 1.0
+    band = ~gap
     u = np.zeros(z.shape)
 
     if band.any():
-        gamma = np.arccos(z[band])
-        u[band] = np.sin(N[band] * gamma) / np.sin(gamma)
-    if edge.any():
-        z_edge, orders = z[edge], N[edge].astype(int) - 1
-        distinct, which = np.unique(z_edge, return_inverse=True)
-        values = np.empty(z_edge.size)
-        for j, zj in enumerate(distinct.tolist()):
-            mine = which == j
-            seq = [1.0, 2.0 * zj]
-            for _ in range(int(orders[mine].max()) - 1):
-                seq.append(2.0 * zj * seq[-1] - seq[-2])
-            values[mine] = np.array(seq)[orders[mine]]
-        u[edge] = values
+        gamma = np.arccos(abs_z[band])
+        u[band] = np.divide(np.sin(N[band] * gamma), np.sin(gamma), out=N[band],
+                            where=gamma != 0.0)
     t = 1.0 / (1.0 + rho * u * u)
     if gap.any():
-        z_gap, n_gap = z[gap], N[gap]
-        eta = np.arccosh(np.abs(z_gap))
+        n_gap = N[gap]
+        eta = np.arccosh(abs_z[gap])
         ratio = np.expm1(-2.0 * n_gap * eta) / np.expm1(-2.0 * eta)
         log_u = (n_gap - 1.0) * eta + np.log(ratio)
-        sign = np.where((z_gap < 0.0) & (n_gap % 2 == 0), -1.0, 1.0)
         with np.errstate(over="ignore", divide="ignore"):
-            u[gap] = sign * np.exp(log_u)
+            u[gap] = np.exp(log_u)
             t[gap] = np.exp(-np.logaddexp(0.0, np.log(rho[gap]) + 2.0 * log_u))
+    flip = (z < 0.0) & (N % 2 == 0)
+    u[flip] = -u[flip]
     return u, t
 
 

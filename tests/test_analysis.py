@@ -299,14 +299,14 @@ class TestAsymptoticFit:
 
 class TestWavepacketAverage:
     def test_sweep_rows_equal_evaluate_at_every_n(self):
-        # packet's rows: one plan of band, gap and edge entries swept over
-        # N = 1..300 against evaluate at each N.  The two routes differ by
-        # rounding on band and edge entries (worst seen 922 eps, bound at
-        # about twice that) and share the log form on gap entries.
+        # packet's rows: one plan of band, gap and |z| ~ 1 entries swept
+        # over N = 1..300 against evaluate at each N.  The two routes differ
+        # by rounding on band entries (worst seen 272 eps) and share the log
+        # form on gap entries.
         z = np.concatenate([np.linspace(-1.2, 1.2, 401), [1.0, -1.0, 1.0 + 5e-9, -1.0 + 9e-9]])
         rho = np.linspace(0.0, 3.0, z.size)
         plan = sc.chain._ChebyshevPlan(z, rho)
-        gap = np.abs(z) > 1.0 + sc.chain.CHEBYSHEV_EDGE_WINDOW
+        gap = np.abs(z) > 1.0
         for n, t in enumerate(plan.sweep(300), 1):
             want = plan.evaluate(n)[1]
             assert np.abs(t - want).max() <= 2000 * sys.float_info.epsilon, n

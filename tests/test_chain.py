@@ -522,8 +522,7 @@ class TestChebyshevPlan:
             self.check(z, np.linspace(0.0, 3.0, z.size), n)
 
     def test_one_plan_over_many_n(self):
-        # packet's loop: a plan evaluated per N, the edge recurrences
-        # extended on demand and read back at smaller N
+        # a plan evaluated per N, in any order
         z = np.array(self.BAND + self.GAP + self.EDGE + self.EDGE)
         rho = np.linspace(0.0, 2.0, z.size)
         plan = sc.chain._ChebyshevPlan(z, rho)
@@ -532,10 +531,56 @@ class TestChebyshevPlan:
             want = unplanned_closed_form(z, rho, n)
             assert all(same_bits(g, w) for g, w in zip(got, want)), n
 
+    def test_negative_z_folds_onto_positive(self):
+        # U_{N-1}(-z) = (-1)^{N-1} U_{N-1}(z): the kernel works on |z|, so
+        # |t|^2 at -z is that at z bit for bit, in bands, within 1e-8 of
+        # |z| = 1 and in gaps
+        z = np.array([0.05, 0.3, 0.77, 0.999, 1.0 - 5e-9, 1.0, 1.0 + 5e-9,
+                      1.06, 1.5, 4.75])[:, None, None]
+        rho = np.array([1e-4, 0.5, 24.0])[None, :, None]
+        n = np.arange(1, 401)[None, None, :]
+        u, t = sc.chebyshev_closed_form(z, rho, n)
+        u_neg, t_neg = sc.chebyshev_closed_form(-z, rho, n)
+        assert same_bits(t_neg, t)
+        assert same_bits(u_neg, np.where(n % 2 == 0, -u, u))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_nan_z_gives_nan(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, t = self.check(math.nan, 0.5, n)
+        assert math.isnan(u[0]) and math.isnan(t[0])
+
     def test_rejects_zero_cells_in_a_plan(self):
         plan = sc.chain._ChebyshevPlan(np.array([0.5, 2.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="cell counts must be >= 1"):
             plan.evaluate(np.array([1, 0]))
+
+
+class TestPeriodValidation:
+    """The closed-form routes reject the periods Lattice rejects."""
+
+    @pytest.mark.parametrize("a", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_period_that_is_not_finite_and_positive(self, a):
+        s_cell = sc.cell_smatrix(COMB5, K1)
+        calls = (lambda: sc.bloch_parameter(s_cell, a),
+                 lambda: sc.chebyshev_transmission(s_cell, a, 4),
+                 lambda: sc.chain.chebyshev_input_lanes([1.0], np.array([s_cell.t]), a),
+                 lambda: sc.transmission_profile(COMB5, a, np.array([4]), np.array([1.0])))
+        message = re.escape(f"lattice period must be positive, got {a!r}")
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_profile_rejects_overlapping_cells(self):
+        with pytest.raises(ValueError, match="cells would overlap"):
+            sc.transmission_profile(sc.RectBarrier(1.0, 2.0), 0.5, np.array([1, 2]),
+                                    np.array([1.0, 2.0]))
+
+    def test_huge_period_still_overflows(self):
+        # a = 1e308 is a valid period; alpha_t + k a overflows at k = 2
+        with pytest.raises(OverflowError, match="not finite at k=2.0"):
+            sc.bloch_parameter(sc.cell_smatrix(COMB5, sc.WaveNumber(2.0)), 1e308)
 
 
 class TestChebyshevTransmission:
@@ -618,13 +663,14 @@ class TestTransmissionProfile:
 
 class TestClosedFormOracle:
     """chebyshev_closed_form against mpmath.chebyu at 60 digits, on exact
-    double inputs, across band, near-edge, edge-window and gap points."""
+    double inputs, across band points, points near |z| = 1 and within 1e-8
+    of it, and gap points."""
 
     Z = [
         0.0, 0.3, -0.77, 0.999, -0.9999,  # band
-        1.0 + 2e-8, 1.0 - 2e-8, -1.0 + 2e-8, -1.0 - 2e-8,  # just outside the window
+        1.0 + 2e-8, 1.0 - 2e-8, -1.0 + 2e-8, -1.0 - 2e-8,
         1.0 + 1e-6, 1.0 - 1e-6, -1.0 + 1e-6, -1.0 - 1e-6,
-        1.0, -1.0, 1.0 + 5e-9, 1.0 - 5e-9, -1.0 + 9e-9, -1.0 - 3e-9,  # edge window
+        1.0, -1.0, 1.0 + 5e-9, 1.0 - 5e-9, -1.0 + 9e-9, -1.0 - 3e-9,  # within 1e-8
         1.06, -1.06, 1.5, -1.5,  # gap, down to underflow
     ]
     RHO = [1e-4, 0.5, 24.0]

@@ -822,9 +822,10 @@ class TestPacketCommand:
                             "--format", "json")
         k = np.linspace(k0 - 5.0 * sigma, k0 + 5.0 * sigma, 2001)
         z, rho = sc.chain.chebyshev_input_lanes(k, sc.cells.cell_lanes(cell, k)[0], a)
-        w = sc.chain.CHEBYSHEV_EDGE_WINDOW
-        hit = {name for name, mask in (("band", abs(z) < 1.0 - w), ("gap", abs(z) > 1.0 + w),
-                                       ("edge", abs(abs(z) - 1.0) <= w)) if mask.any()}
+        # edge: |z| within 1e-8 of 1, where the band's sin(N g)/sin g has g ~ 1e-4
+        near = abs(abs(z) - 1.0) <= 1e-8
+        hit = {name for name, mask in (("band", (abs(z) < 1.0) & ~near), ("edge", near),
+                                       ("gap", (abs(z) > 1.0) & ~near)) if mask.any()}
         assert hit == regimes
         expected = [sc.wavepacket_average(k, sc.chebyshev_closed_form(z, rho, n)[1], k0, sigma)
                     for n in range(1, n_max + 1)]

@@ -120,7 +120,7 @@ def test_uniform_columns_are_spelled_once(values, uniform):
     # bit-identical (arrays) or one object (lists): never when they are
     # merely equal
     table = _Table({"x": values, "n": np.arange(3)})
-    assert ("x" in table.uniform) == uniform and "n" not in table.uniform
+    assert (table.runs.get("x") == [0]) == uniform and table.runs.get("n") != [0]
     rows = [{"x": x, "n": n} for x, n in zip(table.columns["x"], range(3))]
     assert _render({}, table, "json") == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
     assert _render({}, table, "csv") == per_cell_csv(rows)
@@ -128,7 +128,7 @@ def test_uniform_columns_are_spelled_once(values, uniform):
 
 def test_a_lone_uniform_column_of_empty_text():
     table = _Table({"": ["", "", ""]})
-    assert table.uniform == {""}
+    assert table.runs == {"": [0]}
     assert _render({}, table, "csv") == '""\r\n""\r\n""\r\n""\r\n'
 
 

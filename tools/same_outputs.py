@@ -16,10 +16,11 @@ contract violation), so that their exit codes and messages are compared too.
 The exit code and the sha256 of the stdout and of the stderr of each
 command are compared.  Every command that differs is listed; for one whose
 stdout differs, the tables are parsed (``perfbench/checks.parse_rows``) and
-each column's worst relative change |new - old| / max(|old|, |new|) over
-its cells that are numbers on both sides is printed, with the count of its
-other cells that differ (strings, or a number against an empty cell); where
-either side exited non-zero, its partial stdout is not parsed.  The exit
+each column's worst relative change |new - old| / max(|old|, |new|) and
+worst absolute change |new - old| over its cells that are numbers on both
+sides are printed, with the count of its other cells that differ
+(strings, or a number against an empty cell); where either side exited
+non-zero, its partial stdout is not parsed.  The exit
 status is 1 if an exit code differs, or if a stdout or a stderr differs
 while the two sides' ``scatterchain.__version__`` are equal: the output
 contract is "byte-identical across reruns of the same config and version",
@@ -114,19 +115,23 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _change(old, new) -> float:
-    """|new - old| / max(|old|, |new|) of two numbers: 0 when equal, 1 for a
-    zero against a nonzero, inf where either is not finite and they differ."""
+def _change(old, new) -> tuple[float, float]:
+    """(|new - old| / max(|old|, |new|), |new - old|) of two numbers: zeros
+    when equal, a relative 1 for a zero against a nonzero, and infs where
+    either is not finite and they differ."""
     if old == new or (old != old and new != new):  # equal, or both NaN
-        return 0.0
-    scale = max(abs(old), abs(new))
-    return abs(new - old) / scale if math.isfinite(scale) else math.inf
+        return 0.0, 0.0
+    if not (math.isfinite(old) and math.isfinite(new)):
+        return math.inf, math.inf
+    diff = abs(new - old)
+    return diff / max(abs(old), abs(new)), diff
 
 
 def column_changes(old_text: str, new_text: str, fmt: str) -> str:
-    """Each column's worst relative change between two renderings of a
-    table over the cells that are numbers on both sides, and how many other
-    cells differ (a string, or a number against an empty cell)."""
+    """Each column's worst relative and worst absolute change between two
+    renderings of a table over the cells that are numbers on both sides, and
+    how many other cells differ (a string, or a number against an empty
+    cell)."""
     old, new = parse_rows(old_text, fmt), parse_rows(new_text, fmt)
     if len(old) != len(new) or (old and old[0].keys() != new[0].keys()):
         return f"table shape {len(old)} -> {len(new)} rows"
@@ -138,7 +143,11 @@ def column_changes(old_text: str, new_text: str, fmt: str) -> str:
                 numbers.append(_change(a, b))
             else:
                 others += a != b
-        text = f"{key} {max(numbers):.1e}" if numbers else key
+        if numbers:
+            relative, absolute = map(max, zip(*numbers))
+            text = f"{key} {relative:.1e} (abs {absolute:.1e})"
+        else:
+            text = key
         parts.append(f"{text} +{others} cells" if others else text)
     return ", ".join(parts)
 
