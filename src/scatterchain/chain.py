@@ -274,7 +274,8 @@ def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
     It works on |z|: band entries (|z| <= 1) use sin(N g)/sin(g), g = arccos|z|
     (U = N where g = 0), and gap entries log|U| = (N-1) h + log((1 - e^{-2Nh})
     / (1 - e^{-2h})), h = arccosh|z|, so |t^(N)|^2 stays exact down to the double
-    underflow threshold, then reads 0.0, and U saturates to +-inf.  As
+    underflow threshold, then reads 0.0, and U saturates to +-inf (z = +-inf
+    gives U = +-inf and |t^(N)|^2 = 0 from N = 2 on, and U = 1 at N = 1).  As
     U_{N-1}(z) = (-1)^{N-1} U_{N-1}(|z|), |t^(N)|^2 at -z is that at z bit for
     bit.  A NaN z gives NaNs.  Both results have the broadcast shape, at least 1-D.
 
@@ -338,10 +339,12 @@ class _ChebyshevPlan:
     def _gap(self, n_gap) -> tuple[np.ndarray, np.ndarray]:
         # (log|U_{N-1}|, |t^(N)|^2) on the gap entries at the cell counts
         # n_gap, floats; log(sinh(N eta) / sinh(eta)) in a form where nothing
-        # overflows
+        # overflows; (N - 1) h is 0 at N = 1 also where h = inf (z = +-inf),
+        # as U_0 = 1
         eta = self.eta
         ratio = np.expm1(-2.0 * n_gap * eta) / self.gap_den
-        log_u = (n_gap - 1.0) * eta + np.log(ratio)
+        log_u = np.multiply(n_gap - 1.0, eta, out=np.zeros(eta.shape), where=n_gap > 1.0)
+        log_u += np.log(ratio)
         return log_u, np.exp(-np.logaddexp(0.0, self.gap_log_rho + 2.0 * log_u))
 
     def sweep(self, n_max: int):

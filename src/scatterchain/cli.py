@@ -33,7 +33,14 @@ from .analysis import (
 )
 from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
 from .chain import _end_amplitudes, chain_amplitudes, chebyshev_closed_form, chebyshev_input_lanes
-from .core import WaveNumber, phase_column, unitarity_defect_lanes
+from .core import (
+    LANE_CHUNK,
+    MODULUS_FLOOR,
+    WaveNumber,
+    phase_column,
+    principal_phase_array,
+    unitarity_defect_lanes,
+)
 from .errors import ConfigError, InBandWarning
 
 
@@ -299,20 +306,27 @@ def _run_starts(column) -> Optional[list]:
 
 
 class _Table:
-    """Named columns of Python scalars, one tolist() per array; len() is the
-    row count, and runs maps the columns of few runs of values that spell
-    the same to where their runs start."""
+    """Named columns; len() is the row count, and runs maps the columns of few
+    runs of values that spell the same to where their runs start.  stored
+    holds each column as the renderer reads it: a float64 array as given,
+    any other array as one tolist(), a list as given; columns is the same
+    table in plain Python scalars, built on each read."""
 
     def __init__(self, columns: dict):
         self.runs = {key: starts for key, c in columns.items() if (starts := _run_starts(c))}
-        self.columns = {key: c.tolist() if isinstance(c, np.ndarray) else c
-                        for key, c in columns.items()}
-        lengths = {key: len(c) for key, c in self.columns.items()}
+        self.stored = {key: c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64
+                       else c for key, c in columns.items()}
+        lengths = {key: len(c) for key, c in self.stored.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
 
+    @property
+    def columns(self) -> dict:
+        return {key: c.tolist() if isinstance(c, np.ndarray) else c
+                for key, c in self.stored.items()}
+
     def __len__(self) -> int:
-        return len(next(iter(self.columns.values()), ()))
+        return len(next(iter(self.stored.values()), ()))
 
 
 def _unitarity_column(cfg: ExperimentConfig, t, l, r, where) -> np.ndarray:
@@ -328,8 +342,13 @@ def _unitarity_column(cfg: ExperimentConfig, t, l, r, where) -> np.ndarray:
     return defect
 
 
+def _phases(z):
+    # phase_column(z), as the array of its phases when none of them is None
+    return principal_phase_array(z) if (np.abs(z) >= MODULUS_FLOOR).all() else phase_column(z)
+
+
 def _amplitude_columns(cfg: ExperimentConfig, t, l, r, where) -> dict:
-    phases = {f"alpha_{x}": phase_column(z) for x, z in zip("tlr", (t, l, r))}
+    phases = {f"alpha_{x}": _phases(z) for x, z in zip("tlr", (t, l, r))}
     return {**phases, "unitarity_defect": _unitarity_column(cfg, t, l, r, where)}
 
 
@@ -462,20 +481,41 @@ def _csv_fields(texts, alone: bool):
             yield '""' if alone and not text else text
 
 
-def _cells(fmt: str, values: list, alone: bool, starts: Optional[list] = None):
+def _blocks(column: np.ndarray):
+    # the array's values as Python floats, from one tolist() per LANE_CHUNK
+    # rows, so that at most one block of them is alive
+    return itertools.chain.from_iterable(
+        column[i:i + LANE_CHUNK].tolist() for i in range(0, len(column), LANE_CHUNK))
+
+
+def _json_scalars(values):
+    # repr of each float, int or None, with json's NaN, Infinity, -Infinity and null
+    return map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
+
+
+def _cells(fmt: str, values, alone: bool, starts: Optional[list] = None):
     """The conversion of a column in the row template, and the cells it fills.
     In CSV a column of plain floats is spelled by the template, as %.17g; any
     other goes in as %s, spelled here with 17 digits for floats, "" for None
     and str otherwise, quoted by _csv_fields.  In JSON every column is spelled
     as json.dumps spells it: repr for plain floats and ints (by the template,
     as %r, for finite floats alone), NaN, Infinity, -Infinity and null for
-    non-finite floats and None, json itself otherwise.  A column of runs that
+    non-finite floats and None, json itself otherwise.  A float64 array is a
+    column of plain floats, read in blocks (_blocks).  A column of runs that
     start at starts spells each run's first value once and repeats it."""
     if starts is not None:
-        conversion, cells = _cells(fmt, [values[i] for i in starts], alone)
+        heads = (values[starts].tolist() if isinstance(values, np.ndarray)
+                 else [values[i] for i in starts])
+        conversion, cells = _cells(fmt, heads, alone)
         texts = [conversion % (cell,) for cell in cells]
         lengths = map(operator.sub, [*starts[1:], len(values)], starts)
         return "%s", itertools.chain.from_iterable(map(itertools.repeat, texts, lengths))
+    if isinstance(values, np.ndarray):  # float64, the one array _Table keeps
+        if fmt == "csv":
+            return "%.17g", _blocks(values)
+        if np.isfinite(values).all():
+            return "%r", _blocks(values)
+        return "%s", _json_scalars(_blocks(values))
     types = set(map(type, values))
     if fmt == "csv":
         if types == {float}:
@@ -486,7 +526,7 @@ def _cells(fmt: str, values: list, alone: bool, starts: Optional[list] = None):
     if types == {float} and all(map(math.isfinite, values)):
         return "%r", values
     if types <= {float, int, type(None)}:
-        return "%s", map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
+        return "%s", _json_scalars(values)
     return "%s", map(json.dumps, values)
 
 
@@ -498,17 +538,17 @@ def _render(meta: dict, table: _Table, fmt: str) -> str:
     values; every row is filled in from one % template of their conversions."""
     if not table:
         return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
-    alone = len(table.columns) == 1
+    alone = len(table.stored) == 1
     conversions, cells = zip(*(_cells(fmt, values, alone, table.runs.get(key))
-                               for key, values in table.columns.items()))
+                               for key, values in table.stored.items()))
     if fmt == "json":
         frame, end = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
         fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: {conversion}"
-                          for key, conversion in zip(table.columns, conversions))
+                          for key, conversion in zip(table.stored, conversions))
         head, template = frame + "[\n", "    {" + fields + "\n    }"
         sep, tail = ",\n", "\n  ]" + end + "\n"
     else:
-        head = ",".join(_csv_fields(table.columns, alone)) + "\r\n"
+        head = ",".join(_csv_fields(table.stored, alone)) + "\r\n"
         template, sep, tail = ",".join(conversions), "\r\n", "\r\n"
     # one join builds the whole text: concatenating head and tail to it
     # afterwards would copy it, and raise the process's peak memory

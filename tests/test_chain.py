@@ -551,6 +551,27 @@ class TestChebyshevPlan:
             u, t = self.check(math.nan, 0.5, n)
         assert math.isnan(u[0]) and math.isnan(t[0])
 
+    def test_infinite_z(self):
+        # U_0 = 1 at any z, so N = 1 reads 1 / (1 + rho) as every gap z does
+        # there; from N = 2 on U saturates to +-inf and |t|^2 reads 0.  Both
+        # evaluate and sweep, quietly.  rho > 0, as rho = 0 (|t| = 1) puts
+        # z in the band
+        z = np.array([math.inf, -math.inf])[:, None]
+        rho = np.array(self.RHO[1:])[None, :]
+        n = np.array([1, 2, 3, 1000])[:, None, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, t = sc.chebyshev_closed_form(z, rho, n)
+            plan = sc.chain._ChebyshevPlan(*np.broadcast_arrays(z, rho))
+            rows = [row.copy() for row in plan.sweep(3)]
+            t_finite = sc.chebyshev_closed_form(1e300, rho, 1)[1]
+        assert (u[0] == 1.0).all() and same_bits(t[0], np.broadcast_to(t_finite, t[0].shape))
+        assert t[0, 0].tolist() == pytest.approx([1.0 / (1.0 + r) for r in self.RHO[1:]],
+                                                 rel=1e-12)
+        assert (u[1:, 0] == math.inf).all() and (t[1:] == 0.0).all()
+        assert u[1:, 1, 0].tolist() == [-math.inf, math.inf, -math.inf]  # (-1)^{N-1}
+        assert all(same_bits(row, t[i]) for i, row in enumerate(rows))
+
     def test_rejects_zero_cells_in_a_plan(self):
         plan = sc.chain._ChebyshevPlan(np.array([0.5, 2.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="cell counts must be >= 1"):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scatterchain import cli
 from scatterchain.cli import _render, _Table, main
+from scatterchain.core import LANE_CHUNK
 from support import column_table, per_cell_csv, table_rows
 
 FLOATS = st.floats() | st.sampled_from(
@@ -189,6 +191,74 @@ def test_columns_of_few_runs_render_as_json_dumps_and_the_per_cell_writer(table)
 def test_runs_start_where_the_spelling_or_object_changes(values, starts):
     table = _Table({"x": values})
     assert table.runs.get("x") == starts
+
+
+# Floats whose spellings are edge cases: -0.0, a NaN payload, the
+# infinities, subnormals, and both sides of repr's switch to an exponent
+# (1e-05 against 0.0001, 1e+16 against 1000000000000000.0).
+SPELLINGS = [-0.0, NAN_PAYLOAD, math.inf, -math.inf, 5e-324, 1.1125369292536007e-308,
+             1e-5, 1e-4, 1e16, 1e15, 0.1, -2.5]
+FINITE = [v for v in SPELLINGS if math.isfinite(v)]
+
+
+def float_arrays(n):
+    """Float64 columns of n rows that _Table keeps as arrays: the edge-case
+    spellings cycled, with and without the non-finite ones; two columns with
+    a run across the first LANE_CHUNK boundary, one of three runs and one of
+    too many runs to spell each once; and a strided view, the real part of a
+    complex array."""
+    i = np.arange(n)
+    across = abs(i - LANE_CHUNK) <= 2
+    return {
+        "spellings": np.resize(SPELLINGS, n),
+        "finite": np.resize(FINITE, n)[::-1],
+        "three_runs": np.where(across, 0.7, -0.0),
+        "many_runs": np.where(across, 0.7, np.where(i % 2 == 0, 1e16, 1e-5)),
+        "strided": (np.exp(0.37j * i) * np.resize(FINITE, n)).real,
+    }
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, LANE_CHUNK, LANE_CHUNK + 1, 3 * LANE_CHUNK + 7])
+def test_float_arrays_render_as_their_lists(n):
+    arrays = float_arrays(n)
+    assert n < 2 or not arrays["strided"].flags.contiguous
+    columns = {**arrays, "N": np.arange(1, n + 1)}
+    table = _Table(columns)
+    as_lists = _Table({key: c.tolist() for key, c in columns.items()})
+    assert all(isinstance(table.stored[key], np.ndarray) for key in arrays)
+    assert "many_runs" not in table.runs
+    if n > LANE_CHUNK + 2:
+        assert table.runs["three_runs"] == [0, LANE_CHUNK - 2, LANE_CHUNK + 3]
+    meta = {"command": "cell"}
+    for fmt in ("csv", "json"):
+        assert _render(meta, table, fmt) == _render(meta, as_lists, fmt)
+    rows = table_rows(table)
+    assert _render(meta, table, "json") == json.dumps({"meta": meta, "rows": rows},
+                                                      indent=2) + "\n"
+    assert _render(meta, table, "csv") == per_cell_csv(rows)
+
+
+def test_a_lone_float_array():
+    table = _Table({"x": np.resize(SPELLINGS, LANE_CHUNK + 1)})
+    rows = table_rows(table)
+    assert _render({}, table, "json") == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
+    assert _render({}, table, "csv") == per_cell_csv(rows)
+
+
+def test_a_gap_table_keeps_null_phases_beside_phase_arrays():
+    # deep in a gap t underflows below MODULUS_FLOOR from N ~ 310 on, so
+    # alpha_t is a list with nulls, while l and r keep modulus ~1 and their
+    # phases stay arrays
+    argv = ["chain", "--cell", "delta:g=5", "--period", "1", "--k0", "1", "--N-max", "400"]
+    meta, table = cli.run_chain(cli._resolve(cli.build_parser().parse_args(argv)))
+    assert isinstance(table.stored["alpha_t"], list)
+    assert table.stored["alpha_t"][-1] is None and table.stored["alpha_t"][0] is not None
+    assert all(isinstance(table.stored[f"alpha_{x}"], np.ndarray) for x in "lr")
+    rows = table_rows(table)
+    text = _render(meta, table, "json")
+    assert text == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+    assert '"alpha_t": null' in text
+    assert _render(meta, table, "csv") == per_cell_csv(rows)
 
 
 DELTA = ("--cell", "delta:g=1", "--period", "1")
