@@ -26,13 +26,13 @@ from .core import (
     PhaseCurve,
     ScatteringMatrix,
     WaveNumber,
+    _defined,
     displace_lanes,
     principal_phase_array,
     unwrap_phases,
     wrap_to_principal,
 )
 from .errors import (
-    ConfigError,
     CoverageError,
     EdgeOfGridError,
     InBandWarning,
@@ -134,21 +134,21 @@ def _stencil_window(k_center: float, fd_step: float) -> np.ndarray:
     """The 5-point window k + j*fd_step, j = -2..2."""
     ks = k_center + np.arange(-2, 3) * fd_step
     if ks[0] <= 0.0:
-        raise ConfigError(f"field 'fd_step': finite-difference window around k={k_center!r} "
-                          "extends to k <= 0; lower fd_step")
+        raise ValueError(f"fd_step={fd_step!r}: finite-difference window around "
+                         f"k={k_center!r} extends to k <= 0; lower fd_step")
     return ks
 
 
 def _five_point(values: np.ndarray, window: np.ndarray) -> float:
     """d/dk at the centre of a 5-point window: central differences at steps
-    h and 2h combined by one Richardson step.  Raises ConfigError unless
+    h and 2h combined by one Richardson step.  Raises ValueError unless
     the window is uniform to 1e-9 relative: at large k or small fd_step,
     rounding of k + j*fd_step breaks the stencil."""
     steps = np.diff(window)
     h = float(steps[0])
     if not (h > 0.0 and np.abs(steps - h).max() <= 1e-9 * h):
-        raise ConfigError(f"field 'fd_step': stencil around k={float(window[2])!r} is not "
-                          "uniformly spaced after rounding; raise fd_step")
+        raise ValueError(f"stencil around k={float(window[2])!r} is not uniformly spaced "
+                         "after rounding k + j*fd_step; raise fd_step")
     d_h = (values[3] - values[1]) / (2.0 * h)
     d_2h = (values[4] - values[0]) / (4.0 * h)
     return float((4.0 * d_h - d_2h) / 3.0)
@@ -241,6 +241,16 @@ def delay_scan(
     modulus at k is below MODULUS_FLOOR.  For N = 1 the cell's own
     amplitudes are used and a is not read (it may be None).
     """
+    return [tuple(_defined(values, ok) for values, ok in lanes)
+            for lanes in _delay_lanes(cell, a, N, k_values, displacements)]
+
+
+def _delay_lanes(
+    cell: PotentialCell, a: float, N: int, k_values, displacements: Sequence[float]
+) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """delay_scan's delays as arrays: per displacement, the (values, defined)
+    pair of tau_t, tau_l and tau_r, values read only where defined is True.
+    Every displacement shares one tau_t pair."""
     k = np.asarray(k_values, dtype=float)
     cell_dk = cell_lanes(cell, k, derivatives=True)
     if N == 1:
@@ -249,7 +259,7 @@ def delay_scan(
             t_log = np.log(np.abs(cell_dk[0]))
     else:
         t_log, _, _, l, r, g, dl, dr = _end_amplitudes(Lattice(cell, a, N), k, cell_dk)
-    tau_t = _defined(g.imag / k, t_log >= math.log(MODULUS_FLOOR))
+    tau_t = (g.imag / k, t_log >= math.log(MODULUS_FLOOR))
     tables = []
     for displacement in displacements:
         l_x, r_x, dl_x, dr_x = (displace_lanes(k, l, r, displacement, dl, dr) if displacement
@@ -258,14 +268,9 @@ def delay_scan(
         for z, dz in ((l_x, dl_x), (r_x, dr_x)):
             ok = np.abs(z) >= MODULUS_FLOOR
             log_dz = np.divide(dz, z, out=np.zeros(z.shape, dtype=complex), where=ok)
-            taus.append(_defined(log_dz.imag / k, ok))
+            taus.append((log_dz.imag / k, ok))
         tables.append(tuple(taus))
     return tables
-
-
-def _defined(values: np.ndarray, ok: np.ndarray) -> list[Optional[float]]:
-    # values as a list, None where ok is False
-    return [v if defined else None for v, defined in zip(values.tolist(), ok.tolist())]
 
 
 def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> list[HartmanRecord]:
@@ -278,6 +283,14 @@ def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> li
     unbounded in N.  At an in-band k the scan still runs but warns, since
     T_t(N) then grows linearly with N.
     """
+    a = float(a)
+    taus = _hartman_delays(cell, a, k, n_max).tolist()
+    return [HartmanRecord(N=n, tau_t_N=tau, k=k, a=a) for n, tau in enumerate(taus, 1)]
+
+
+def _hartman_delays(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> np.ndarray:
+    """hartman_scan's tau_t(N) for N = 1..n_max as an array, after its
+    InBandWarning check."""
     verdict = band_classify(cell_smatrix(cell, k), a)
     if verdict.kind is not BandClass.GAP:
         warnings.warn(
@@ -286,9 +299,8 @@ def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> li
                 "traversal time will grow with N instead of saturating"
             )
         )
-    a = float(a)
-    taus = [slope / k.velocity for slope in _transmission_phase_slopes(Lattice(cell, a, n_max), k)]
-    return [HartmanRecord(N=n, tau_t_N=tau, k=k, a=a) for n, tau in enumerate(taus, 1)]
+    slopes = _transmission_phase_slopes(Lattice(cell, a, n_max), k)
+    return np.array(slopes) / k.velocity
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
@@ -396,9 +408,9 @@ def _packet_averager(k_values: np.ndarray, k0: float, sigma: float):
 
 
 def _packet_profile(z, rho, k_values: np.ndarray, k0: float, sigma: float,
-                    n_max: int) -> list[float]:
+                    n_max: int) -> np.ndarray:
     """wavepacket_average of the closed-form |t^(N)|^2 at (z, rho) for
-    N = 1..n_max, as a list: the plan's sweep writes each row over the last
-    in one buffer, so memory is O(k count), not O(n_max x k count)."""
+    N = 1..n_max, as an array: the plan's sweep writes each row over the
+    last in one buffer, so memory is O(k count), not O(n_max x k count)."""
     average = _packet_averager(k_values, k0, sigma)
-    return [average(t) for t in _ChebyshevPlan(z, rho).sweep(n_max)]
+    return np.fromiter(map(average, _ChebyshevPlan(z, rho).sweep(n_max)), float, n_max)

@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .analysis import (
     DEFAULT_EDGE_TOL,
+    _delay_lanes,
+    _hartman_delays,
     _packet_profile,
     band_class_lanes,
-    delay_scan,
-    hartman_scan,
 )
 from .cells import DeltaSpike, Lattice, PiecewiseConstant, PotentialCell, RectBarrier, cell_lanes
 from .chain import _end_amplitudes, chain_amplitudes, chebyshev_closed_form, chebyshev_input_lanes
@@ -37,7 +37,7 @@ from .core import (
     LANE_CHUNK,
     MODULUS_FLOOR,
     WaveNumber,
-    phase_column,
+    _defined,
     principal_phase_array,
     unitarity_defect_lanes,
 )
@@ -342,13 +342,15 @@ def _unitarity_column(cfg: ExperimentConfig, t, l, r, where) -> np.ndarray:
     return defect
 
 
-def _phases(z):
-    # phase_column(z), as the array of its phases when none of them is None
-    return principal_phase_array(z) if (np.abs(z) >= MODULUS_FLOOR).all() else phase_column(z)
+def _column(values: np.ndarray, defined: np.ndarray):
+    # values if every row is defined, else their list with None where not
+    return values if defined.all() else _defined(values, defined)
 
 
 def _amplitude_columns(cfg: ExperimentConfig, t, l, r, where) -> dict:
-    phases = {f"alpha_{x}": _phases(z) for x, z in zip("tlr", (t, l, r))}
+    # core.phase_column of each amplitude, as its array where no entry is None
+    phases = {f"alpha_{x}": _column(principal_phase_array(z), np.abs(z) >= MODULUS_FLOOR)
+              for x, z in zip("tlr", (t, l, r))}
     return {**phases, "unitarity_defect": _unitarity_column(cfg, t, l, r, where)}
 
 
@@ -400,31 +402,33 @@ def run_bands(cfg: ExperimentConfig):
 
 
 def run_hartman(cfg: ExperimentConfig):
+    k = WaveNumber(cfg.k0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        records = hartman_scan(cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max)
+        tau = _hartman_delays(cfg.potential, cfg.period, k, cfg.n_max)
     warning = next((str(w.message) for w in caught if issubclass(w.category, InBandWarning)), "")
-    times = [rec.T_t_N for rec in records]
+    n = np.arange(1, cfg.n_max + 1)
+    times = n * cfg.period / k.velocity + tau  # HartmanRecord.T_t_N, in its order
     return _meta(cfg), _Table({
-        "N": [rec.N for rec in records],
-        "tau_t": [rec.tau_t_N for rec in records],
+        "N": n,
+        "tau_t": tau,
         "T_t": times,
-        "increment": [None] + [b - a for a, b in zip(times, times[1:])],
-        "warning": [warning] * len(records),
+        "increment": [None, *np.diff(times).tolist()],
+        "warning": [warning] * cfg.n_max,
     })
 
 
 def run_delay(cfg: ExperimentConfig):
     k_grid = cfg.k_grid()
-    tables = delay_scan(cfg.potential, cfg.period, cfg.n, k_grid,
-                        displacements=(0.0, cfg.period) if cfg.displaced else (0.0,))
-    columns = {"k": k_grid, **{f"tau_{x}": taus for x, taus in zip("tlr", tables[0])}}
+    tables = _delay_lanes(cfg.potential, cfg.period, cfg.n, k_grid,
+                          (0.0, cfg.period) if cfg.displaced else (0.0,))
+    columns = {"k": k_grid, **{f"tau_{x}": _column(*taus)
+                               for x, taus in zip("tlr", tables[0])}}
     if cfg.displaced:
-        columns.update({f"tau_{x}_displaced": taus for x, taus in zip("tlr", tables[1])})
-        columns.update({
-            f"dtau_{x}": [None if a is None or b is None else b - a for a, b in zip(base, moved)]
-            for x, base, moved in zip("tlr", *tables)
-        })
+        columns.update({f"tau_{x}_displaced": _column(*taus)
+                        for x, taus in zip("tlr", tables[1])})
+        columns.update({f"dtau_{x}": _column(moved - base, ok & moved_ok)
+                        for x, (base, ok), (moved, moved_ok) in zip("tlr", *tables)})
     return _meta(cfg), _Table(columns)
 
 

@@ -220,8 +220,12 @@ def phase_column(z) -> list[Optional[float]]:
     """For every entry of the complex array z, its principal phase on
     (-pi, pi], or None where its modulus is below MODULUS_FLOOR and it
     carries no meaningful phase."""
-    defined = (np.abs(z) >= MODULUS_FLOOR).tolist()
-    return [p if ok else None for p, ok in zip(principal_phase_array(z).tolist(), defined)]
+    return _defined(principal_phase_array(z), np.abs(z) >= MODULUS_FLOOR)
+
+
+def _defined(values: np.ndarray, ok: np.ndarray) -> list[Optional[float]]:
+    # values as a list, None where ok is False
+    return [v if defined else None for v, defined in zip(values.tolist(), ok.tolist())]
 
 
 def phase_relation_residual(s: ScatteringMatrix) -> Optional[float]:

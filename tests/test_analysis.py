@@ -83,6 +83,19 @@ class TestTimeDelays:
             sc.time_delays((curve, None), K1)
         assert str(info.value) == "expected the (t, l, r) curve triple"
 
+    def test_window_reaching_k_le_0_names_fd_step(self):
+        with pytest.raises(ValueError, match=r"^fd_step=0\.001: .* extends to k <= 0") as info:
+            sc.chain_phase_curves(DELTA, 1.0, 1, 0.0015, fd_step=1e-3)
+        assert type(info.value) is ValueError
+
+    def test_stencil_not_uniform_after_rounding_names_fd_step(self):
+        # at k = 1e5 a step of 1.0003e-8 is 687.4 ulps: the window's steps
+        # round to 688, 687, 687 and 688 of them
+        curves = sc.chain_phase_curves(DELTA, 1.0, 1, 1e5, fd_step=1.0003e-8)
+        with pytest.raises(ValueError, match="not uniformly spaced.*; raise fd_step$") as info:
+            sc.time_delays(curves, sc.WaveNumber(1e5))
+        assert type(info.value) is ValueError
+
     def test_method_descriptor(self):
         curves = sc.chain_phase_curves(DELTA, 1.0, 1, 1.0)
         rec = sc.time_delays(curves, K1)

@@ -8,6 +8,7 @@ import re
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -681,6 +682,28 @@ class TestHartmanCommand:
         rows = parse_csv(out)
         assert all("not in a gap" in row["warning"] for row in rows)
 
+    @pytest.mark.parametrize("k0", [1.0, 2.5], ids=["gap", "band"])
+    def test_table_equals_hartman_scan(self, capsys, k0):
+        # the table's tau_t, T_t and increment, bit for bit, against the
+        # records' tau_t_N, T_t_N and their consecutive differences
+        code, out, _ = run_cli(capsys, "hartman", "--cell", "delta:g=5", "--period", "1",
+                               "--k0", repr(k0), "--N-max", "50", "--format", "json")
+        assert code == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = sc.hartman_scan(sc.DeltaSpike(5.0), 1.0, sc.WaveNumber(k0), 50)
+        in_band = [w for w in caught if issubclass(w.category, sc.InBandWarning)]
+        rows = json.loads(out)["rows"]
+        assert len(in_band) == (k0 == 2.5) and len(rows) == len(records) == 50
+        times = [rec.T_t_N for rec in records]
+        assert [row["N"] for row in rows] == [rec.N for rec in records]
+        assert [row["tau_t"] for row in rows] == [rec.tau_t_N for rec in records]
+        assert [row["T_t"] for row in rows] == times
+        assert [row["increment"] for row in rows] == [None] + [
+            b - a for a, b in zip(times, times[1:])]
+        warning = str(in_band[0].message) if in_band else ""
+        assert all(row["warning"] == warning for row in rows)
+
 
     # A 5-point stencil cannot resolve these k0; the analytic derivative
     # needs no step.  At k0 = 1e-5 the cell's |l| is 1 - 5e-11, so D_n cancels
@@ -769,6 +792,34 @@ class TestDelayCommand:
         expected = reference_delay_rows(parse_cell_spec(cell), float(period), n, k_grid,
                                         1e-5, displaced)
         assert_rows_near(rows, expected, dict.fromkeys(expected[0], DELAY_ORACLE_TOL))
+
+    # deep in the comb's gap t^(1000) is below the floor on 24 of the 41 k,
+    # while l and r are defined on every row
+    MIXED = ("delay", "--cell", "delta:g=5", "--period", "1", "--N", "1000",
+             "--k-min", "2.5", "--k-max", "4.5", "--k-count", "41", "--displaced")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_undefined_delays_keep_their_cells_empty(self, capsys, fmt):
+        code, out, err = run_cli(capsys, *self.MIXED, "--format", fmt)
+        assert code == 0 and err == ""
+        k_grid = np.linspace(2.5, 4.5, 41)
+        base, moved = sc.delay_scan(sc.DeltaSpike(5.0), 1.0, 1000, k_grid,
+                                    displacements=(0.0, 1.0))
+        assert [taus.count(None) for taus in (*base, *moved)] == [24, 0, 0, 24, 0, 0]
+        expected = {f"tau_{x}": taus for x, taus in zip("tlr", base)}
+        expected.update({f"tau_{x}_displaced": taus for x, taus in zip("tlr", moved)})
+        expected.update({f"dtau_{x}": [None if a is None or b is None else b - a
+                                       for a, b in zip(*pair)]
+                         for x, *pair in zip("tlr", base, moved)})
+        rows = json.loads(out)["rows"] if fmt == "json" else parse_csv(out)
+        assert len(rows) == 41
+        for key, column in expected.items():
+            cells = [row[key] for row in rows]
+            if fmt == "json":
+                assert cells == column, key
+            else:
+                assert [c == "" for c in cells] == [v is None for v in column], key
+                assert [float(c) for c in cells if c] == [v for v in column if v is not None]
 
     def test_displaced_scan_builds_each_cell_once(self, capsys, monkeypatch):
         calls = count_cell_smatrix(monkeypatch)
@@ -879,6 +930,25 @@ class TestPacketCommand:
         finally:
             tracemalloc.stop()
         assert code == 0 and peak < 10e6
+
+
+@pytest.mark.parametrize("argv, floats", [
+    (("delay", "--cell", "barrier:V0=-1.5,w=0.5", "--period", "1.2", "--N", "32",
+      "--k-min", "0.5", "--k-max", "2.0", "--k-count", "7", "--displaced"),
+     ("k", *(f"{d}tau_{x}{s}" for d, s in (("", ""), ("", "_displaced"), ("d", ""))
+             for x in "tlr"))),
+    (("hartman", "--cell", "delta:g=5", "--period", "1", "--k0", "2.5", "--N-max", "9"),
+     ("tau_t", "T_t")),
+    (("packet", "--cell", "delta:g=1", "--period", "1", "--k0", "2", "--sigma", "0.02",
+      "--N-max", "9"), ("averaged_T", "pointwise_T_k0")),
+], ids=["delay", "hartman", "packet"])
+def test_float_columns_reach_the_renderer_as_arrays(argv, floats):
+    # every row defined: the runner hands the renderer float64 arrays, not lists
+    cfg = cli._resolve(cli.build_parser().parse_args(list(argv)))
+    table = cli._RUNNERS[cfg.command](cfg)[1]
+    for key in floats:
+        column = table.stored[key]
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64, key
 
 
 class TestOutputFormats:

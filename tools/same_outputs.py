@@ -6,12 +6,17 @@ Run from the root of a checkout.  The committed files of REV are exported
 (``git archive``) to a temporary directory.  On that tree and on the working
 tree, one fresh interpreter each runs every command of
 ``perfbench/workloads.campaign(workload, seed)`` for the three workloads and
-seeds 7, 320, 1 and 2, and then every argv list of ``FAILING``, by calling
-``scatterchain.cli.main(argv)`` in-process with stdout captured to a file and
-stderr in memory.  Both sides run the working tree's campaign and list, so
-they run the same argv lists.  Every campaign command exits 0 with an empty
-stderr; ``FAILING`` holds commands that exit 2 (a config error) or 3 (a
-contract violation), so that their exit codes and messages are compared too.
+seeds 7, 320, 1 and 2, then every argv list of ``PASSING`` and then every
+one of ``FAILING``, by calling ``scatterchain.cli.main(argv)`` in-process
+with stdout captured to a file and stderr in memory.  Both sides run the
+working tree's campaign and lists, so they run the same argv lists.  Every
+campaign command exits 0 with an empty stderr, every delay it tabulates is
+defined and every hartman k0 lies in a gap; ``PASSING`` holds commands that
+exit 0 on the paths the campaigns miss: a delay table with undefined cells
+(empty in CSV, null in JSON) and a hartman scan at an in-band k0, whose
+warning column is filled.  ``FAILING`` holds commands that exit 2 (a config
+error) or 3 (a contract violation), so that their exit codes and messages
+are compared too.
 
 The exit code and the sha256 of the stdout and of the stderr of each
 command are compared.  Every command that differs is listed; for one whose
@@ -45,6 +50,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (7, 320, 1, 2)
 WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 
+# label and argv of commands that pass on paths no campaign command takes:
+# tau_t, tau_t_displaced and dtau_t undefined on 24 of 41 rows in a deep gap
+# while tau_l and tau_r are defined on all, and an in-band hartman k0
+_MIXED_DELAY = ("delay", "--cell", "delta:g=5", "--period", "1", "--N", "1000",
+                "--k-min", "2.5", "--k-max", "4.5", "--k-count", "41", "--displaced")
+PASSING = (
+    ("undefined delays, csv", _MIXED_DELAY),
+    ("undefined delays, json", (*_MIXED_DELAY, "--format", "json")),
+    ("in-band hartman", ("hartman", "--cell", "delta:g=5", "--period", "1", "--k0", "2.5",
+                         "--N-max", "50")),
+)
+
 # label and argv of commands that fail: exit 2, then exit 3 twice (a
 # non-finite cell amplitude, and the unitarity defect of a long chain next
 # to a band edge, first past 1e-10 at N = 1228)
@@ -77,7 +94,9 @@ def side_outputs(src: str, into: str) -> dict:
                 for workload in WORKLOADS for seed in SEEDS
                 for index, command in enumerate(workloads.campaign(workload, seed))]
     outputs = []
-    for label, argv in commands + [(f"failing: {label}", argv) for label, argv in FAILING]:
+    commands += [(f"passing: {label}", argv) for label, argv in PASSING]
+    commands += [(f"failing: {label}", argv) for label, argv in FAILING]
+    for label, argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(list(argv))
@@ -204,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     codes = sum(old["code"] == new["code"] for old, new in pairs)
     print(f"{same} of {len(pairs)} commands identical to {args.rev} "
           f"(stdout and stderr sha256 and exit code, seeds {', '.join(map(str, SEEDS))}, "
-          f"and {len(FAILING)} failing commands)")
+          f"{len(PASSING)} more passing and {len(FAILING)} failing commands)")
     if base["version"] != change["version"]:
         print(f"scatterchain {base['version']} at {args.rev}, {change['version']} here: "
               "outputs are only promised identical within one version; "
