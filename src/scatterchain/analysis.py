@@ -299,8 +299,7 @@ def _hartman_delays(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) ->
                 "traversal time will grow with N instead of saturating"
             )
         )
-    slopes = _transmission_phase_slopes(Lattice(cell, a, n_max), k)
-    return np.array(slopes) / k.velocity
+    return _transmission_phase_slopes(Lattice(cell, a, n_max), k) / k.velocity
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:

@@ -9,7 +9,9 @@ the two is the standing cross-check for everything downstream.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,8 @@ class ChainState:
     ln|t^(n)| and the continuously accumulated arg t^(n) from the recurrence
     itself, so transmission phases stay meaningful deep in a gap where the
     complex t underflows, and carry no mod-2pi ambiguity between successive
-    n.  l and r must be finite: the recurrences' one finiteness check runs
-    here (t^(n) cannot turn non-finite before l or r does).
+    n.  l, r and t must be finite: the recurrences' one finiteness check
+    runs here, and an exp of ln|t^(n)| that overflows fails it.
     """
 
     lattice: Lattice
@@ -59,10 +61,10 @@ class ChainState:
     def __post_init__(self) -> None:
         for name, dtype in (("t", complex), ("l", complex), ("r", complex),
                             ("t_log_moduli", float), ("t_phases", float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        check_finite(l=self.l, r=self.r)
+        check_finite(l=self.l, r=self.r, t=self.t)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -83,28 +85,19 @@ def _vanished(n: int) -> ResonanceDivergenceError:
     return ResonanceDivergenceError(f"recurrence denominator vanished at n={n}; inputs corrupted")
 
 
-def _grow(lattice: Lattice, s_cell: ScatteringMatrix, step) -> ChainState:
-    # The loop both recurrences share: step(n, l, r, (t^(n))^2) gives D_n and
-    # the next l, r; t^(n+1) = t^(n) t / D_n accumulates in log-polar form,
-    # and t^(n) = exp(ln|t^(n)| + i arg t^(n)) underflows to 0 past -_LOG_HUGE.
-    mod = abs(s_cell.t)
-    if mod < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    exp, log, phase, floor = cmath.exp, math.log, cmath.phase, -_LOG_HUGE
-    lt_c, pt_c = log(mod), principal_phase(s_cell.t)
-    lt, pt, l, r = lt_c, pt_c, s_cell.l, s_cell.r
-    ts, ls, rs, lts, pts = [s_cell.t], [l], [r], [lt], [pt]
-    for n in range(1, lattice.N):
-        lt2 = 2.0 * lt
-        den, l, r = step(n, l, r, 0j if lt2 < floor else exp(complex(lt2, 2.0 * pt)))
-        lt += lt_c - log(abs(den))
-        pt += pt_c - phase(den)
-        ts.append(0j if lt < floor else exp(complex(lt, pt)))
-        ls.append(l)
-        rs.append(r)
-        lts.append(lt)
-        pts.append(pt)
-    return ChainState(lattice=lattice, k=s_cell.k, t=ts, l=ls, r=rs, t_log_moduli=lts, t_phases=pts)
+def _grow(s_cell: ScatteringMatrix, dens: list):
+    # t^(n+1) = t^(n) t / D_n, n = 1..N, from a recurrence loop's D_n: ln|t^(n)|, arg t^(n)
+    # are running sums of ln|t| - ln|D_n| and arg t - arg D_n (D_0 term 0.0) from Python's
+    # scalar log, abs and phase, which numpy's do not match; t^(n) = exp(complex(ln|t|, arg t)),
+    # 0 past -_LOG_HUGE, and (t^(n))^2 for n < N as a list for the other reflection's products
+    lt, pt = (np.fromiter(itertools.chain((0.0,), terms), float, len(dens) + 1)
+              for terms in (map(math.log, map(abs, dens)), map(cmath.phase, dens)))
+    for x, first in ((lt, math.log(abs(s_cell.t))), (pt, principal_phase(s_cell.t))):
+        np.cumsum(np.subtract(first, x, out=x), out=x)
+    with np.errstate(over="ignore"):  # ChainState's finiteness check reports it
+        t, t_sq = _exp_lanes(lt, pt), _exp_lanes(2.0 * lt[:-1], 2.0 * pt[:-1])
+    t[0] = s_cell.t
+    return t, lt, pt, t_sq.tolist()
 
 
 def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
@@ -121,17 +114,23 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     """
     s_cell = cell_smatrix(lattice.cell, k)
     position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
+    if abs(s_cell.t) < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
     lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
-    exp, two_ik, a = cmath.exp, 2.0j * k.k, lattice.a
-
-    def step(n, l, r, t_sq):
-        pos_phase = exp(two_ik * n * a)
-        den = 1.0 - lc * r * pos_phase
+    poss = np.exp(1j * (2.0 * k.k * np.arange(1, lattice.N) * lattice.a)).tolist()
+    r, rs, dens = rc, [rc], []
+    for n, p in zip(range(1, lattice.N), poss):
+        den = 1.0 - lc * r * p
         if abs(den) < 1e-14:
             raise _vanished(n)
-        return den, l + t_sq * lc * pos_phase / den, rc * pos_phase.conjugate() + tt * r / den
-
-    return _grow(lattice, s_cell, step)
+        r = rc * p.conjugate() + tt * r / den
+        rs.append(r)
+        dens.append(den)
+    rs = np.array(rs)
+    t, lt, pt, t_sq = _grow(s_cell, dens)
+    steps = map(operator.mul, map(operator.mul, t_sq, itertools.repeat(lc)), poss)
+    l = itertools.accumulate(map(operator.truediv, steps, dens), operator.add, initial=lc)
+    return ChainState(lattice, s_cell.k, t, np.fromiter(l, complex, lattice.N), rs, lt, pt)
 
 
 def chain_end_amplitudes(
@@ -173,24 +172,24 @@ def _end_amplitudes(lattice: Lattice, k: np.ndarray, cell):
 
 
 def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc, *dk):
-    # chain_amplitudes' loop, one vectorised step per n over the lanes: the
-    # cell at x = n a appended by core._compose, with t^(n) in log form; given
-    # the cell's dk = (g, dl/dk, dr/dk), g = d ln t/dk, the chain's follow
+    # chain_amplitudes' loop, one vectorised step per n over the lanes: the cell at
+    # x = n a appended by core._compose, with t^(n) in log form (a phase of -0.0
+    # read as +0.0); given the cell's dk = (g, dl/dk, dr/dk), g = d ln t/dk, the chain's follow
     state = cell = (lc, rc, *dk)
     lt, pt, tt, two_k = lt_c, pt_c, tc * tc, 2.0 * k
     for n in range(1, lattice.N):
         pos = np.exp(1j * (two_k * n * lattice.a))
         try:
-            den, abs_den, *state = _compose(_exp_lanes(2.0 * lt, 2.0 * pt), state, tt, cell,
+            den, abs_den, *state = _compose(_exp_lanes(2.0 * lt, 2.0 * pt + 0.0), state, tt, cell,
                                             pos, 2j * n * lattice.a)
         except ResonanceDivergenceError:
             raise _vanished(n) from None
         lt = lt + (lt_c - np.log(abs_den))
         pt = pt + (pt_c - np.angle(den))
-    return (lt, pt, _exp_lanes(lt, pt), *state)
+    return (lt, pt, _exp_lanes(lt, pt + 0.0), *state)
 
 
-def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> list[float]:
+def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> np.ndarray:
     """d arg t^(n)/dk = Im g_n for n = 1..N at one k, g_n = d ln t^(n)/dk:
     chain_amplitudes' recurrence carrying only what g needs, r^(n), its
     k-derivative and g_n itself: core._compose's product rule and grouping,
@@ -202,7 +201,7 @@ def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> list[float]:
     position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
     exp, two_ik, a, tt = cmath.exp, 2.0j * k.k, lattice.a, tc * tc
     g, r, dr = g_c, rc, dr_c
-    out = [g.imag]
+    out = np.full(lattice.N, g.imag)  # before the loop: an N past memory fails at once
     for n in range(1, lattice.N):
         pos = exp(two_ik * n * a)
         lc_pos = lc * pos
@@ -214,7 +213,7 @@ def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> list[float]:
         dr = (dr_c - x2i * rc) * back + tt / den * (2.0 * g_c * r + dr - r * dlog)
         r = rc * back + tt * r / den
         g += g_c - dlog
-        out.append(g.imag)
+        out[n] = g.imag
     return out
 
 
@@ -229,17 +228,24 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
     """
     s_cell = cell_smatrix(lattice.cell, k)
     position_phase(k.k, lattice.a, lattice.N - 1)  # the chain's last position
+    if abs(s_cell.t) < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
     lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
     shift = cmath.exp(2.0j * k.k * lattice.a)
     unshift = shift.conjugate()
-
-    def step(n, l, r, t_sq):
+    l, ls, dens = lc, [lc], []
+    for n in range(1, lattice.N):
         den = 1.0 - l * shift * rc
         if abs(den) < 1e-14:
             raise _vanished(n)
-        return den, lc + tt * l * shift / den, r * unshift + t_sq * rc / den
-
-    return _grow(lattice, s_cell, step)
+        l = lc + tt * l * shift / den
+        ls.append(l)
+        dens.append(den)
+    ls = np.array(ls)
+    t, lt, pt, t_sq = _grow(s_cell, dens)
+    steps = map(operator.truediv, map(operator.mul, t_sq, itertools.repeat(rc)), dens)
+    r = itertools.accumulate(steps, lambda r, step: r * unshift + step, initial=rc)
+    return ChainState(lattice, s_cell.k, t, ls, np.fromiter(r, complex, lattice.N), lt, pt)
 
 
 def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:

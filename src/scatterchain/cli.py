@@ -144,6 +144,7 @@ def _positive(value: float, _values: dict) -> bool:
 _POSITIVE = "field {key!r} must be > 0, got {value!r}"
 _AT_LEAST_ONE = "field {key!r} must be >= 1, got {value!r}"
 _INT64 = "field {key!r} must be < 2**63, got {value!r}"
+_ROWS = "field {key!r}: {value!r} rows do not fit in memory"  # per-N tables at k0
 
 # (key, test of its value given all values, message tail), checked in this
 # order; a failed test is a config error naming where the value came from
@@ -158,6 +159,7 @@ _CHECKS = (
     ("n", lambda v, _: v < 2 ** 63, _INT64),
     ("n_max", lambda v, _: v >= 1, _AT_LEAST_ONE),
     ("n_max", lambda v, _: v < 2 ** 63, _INT64),
+    ("n_max", lambda v, c: c["k0"] is None or v < 2 ** 59, _ROWS),  # 16 bytes a row < 2**63
     ("sigma", _positive, _POSITIVE),
     ("sigma", lambda v, c: c["k0"] - 5.0 * v > 0.0, "packet window extends to k <= 0"),
     ("period", _positive, _POSITIVE),
@@ -499,14 +501,15 @@ def _json_scalars(values):
 
 def _cells(fmt: str, values, alone: bool, starts: Optional[list] = None):
     """The conversion of a column in the row template, and the cells it fills.
-    In CSV a column of plain floats is spelled by the template, as %.17g; any
-    other goes in as %s, spelled here with 17 digits for floats, "" for None
-    and str otherwise, quoted by _csv_fields.  In JSON every column is spelled
-    as json.dumps spells it: repr for plain floats and ints (by the template,
-    as %r, for finite floats alone), NaN, Infinity, -Infinity and null for
-    non-finite floats and None, json itself otherwise.  A float64 array is a
-    column of plain floats, read in blocks (_blocks).  A column of runs that
-    start at starts spells each run's first value once and repeats it."""
+    The template spells a column of ints alone as %d, in both formats, and in
+    CSV one of plain floats as %.17g; any other CSV column goes in as %s,
+    spelled here with 17 digits for floats, "" for None and str otherwise,
+    quoted by _csv_fields.  In JSON every column is spelled as json.dumps
+    spells it: repr for plain floats and ints (by the template, as %r, for
+    finite floats alone), NaN, Infinity, -Infinity and null for non-finite
+    floats and None, json itself otherwise.  A float64 array is a column of
+    plain floats, read in blocks (_blocks).  A column of runs that start at
+    starts spells each run's first value once and repeats it."""
     if starts is not None:
         heads = (values[starts].tolist() if isinstance(values, np.ndarray)
                  else [values[i] for i in starts])
@@ -521,6 +524,8 @@ def _cells(fmt: str, values, alone: bool, starts: Optional[list] = None):
             return "%r", _blocks(values)
         return "%s", _json_scalars(_blocks(values))
     types = set(map(type, values))
+    if types == {int}:  # bool is a type of its own
+        return "%d", values
     if fmt == "csv":
         if types == {float}:
             return "%.17g", values
@@ -609,6 +614,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         _write(cfg.out, _render(meta, table, cfg.format))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        if cfg.k0 is None:  # not a table of a row per N = 1..n_max
+            raise
+        print(f"config error: {_ROWS.format(key='n_max', value=cfg.n_max)}", file=sys.stderr)
         return 2
     except _ContractViolation as exc:
         print(f"numerical contract violated: {exc}", file=sys.stderr)

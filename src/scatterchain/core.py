@@ -115,11 +115,11 @@ def principal_phase(z: complex) -> float:
 
 
 def _exp_lanes(log_mod, phase) -> np.ndarray:
-    # exp(log_mod + i phase), 0 where log_mod < -_LOG_HUGE: t^(n) from its log form
+    # exp(complex(log_mod, phase)), signed zeros kept, 0 where log_mod < -_LOG_HUGE
     out = np.zeros(log_mod.shape, dtype=complex)
     keep = ~(log_mod < -_LOG_HUGE)
-    out[keep] = np.exp(log_mod[keep] + 1j * phase[keep])
-    return out
+    out.real[keep], out.imag[keep] = log_mod[keep], phase[keep]
+    return np.exp(out, out=out, where=keep)
 
 
 def position_phase(k_values, a: float, n: int = 1) -> np.ndarray:

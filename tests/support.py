@@ -4,7 +4,9 @@ conversion with its matrix product (the reverse of the package's
 transfer_to_smatrix path), the scalar closed forms of the cells, of
 composition, of displacement, of the principal phases and of the closed
 form's inputs (z, rho), which the package's array forms must agree with to
-stated bounds, the closed form's kernel in one unplanned pass, the CLI's
+stated bounds, the closed form's kernel in one unplanned pass, the two
+chain recurrences one step at a time, which the package's must equal bit
+for bit, the CLI's
 per-cell CSV rendering, and the CLI's column table built from row dicts and
 read back into them."""
 
@@ -20,6 +22,8 @@ import numpy as np
 
 from scatterchain import (
     MODULUS_FLOOR,
+    ChainState,
+    Lattice,
     DeltaSpike,
     PiecewiseConstant,
     RectBarrier,
@@ -30,8 +34,9 @@ from scatterchain import (
     UndefinedAmplitudeError,
     WaveNumber,
 )
+from scatterchain.cells import cell_smatrix
 from scatterchain.cli import _Table
-from scatterchain.core import TWO_PI
+from scatterchain.core import _LOG_HUGE, TWO_PI, position_phase, principal_phase
 
 EPS = sys.float_info.epsilon
 
@@ -204,6 +209,72 @@ def scalar_chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, 
     if mod2 == 0.0:
         raise UndefinedAmplitudeError("transmission amplitude below floor")
     return scalar_bloch_parameter(s_cell, a), (1.0 - mod2) / mod2
+
+
+# --- the chain recurrences, one step at a time -------------------------------
+
+def _vanished(n: int) -> ResonanceDivergenceError:
+    return ResonanceDivergenceError(f"recurrence denominator vanished at n={n}; inputs corrupted")
+
+
+def _stepwise_grow(lattice: Lattice, s_cell: ScatteringMatrix, step) -> ChainState:
+    # The loop both recurrences share: step(n, l, r, (t^(n))^2) gives D_n and
+    # the next l, r; t^(n+1) = t^(n) t / D_n accumulates in log-polar form,
+    # and t^(n) = exp(ln|t^(n)| + i arg t^(n)) underflows to 0 past -_LOG_HUGE.
+    mod = abs(s_cell.t)
+    if mod < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    exp, log, phase, floor = cmath.exp, math.log, cmath.phase, -_LOG_HUGE
+    lt_c, pt_c = log(mod), principal_phase(s_cell.t)
+    lt, pt, l, r = lt_c, pt_c, s_cell.l, s_cell.r
+    ts, ls, rs, lts, pts = [s_cell.t], [l], [r], [lt], [pt]
+    for n in range(1, lattice.N):
+        lt2 = 2.0 * lt
+        den, l, r = step(n, l, r, 0j if lt2 < floor else exp(complex(lt2, 2.0 * pt)))
+        lt += lt_c - log(abs(den))
+        pt += pt_c - phase(den)
+        ts.append(0j if lt < floor else exp(complex(lt, pt)))
+        ls.append(l)
+        rs.append(r)
+        lts.append(lt)
+        pts.append(pt)
+    return ChainState(lattice=lattice, k=s_cell.k, t=ts, l=ls, r=rs, t_log_moduli=lts, t_phases=pts)
+
+
+def stepwise_chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
+    """chain_amplitudes one step at a time: each step computes e^{2ikna},
+    D_n, both reflections and (t^(n))^2 from cmath.exp in Python complex
+    scalars."""
+    s_cell = cell_smatrix(lattice.cell, k)
+    position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
+    lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
+    exp, two_ik, a = cmath.exp, 2.0j * k.k, lattice.a
+
+    def step(n, l, r, t_sq):
+        pos_phase = exp(two_ik * n * a)
+        den = 1.0 - lc * r * pos_phase
+        if abs(den) < 1e-14:
+            raise _vanished(n)
+        return den, l + t_sq * lc * pos_phase / den, rc * pos_phase.conjugate() + tt * r / den
+
+    return _stepwise_grow(lattice, s_cell, step)
+
+
+def stepwise_chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
+    """chain_amplitudes_addleft one step at a time, as stepwise_chain_amplitudes."""
+    s_cell = cell_smatrix(lattice.cell, k)
+    position_phase(k.k, lattice.a, lattice.N - 1)  # the chain's last position
+    lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
+    shift = cmath.exp(2.0j * k.k * lattice.a)
+    unshift = shift.conjugate()
+
+    def step(n, l, r, t_sq):
+        den = 1.0 - l * shift * rc
+        if abs(den) < 1e-14:
+            raise _vanished(n)
+        return den, lc + tt * l * shift / den, r * unshift + t_sq * rc / den
+
+    return _stepwise_grow(lattice, s_cell, step)
 
 
 # --- the closed form in one pass, and per-cell CSV ---------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import scatterchain as sc
 from support import (EPS, identity_smatrix, matmul, scalar_chebyshev_inputs,
+                     stepwise_chain_amplitudes, stepwise_chain_amplitudes_addleft,
                      unplanned_closed_form)
 
 
@@ -184,6 +185,50 @@ class TestAddLeft:
 
 
 RECURRENCES = [sc.chain_amplitudes, sc.chain_amplitudes_addleft]
+
+# (cell, period, a gap k, a band k) of each cell kind
+CELL_KINDS = {
+    "delta": (sc.DeltaSpike(1.171994), 0.987217, 3.3, 4.9055),
+    "barrier": (sc.RectBarrier(2.0, 0.4), 1.0, 0.7, 2.0),
+    "well": (sc.RectBarrier(-1.5, 0.5), 1.0, 2.9, 1.3),
+    "piecewise": (sc.PiecewiseConstant(((0.3, 2.0), (0.2, -1.0), (0.25, 0.5))), 1.0, 0.5, 2.0),
+}
+STEPWISE_CASES = [
+    *((kind, cell, a, k) for kind, (cell, a, *ks) in CELL_KINDS.items() for k in ks),
+    ("delta edge", DELTA, 1.0, 3.14158265),
+    # zero potentials, whose t = 1 - 0j at this k gives arg t^(n) = -0.0
+    ("free", sc.DeltaSpike(0.0), 1.0, 7.849750158449662),
+    ("zero barrier", sc.RectBarrier(0.0, 0.5), 1.0, 7.849750158449662),
+]
+
+
+class TestStepwiseReference:
+    """Both recurrences against support's stepwise loops, which take one
+    Python step per n with cmath.exp for e^{2ikna} and (t^(n))^2: equal bit
+    for bit in every array, signed zeros included."""
+
+    @pytest.mark.parametrize("route, reference", [
+        (sc.chain_amplitudes, stepwise_chain_amplitudes),
+        (sc.chain_amplitudes_addleft, stepwise_chain_amplitudes_addleft)])
+    @pytest.mark.parametrize("kind, cell, a, k",
+                             [pytest.param(*case, id=f"{case[0]}-{case[3]}")
+                              for case in STEPWISE_CASES])
+    def test_bit_for_bit(self, route, reference, kind, cell, a, k):
+        for n in (1, 2, 3, 64, 2000):
+            lattice = sc.Lattice(cell, a, n)
+            got, want = route(lattice, sc.WaveNumber(k)), reference(lattice, sc.WaveNumber(k))
+            for name in ("t", "l", "r", "t_log_moduli", "t_phases"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (n, name)
+
+    def test_overflowing_t_is_an_arithmetic_error(self, monkeypatch):
+        # |t| = 1e200 is not unitary: (t^(1))^2 = e^{921} overflows a double
+        def corrupted(cell, k_values):
+            return tuple(np.full(np.shape(k_values), z, dtype=complex) for z in (1e200, 0.0, 0.0))
+
+        monkeypatch.setattr(sc.cells, "cell_lanes", corrupted)
+        for route in RECURRENCES:
+            with pytest.raises(ArithmeticError):
+                route(sc.Lattice(DELTA, 1.0, 3), K1)
 
 
 class TestChainState:

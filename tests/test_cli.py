@@ -1141,6 +1141,30 @@ class TestUnrepresentableInputs:
         code, out, err = run_cli(capsys, *args)
         assert (code, out, err) == (2 if "config error" in expected else 3, "", expected + "\n")
 
+    @pytest.mark.parametrize("command, target", [("chain", "chain_amplitudes"),
+                                                 ("hartman", "_hartman_delays")])
+    def test_per_n_table_past_memory_is_a_config_error(self, capsys, monkeypatch, command,
+                                                       target):
+        # an N_max whose arrays fit in an array's size but not in memory, as
+        # the MemoryError of its per-N recurrence, raised without allocating
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, out_of_memory)
+        code, out, err = run_cli(capsys, command, "--cell", "delta:g=1", "--period", "1",
+                                 "--k0", "3.3", "--N-max", "1000")
+        assert (code, out, err) == (
+            2, "", "config error: field 'n_max': 1000 rows do not fit in memory\n")
+
+    def test_per_k_table_past_memory_stays_a_memory_error(self, monkeypatch):
+        # chain's per-k table is sized by k_count, not by an N_max
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_end_amplitudes", out_of_memory)
+        with pytest.raises(MemoryError):
+            main(["chain", "--cell", "delta:g=1", "--period", "1", "--N", "3", *self.GRID])
+
 
 def test_package_version_matches_project_metadata():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")

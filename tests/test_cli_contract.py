@@ -45,10 +45,13 @@ BAD = [
 ]  # fd_step is a retired key: its flag is refused by argparse, its config key is unknown
 # Values that one mode alone refuses, given as flags and by config file: packet's
 # 32 N_max + 1 samples past memory (2**52: past a 47-bit address space, so
-# nothing is allocated) and past an array's size.  chain and hartman would
-# grow a chain that long, for longer than any test can wait.
+# nothing is allocated) and past an array's size, and the per-N tables of
+# chain and hartman past an array's size (2**62 rows), refused before any
+# array is allocated.
 BAD_FOR = {"packet": [("n_max", "4503599627370496"), ("n_max", "144115188075855872"),
-                      ("n_max", "288230376151711744")]}
+                      ("n_max", "288230376151711744")],
+           "chain_n": [("n_max", "4611686018427387904")],
+           "hartman": [("n_max", "4611686018427387904")]}
 CONFIG_ONLY = [("format", "xml"), ("k_count", "2.5"), ("k0", "abc"), ("displaced", "maybe")]
 
 
@@ -91,7 +94,8 @@ def run(capsys, argv, config, tmp_path, monkeypatch):
 
 # id  exit code  stderr, recorded from the 0.2.0 CLI (the fd_step rows from
 # 0.4.0, which retired that key; the cell counts past 2**63, and packet's past
-# an array, from 0.5.0; packet's past memory from 0.6.0).  Exit 0 rows are
+# an array, from 0.5.0; packet's past memory from 0.6.0; the per-N tables of
+# chain and hartman past an array from 0.7.0).  Exit 0 rows are
 # inputs whose command ignores the faulty key.  For a flag that argparse refuses, stderr is its usage block
 # followed by the one line recorded here.
 SINGLE_FAULTS = """
@@ -231,6 +235,8 @@ chain_n/flag/n=18446744073709551616  2  config error: command 'chain' needs exac
 chain_n/config/n=18446744073709551616  2  config error: command 'chain' needs exactly one of 'n' (per-k table) or 'n_max' (per-N table at k0)
 chain_n/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
 chain_n/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
+chain_n/flag/n_max=4611686018427387904  2  config error: --N-max: field 'n_max': 4611686018427387904 rows do not fit in memory
+chain_n/config/n_max=4611686018427387904  2  config error: run.cfg:1: field 'n_max': 4611686018427387904 rows do not fit in memory
 chain_n/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 chain_n/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 chain_n/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'
@@ -325,6 +331,8 @@ hartman/flag/n=18446744073709551616  0
 hartman/config/n=18446744073709551616  0
 hartman/flag/n_max=18446744073709551616  2  config error: --N-max: field 'n_max' must be < 2**63, got 18446744073709551616
 hartman/config/n_max=18446744073709551616  2  config error: run.cfg:1: field 'n_max' must be < 2**63, got 18446744073709551616
+hartman/flag/n_max=4611686018427387904  2  config error: --N-max: field 'n_max': 4611686018427387904 rows do not fit in memory
+hartman/config/n_max=4611686018427387904  2  config error: run.cfg:1: field 'n_max': 4611686018427387904 rows do not fit in memory
 hartman/config/format=xml  2  config error: run.cfg:1: format must be 'csv' or 'json', got 'xml'
 hartman/config/k_count=2.5  2  config error: run.cfg:1: field 'k_count': invalid literal for int() with base 10: '2.5'
 hartman/config/k0=abc  2  config error: run.cfg:1: field 'k0': could not convert string to float: 'abc'

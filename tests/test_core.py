@@ -55,6 +55,13 @@ class TestUnitarityDefect:
             sc.ChainState(lattice=sc.Lattice(sc.DeltaSpike(1.0), 1.0, 1), k=K1, t=[0.5],
                           l=[0.5], r=[complex("nan")], t_log_moduli=[0.0], t_phases=[0.0])
 
+    def test_chain_state_checks_t_too(self):
+        # a t^(n) whose exp overflowed, with finite reflections
+        with pytest.raises(sc.NonFiniteAmplitudeError, match="amplitude 't' must be finite"):
+            sc.ChainState(lattice=sc.Lattice(sc.DeltaSpike(1.0), 1.0, 1), k=K1,
+                          t=[complex("inf")], l=[0.5], r=[0.5], t_log_moduli=[800.0],
+                          t_phases=[0.0])
+
 
 class TestUnitarityDefectLanes:
     """The array defect against scalar_unitarity_defect, CPython's complex
