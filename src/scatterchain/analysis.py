@@ -12,9 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cells import Lattice, PotentialCell, cell_lanes, cell_smatrix
+from .cells import Lattice, PotentialCell, cell_lanes
 from .chain import (
     ChainState,
+    _bloch_lanes,
     _ChebyshevPlan,
     _end_amplitudes,
     _transmission_phase_slopes,
@@ -250,7 +251,8 @@ def _delay_lanes(
 ) -> list[tuple[tuple[np.ndarray, np.ndarray], ...]]:
     """delay_scan's delays as arrays: per displacement, the (values, defined)
     pair of tau_t, tau_l and tau_r, values read only where defined is True.
-    Every displacement shares one tau_t pair."""
+    Every displacement shares one tau_t pair.  OverflowError names a delay
+    and its first k where a defined value is not a finite double."""
     k = np.asarray(k_values, dtype=float)
     cell_dk = cell_lanes(cell, k, derivatives=True)
     if N == 1:
@@ -259,18 +261,27 @@ def _delay_lanes(
             t_log = np.log(np.abs(cell_dk[0]))
     else:
         t_log, _, _, l, r, g, dl, dr = _end_amplitudes(Lattice(cell, a, N), k, cell_dk)
-    tau_t = (g.imag / k, t_log >= math.log(MODULUS_FLOOR))
-    tables = []
-    for displacement in displacements:
-        l_x, r_x, dl_x, dr_x = (displace_lanes(k, l, r, displacement, dl, dr) if displacement
-                                else (l, r, dl, dr))
-        taus = [tau_t]
-        for z, dz in ((l_x, dl_x), (r_x, dr_x)):
-            ok = np.abs(z) >= MODULUS_FLOOR
-            log_dz = np.divide(dz, z, out=np.zeros(z.shape, dtype=complex), where=ok)
-            taus.append((log_dz.imag / k, ok))
-        tables.append(tuple(taus))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        tau_t = _finite("time delay tau_t", g.imag / k, t_log >= math.log(MODULUS_FLOOR), "k", k)
+        tables = []
+        for displacement in displacements:
+            l_x, r_x, dl_x, dr_x = (displace_lanes(k, l, r, displacement, dl, dr)
+                                    if displacement else (l, r, dl, dr))
+            taus = [tau_t]
+            for x, z, dz in (("l", l_x, dl_x), ("r", r_x, dr_x)):
+                ok = np.abs(z) >= MODULUS_FLOOR
+                log_dz = np.divide(dz, z, out=np.zeros(z.shape, dtype=complex), where=ok)
+                taus.append(_finite(f"time delay tau_{x}", log_dz.imag / k, ok, "k", k))
+            tables.append(tuple(taus))
     return tables
+
+
+def _finite(what: str, values: np.ndarray, defined, name: str, at: np.ndarray) -> tuple:
+    # (values, defined); OverflowError names the first name=at where a defined value is inf/NaN
+    bad = ~np.isfinite(values) & defined
+    if bad.any():
+        raise OverflowError(f"{what} is not finite at {name}={at[bad][0].item()!r}")
+    return values, defined
 
 
 def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> list[HartmanRecord]:
@@ -284,22 +295,26 @@ def hartman_scan(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> li
     T_t(N) then grows linearly with N.
     """
     a = float(a)
-    taus = _hartman_delays(cell, a, k, n_max).tolist()
-    return [HartmanRecord(N=n, tau_t_N=tau, k=k, a=a) for n, tau in enumerate(taus, 1)]
+    taus, _, note = _hartman_delays(cell, a, k, n_max)
+    if note:
+        warnings.warn(InBandWarning(note))
+    return [HartmanRecord(N=n, tau_t_N=tau, k=k, a=a) for n, tau in enumerate(taus.tolist(), 1)]
 
 
-def _hartman_delays(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> np.ndarray:
-    """hartman_scan's tau_t(N) for N = 1..n_max as an array, after its
-    InBandWarning check."""
-    verdict = band_classify(cell_smatrix(cell, k), a)
-    if verdict.kind is not BandClass.GAP:
-        warnings.warn(
-            InBandWarning(
-                f"k={k.k:.12g} is not in a gap (z={verdict.z:.6g}); "
-                "traversal time will grow with N instead of saturating"
-            )
-        )
-    return _transmission_phase_slopes(Lattice(cell, a, n_max), k) / k.velocity
+def _hartman_delays(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) -> tuple:
+    """hartman_scan's tau_t(N) and T_t(N) (in HartmanRecord.T_t_N's order) for
+    N = 1..n_max as arrays from one evaluation of the cell, and its in-band note,
+    "" at a gap k.  OverflowError names the first N where T_t is not finite."""
+    cell_dk = cell_lanes(cell, [k.k], derivatives=True)
+    z = float(_bloch_lanes(k.k, cell_dk[0], a)[0])
+    slopes = _transmission_phase_slopes(Lattice(cell, a, n_max), k, cell_dk)
+    n = np.arange(1, n_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        tau = slopes / k.velocity
+        times = _finite("traversal time T_t", n * a / k.velocity + tau, True, "N", n)[0]
+    gap = band_class_lanes([z], DEFAULT_EDGE_TOL)[0] is BandClass.GAP
+    return tau, times, "" if gap else (f"k={k.k:.12g} is not in a gap (z={z:.6g}); "
+                                       "traversal time will grow with N instead of saturating")
 
 
 def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
@@ -315,11 +330,9 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
         raise ValueError(f"need N_max >= 16 for the fit, got {n_max}")
     k = chain.k
     a = chain.lattice.a
-    verdict = band_classify(cell_smatrix(chain.lattice.cell, k), a)
-    if verdict.kind is BandClass.BAND:
-        raise ValueError(
-            f"k={k.k!r} is in a band (z={verdict.z:.6g}): phases do not converge"
-        )
+    z = float(_bloch_lanes(k.k, chain.t[:1], a)[0])  # t^(1) is the cell's t
+    if band_class_lanes([z], DEFAULT_EDGE_TOL)[0] is BandClass.BAND:
+        raise ValueError(f"k={k.k!r} is in a band (z={z:.6g}): phases do not converge")
     ka = k.k * a
     ns = np.arange(1, n_max + 1)
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import Lattice, cell_lanes, cell_smatrix, check_period
-from .core import (LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber, _LOG_HUGE, _compose,
-                   _exp_lanes, _lanes, check_finite, compose_lanes, displace_lanes, position_phase,
-                   principal_phase, principal_phase_array)
+from .core import (DENOMINATOR_FLOOR, LANE_CHUNK, MODULUS_FLOOR, ScatteringMatrix, WaveNumber,
+                   _compose, _exp_lanes, _lanes, check_finite, compose_lanes, displace_lanes,
+                   position_phase, principal_phase, principal_phase_array)
 from .errors import ResonanceDivergenceError, UndefinedAmplitudeError
 
 
@@ -85,6 +85,14 @@ def _vanished(n: int) -> ResonanceDivergenceError:
     return ResonanceDivergenceError(f"recurrence denominator vanished at n={n}; inputs corrupted")
 
 
+def _check_inputs(lattice: Lattice, k, t_mod) -> None:
+    """The one check in front of every chain recurrence, given the cell's |t| at k: not
+    below MODULUS_FLOOR, then the last cell's e^{2ikna}, n = N - 1, a double."""
+    if np.any(t_mod < MODULUS_FLOOR):
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    position_phase(k, lattice.a, lattice.N - 1)
+
+
 def _grow(s_cell: ScatteringMatrix, dens: list):
     # t^(n+1) = t^(n) t / D_n, n = 1..N, from a recurrence loop's D_n: ln|t^(n)|, arg t^(n)
     # are running sums of ln|t| - ln|D_n| and arg t - arg D_n (D_0 term 0.0) from Python's
@@ -113,15 +121,13 @@ def chain_amplitudes(lattice: Lattice, k: WaveNumber) -> ChainState:
     Every s^(n) is unitary; t^(n) is tracked in log-polar form.
     """
     s_cell = cell_smatrix(lattice.cell, k)
-    position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
-    if abs(s_cell.t) < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
-    poss = np.exp(1j * (2.0 * k.k * np.arange(1, lattice.N) * lattice.a)).tolist()
+    _check_inputs(lattice, k.k, abs(s_cell.t))
+    lc, rc, tt, floor = s_cell.l, s_cell.r, s_cell.t * s_cell.t, DENOMINATOR_FLOOR
+    poss = np.exp(1j * position_phase(k.k, lattice.a, np.arange(1, lattice.N))).tolist()
     r, rs, dens = rc, [rc], []
     for n, p in zip(range(1, lattice.N), poss):
         den = 1.0 - lc * r * p
-        if abs(den) < 1e-14:
+        if abs(den) < floor:
             raise _vanished(n)
         r = rc * p.conjugate() + tt * r / den
         rs.append(r)
@@ -156,12 +162,10 @@ def _end_amplitudes(lattice: Lattice, k: np.ndarray, cell):
     # cell_lanes(..., derivatives=True), the chain's g, dl/dk and dr/dk follow
     tc, lc, rc, *dk = (x.ravel() for x in cell)
     mod = np.abs(tc)
-    if (mod < MODULUS_FLOOR).any():
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    _check_inputs(lattice, k, mod)
     one_cell = (np.log(mod), principal_phase_array(tc), tc, lc, rc, *dk)
     state = one_cell
     if lattice.N > 1:
-        position_phase(k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
         state = tuple(x.copy() for x in one_cell)
         for start in range(0, k.size, LANE_CHUNK):
             lanes = slice(start, start + LANE_CHUNK)
@@ -189,24 +193,20 @@ def _grow_lanes(lattice: Lattice, k, lt_c, pt_c, tc, lc, rc, *dk):
     return (lt, pt, _exp_lanes(lt, pt + 0.0), *state)
 
 
-def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> np.ndarray:
-    """d arg t^(n)/dk = Im g_n for n = 1..N at one k, g_n = d ln t^(n)/dk:
-    chain_amplitudes' recurrence carrying only what g needs, r^(n), its
-    k-derivative and g_n itself: core._compose's product rule and grouping,
-    written out on Python complex scalars, which is faster at one k."""
-    cell = cell_lanes(lattice.cell, [k.k], derivatives=True)
+def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber, cell) -> np.ndarray:
+    """d arg t^(n)/dk = Im g_n for n = 1..N at one k, g_n = d ln t^(n)/dk, given the
+    cell there as cell_lanes(..., [k], derivatives=True) gives it: chain_amplitudes'
+    recurrence carrying only what g needs, r^(n), its k-derivative and g_n itself:
+    core._compose's product rule and grouping, on Python complex scalars, faster at one k."""
     tc, lc, rc, g_c, dl_c, dr_c = (complex(x[0]) for x in cell)
-    if abs(tc) < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
-    exp, two_ik, a, tt = cmath.exp, 2.0j * k.k, lattice.a, tc * tc
-    g, r, dr = g_c, rc, dr_c
-    out = np.full(lattice.N, g.imag)  # before the loop: an N past memory fails at once
-    for n in range(1, lattice.N):
-        pos = exp(two_ik * n * a)
+    _check_inputs(lattice, k.k, abs(tc))
+    a, tt, floor, g, r, dr = lattice.a, tc * tc, DENOMINATOR_FLOOR, g_c, rc, dr_c
+    out = np.full(lattice.N, g.imag)  # before the phases: an N past memory fails at once
+    poss = np.exp(1j * position_phase(k.k, a, np.arange(1, lattice.N))).tolist()
+    for n, pos in zip(range(1, lattice.N), poss):
         lc_pos = lc * pos
         den = 1.0 - lc_pos * r
-        if abs(den) < 1e-14:
+        if abs(den) < floor:
             raise _vanished(n)
         x2i, back = 2j * n * a, pos.conjugate()
         dlog = -(pos * dl_c * r + lc_pos * (dr + x2i * r)) / den
@@ -227,16 +227,14 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
     Must reproduce chain_amplitudes exactly up to rounding.
     """
     s_cell = cell_smatrix(lattice.cell, k)
-    position_phase(k.k, lattice.a, lattice.N - 1)  # the chain's last position
-    if abs(s_cell.t) < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
-    lc, rc, tt = s_cell.l, s_cell.r, s_cell.t * s_cell.t
+    _check_inputs(lattice, k.k, abs(s_cell.t))
+    lc, rc, tt, floor = s_cell.l, s_cell.r, s_cell.t * s_cell.t, DENOMINATOR_FLOOR
     shift = cmath.exp(2.0j * k.k * lattice.a)
     unshift = shift.conjugate()
     l, ls, dens = lc, [lc], []
     for n in range(1, lattice.N):
         den = 1.0 - l * shift * rc
-        if abs(den) < 1e-14:
+        if abs(den) < floor:
             raise _vanished(n)
         l = lc + tt * l * shift / den
         ls.append(l)
@@ -261,8 +259,8 @@ def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
 
 
 def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
-    # z = cos(alpha_t + k a) / |t| in every lane of the complex array t; ValueError
-    # for a bad period, OverflowError names the first k where alpha_t + k a is inf
+    # z = cos(alpha_t + k a) / |t| (+-inf at t = 0) in every lane of the complex array t;
+    # ValueError for a bad period, OverflowError names the first k where alpha_t + k a is inf
     check_period(a)
     with np.errstate(over="ignore"):
         phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
@@ -270,7 +268,8 @@ def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
     if overflow.any():
         k = np.broadcast_to(k_values, phase.shape)[overflow][0]
         raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
-    return np.cos(phase) / np.abs(t)
+    with np.errstate(divide="ignore"):
+        return np.cos(phase) / np.abs(t)
 
 
 def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ import math
 import operator
 import re
 import sys
-import warnings
 from dataclasses import make_dataclass
 from typing import Optional
 
@@ -41,7 +40,7 @@ from .core import (
     principal_phase_array,
     unitarity_defect_lanes,
 )
-from .errors import ConfigError, InBandWarning
+from .errors import ConfigError
 
 
 class _ContractViolation(Exception):
@@ -404,15 +403,9 @@ def run_bands(cfg: ExperimentConfig):
 
 
 def run_hartman(cfg: ExperimentConfig):
-    k = WaveNumber(cfg.k0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        tau = _hartman_delays(cfg.potential, cfg.period, k, cfg.n_max)
-    warning = next((str(w.message) for w in caught if issubclass(w.category, InBandWarning)), "")
-    n = np.arange(1, cfg.n_max + 1)
-    times = n * cfg.period / k.velocity + tau  # HartmanRecord.T_t_N, in its order
+    tau, times, warning = _hartman_delays(cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max)
     return _meta(cfg), _Table({
-        "N": n,
+        "N": np.arange(1, cfg.n_max + 1),
         "tau_t": tau,
         "T_t": times,
         "increment": [None, *np.diff(times).tolist()],

@@ -19,6 +19,8 @@ MODULUS_FLOOR = 1e-300
 
 _LOG_HUGE = 700.0  # exp beyond this overflows a double
 
+DENOMINATOR_FLOOR = 1e-14  # a composition's |1 - l r| below this: not a unitary pair
+
 # Lanes per pass of the array kernels: bounds their temporaries to ~1 MB at
 # any k count, for one more round of per-pass numpy overhead per 1024 lanes.
 LANE_CHUNK = 1024
@@ -122,15 +124,16 @@ def _exp_lanes(log_mod, phase) -> np.ndarray:
     return np.exp(out, out=out, where=keep)
 
 
-def position_phase(k_values, a: float, n: int = 1) -> np.ndarray:
-    """2 k x with x = n a at every wave number of k_values, the phase of
-    e^{2ikx}; raises OverflowError naming the first k where it is not
-    finite, and x, or n and a when x itself is past the double range."""
-    x = n * a
+def position_phase(k_values, a: float, n=1) -> np.ndarray:
+    """2 k x, x = n a, at every k of k_values and cell index n (they broadcast): the phase
+    of e^{2ikx}, formed as (2 k n) a as in every chain recurrence.  OverflowError names the
+    first k where it is not finite, and x, or n and a when x is past the double range."""
     with np.errstate(over="ignore"):
-        phase = 2.0 * np.asarray(k_values, dtype=float) * x
-    if not np.isfinite(phase).all():
-        k = float(np.broadcast_to(k_values, phase.shape)[~np.isfinite(phase)][0])
+        phase = 2.0 * np.asarray(k_values, dtype=float) * n * a
+    bad = ~np.isfinite(phase)
+    if bad.any():
+        k, n = (np.broadcast_to(v, phase.shape)[bad][0].item() for v in (k_values, n))
+        x = n * a
         where = f"x={float(x)!r}" if math.isfinite(x) else f"x = n a with n={n}, a={float(a)!r}"
         raise OverflowError(f"position phase 2 k x is not finite at k={k!r}, {where}")
     return phase
@@ -172,7 +175,7 @@ def _compose(tta, a, ttb, b, pos, x2i) -> tuple:
     (la, ra, *da), (lb, rb, *db) = a, b
     den = 1.0 - lb * ra * pos
     abs_den = np.abs(den)
-    if (abs_den < 1e-14).any():
+    if (abs_den < DENOMINATOR_FLOOR).any():
         raise ResonanceDivergenceError("composition denominator 1 - lB*rA vanished; "
                                        "inputs are not a valid unitary pair")
     back = np.conj(pos)

@@ -5,8 +5,8 @@ transfer_to_smatrix path), the scalar closed forms of the cells, of
 composition, of displacement, of the principal phases and of the closed
 form's inputs (z, rho), which the package's array forms must agree with to
 stated bounds, the closed form's kernel in one unplanned pass, the two
-chain recurrences one step at a time, which the package's must equal bit
-for bit, the CLI's
+chain recurrences and the transmission phase slopes one step at a time,
+which the package's must equal bit for bit, the CLI's
 per-cell CSV rendering, and the CLI's column table built from row dicts and
 read back into them."""
 
@@ -34,7 +34,7 @@ from scatterchain import (
     UndefinedAmplitudeError,
     WaveNumber,
 )
-from scatterchain.cells import cell_smatrix
+from scatterchain.cells import cell_lanes, cell_smatrix
 from scatterchain.cli import _Table
 from scatterchain.core import _LOG_HUGE, TWO_PI, position_phase, principal_phase
 
@@ -275,6 +275,33 @@ def stepwise_chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainS
         return den, lc + tt * l * shift / den, r * unshift + t_sq * rc / den
 
     return _stepwise_grow(lattice, s_cell, step)
+
+
+def stepwise_transmission_phase_slopes(lattice: Lattice, k: WaveNumber) -> np.ndarray:
+    """_transmission_phase_slopes one step at a time: each step computes
+    e^{2ikna} from cmath.exp, then D_n, the product rule's D_n'/D_n, r^(n),
+    its k-derivative and g_n in Python complex scalars."""
+    cell = cell_lanes(lattice.cell, [k.k], derivatives=True)
+    tc, lc, rc, g_c, dl_c, dr_c = (complex(x[0]) for x in cell)
+    if abs(tc) < MODULUS_FLOOR:
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    position_phase(k.k, lattice.a, lattice.N - 1)  # the last cell's e^{2ikna}
+    exp, two_ik, a, tt = cmath.exp, 2.0j * k.k, lattice.a, tc * tc
+    g, r, dr = g_c, rc, dr_c
+    out = np.full(lattice.N, g.imag)
+    for n in range(1, lattice.N):
+        pos = exp(two_ik * n * a)
+        lc_pos = lc * pos
+        den = 1.0 - lc_pos * r
+        if abs(den) < 1e-14:
+            raise _vanished(n)
+        x2i, back = 2j * n * a, pos.conjugate()
+        dlog = -(pos * dl_c * r + lc_pos * (dr + x2i * r)) / den
+        dr = (dr_c - x2i * rc) * back + tt / den * (2.0 * g_c * r + dr - r * dlog)
+        r = rc * back + tt * r / den
+        g += g_c - dlog
+        out[n] = g.imag
+    return out
 
 
 # --- the closed form in one pass, and per-cell CSV ---------------------------

@@ -19,6 +19,14 @@ DELTA = sc.DeltaSpike(1.0)
 COMB5 = sc.DeltaSpike(5.0)
 
 
+# (cell, period, a gap k, a band k)
+STENCIL_CELLS = {
+    "delta": (sc.DeltaSpike(1.171994), 0.987217, 3.3, 4.9055),
+    "well": (sc.RectBarrier(-1.5, 0.5), 1.0, 2.9, 1.3),
+    "piecewise": (sc.PiecewiseConstant(((0.3, 2.0), (0.2, -1.0), (0.25, 0.5))), 1.0, 0.5, 2.0),
+}
+
+
 def delta_tau_t(g, k):
     # d/dk of -arctan(g/k), divided by v = k.
     return (1.0 / k) * g / (k * k + g * g)
@@ -52,6 +60,21 @@ class TestTimeDelays:
         assert moved.tau_t == base.tau_t
         assert moved.tau_l - base.tau_l == pytest.approx(2 * a / k, abs=1e-6)
         assert moved.tau_r - base.tau_r == pytest.approx(-2 * a / k, abs=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(STENCIL_CELLS))
+    @pytest.mark.parametrize("N", [2, 8])
+    def test_chain_stencil_meets_analytic_delays(self, name, N):
+        # chain_phase_curves' chain branch against delay_scan, at a gap and a
+        # band k, unshifted and displaced by one period; worst measured
+        # 1.1e-11 (piecewise, band k, N = 2, tau_l), relative above 1
+        cell, a, gap_k, band_k = STENCIL_CELLS[name]
+        for k in (gap_k, band_k):
+            for displacement in (0.0, a):
+                curves = sc.chain_phase_curves(cell, a, N, k, displacement=displacement)
+                rec = sc.time_delays(curves, sc.WaveNumber(k))
+                (analytic,) = sc.delay_scan(cell, a, N, [k], displacements=(displacement,))
+                for got, (want,) in zip((rec.tau_t, rec.tau_l, rec.tau_r), analytic):
+                    assert abs(got - want) <= 5e-11 * max(1.0, abs(want)), (k, displacement)
 
     def test_halving_step_improves_fourth_order(self):
         exact = delta_tau_t(1.0, 1.0)
@@ -174,6 +197,17 @@ class TestHartmanScan:
         for rec in records:
             exact = exact_delays(COMB5, 1e5, 1.0, rec.N)[0]
             assert rec.tau_t_N == pytest.approx(exact, rel=1e-12)
+
+    def test_infinite_delays_raise(self):
+        # at k = 1e-306, d arg t/dk of a g = 1e-320 spike, divided by k,
+        # overflows; undefined cells stay None, but these are defined
+        cell = sc.DeltaSpike(1e-320)
+        with pytest.raises(OverflowError, match="^traversal time T_t is not finite at N=1$"):
+            sc.hartman_scan(cell, 1.0, sc.WaveNumber(1e-306), 4)
+        message = "^time delay tau_t is not finite at k=1e-306$"
+        for N in (1, 3):
+            with pytest.raises(OverflowError, match=message):
+                sc.delay_scan(cell, 1.0, N, [1e-306, 2e-306])
 
     def test_gap_point_does_not_warn(self):
         with warnings.catch_warnings():

@@ -1,6 +1,7 @@
 """Unit tests for displacement, composition, recurrences and the Chebyshev form."""
 
 import cmath
+import functools
 import math
 import random
 import re
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import scatterchain as sc
 from support import (EPS, identity_smatrix, matmul, scalar_chebyshev_inputs,
                      stepwise_chain_amplitudes, stepwise_chain_amplitudes_addleft,
-                     unplanned_closed_form)
+                     stepwise_transmission_phase_slopes, unplanned_closed_form)
 
 
 K1 = sc.WaveNumber(1.0)
@@ -220,6 +221,19 @@ class TestStepwiseReference:
             for name in ("t", "l", "r", "t_log_moduli", "t_phases"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (n, name)
 
+    @pytest.mark.parametrize("kind, cell, a, k",
+                             [pytest.param(*case, id=f"{case[0]}-{case[3]}")
+                              for case in STEPWISE_CASES])
+    def test_phase_slopes_bit_for_bit(self, kind, cell, a, k):
+        # hartman's recurrence, whose e^{2ikna} come from one np.exp, against
+        # one cmath.exp per step
+        cell_dk = sc.cells.cell_lanes(cell, [k], derivatives=True)
+        for n in (1, 2, 3, 64, 2000):
+            lattice = sc.Lattice(cell, a, n)
+            got = sc.chain._transmission_phase_slopes(lattice, sc.WaveNumber(k), cell_dk)
+            want = stepwise_transmission_phase_slopes(lattice, sc.WaveNumber(k))
+            assert got.tobytes() == want.tobytes(), n
+
     def test_overflowing_t_is_an_arithmetic_error(self, monkeypatch):
         # |t| = 1e200 is not unitary: (t^(1))^2 = e^{921} overflows a double
         def corrupted(cell, k_values):
@@ -275,6 +289,16 @@ class TestChainState:
             recurrence(sc.Lattice(DELTA, 1.0, 50), sc.WaveNumber(1.3))
 
 
+def gated_routes(k_values):
+    """The four recurrences as functions of a lattice, the k-batched one at
+    k_values and the others at their first k."""
+    k = sc.WaveNumber(k_values[0])
+    return (functools.partial(sc.chain_amplitudes, k=k),
+            functools.partial(sc.chain_amplitudes_addleft, k=k),
+            functools.partial(sc.chain_end_amplitudes, k_values=k_values),
+            lambda lattice: sc.hartman_scan(lattice.cell, lattice.a, k, lattice.N))
+
+
 def assert_near_recurrence(got, expected, n):
     """Each of got within 5 n eps of expected, relative where |expected| > 1:
     numpy's complex arithmetic, log and arctan2 round differently from
@@ -324,12 +348,42 @@ class TestChainEndAmplitudes:
                 state.t_log_moduli[-1], state.t_phases[-1], last.t, last.l, last.r), 3)
 
     def test_cell_below_floor_is_typed(self):
-        # |t| ~ 5.6e-307 for this barrier at k = 1
-        lattice = sc.Lattice(sc.RectBarrier(245000.0, 1.0), 1.0, 3)
-        with pytest.raises(sc.UndefinedAmplitudeError):
-            sc.chain_amplitudes(lattice, K1)
-        with pytest.raises(sc.UndefinedAmplitudeError):
-            sc.chain_end_amplitudes(lattice, [0.9, 1.0])
+        # |t| ~ 5.6e-307 for this barrier at k = 1, refused by the one check
+        # in front of all four recurrences; at a = 1e308 the position phase
+        # at n = 2 overflows too, and the floor, checked first, is reported
+        for a in (1.0, 1e308):
+            lattice = sc.Lattice(sc.RectBarrier(245000.0, 1.0), a, 3)
+            for route in gated_routes([1.0, 0.9]):
+                with pytest.raises(sc.UndefinedAmplitudeError) as info:
+                    route(lattice)
+                assert str(info.value) == "cell transmission amplitude is below floor"
+
+    def test_position_phase_is_checked_as_the_loops_form_it(self):
+        # x = n a = 1e309 is past the double range, but every phase the loops
+        # form, (2 k n) a, is at most 2.0e9: the chain runs
+        lattice = sc.Lattice(sc.DeltaSpike(1e-310), 1e307, 101)
+        state = sc.chain_amplitudes(lattice, sc.WaveNumber(1e-300))
+        assert len(state) == 101
+        assert_near_recurrence(
+            (x[0] for x in sc.chain_end_amplitudes(lattice, [1e-300])),
+            (state.t_log_moduli[-1], state.t_phases[-1], state.t[-1], state.l[-1],
+             state.r[-1]), 101)
+        message = ("position phase 2 k x is not finite at k=3.0, "
+                   "x = n a with n=100, a=1e+307")
+        for route in gated_routes([3.0]):
+            with pytest.raises(OverflowError, match=re.escape(message)):
+                route(lattice)
+
+    def test_vanished_denominator_in_hartman_is_typed(self, monkeypatch):
+        # l = r = 1 with zero derivatives is not unitary: at ka = pi, D_1 =
+        # 1 - e^{2i pi} vanishes inside the phase slopes' loop
+        def corrupted(cell, k_values, derivatives=False):
+            return tuple(np.full(np.shape(k_values), z, dtype=complex)
+                         for z in (1e-8, 1.0, 1.0, 0.0, 0.0, 0.0)[:6 if derivatives else 3])
+
+        monkeypatch.setattr(sc.analysis, "cell_lanes", corrupted)
+        with pytest.raises(sc.ResonanceDivergenceError, match="n=1"):
+            sc.hartman_scan(DELTA, 1.0, sc.WaveNumber(math.pi), 4)
 
     def test_vanished_denominator_is_typed(self, monkeypatch):
         # l = r = 1 is not unitary: at ka = pi, D_1 = 1 - e^{2i pi} vanishes

@@ -1075,6 +1075,7 @@ class TestUnrepresentableInputs:
     GRID = ("--k-min", "0.5", "--k-max", "3", "--k-count", "5")
     TALL = ("--cell", "barrier:V0=1e4,w=5")  # its closed form overflows to NaN
     HUGE_PERIOD = ("--cell", "delta:g=1", "--period", "1e308")
+    TINY_K = ("--cell", "delta:g=1e-320", "--period", "1")
 
     @pytest.mark.parametrize("args, expected", [
         (("cell", *TALL, *GRID),
@@ -1131,15 +1132,33 @@ class TestUnrepresentableInputs:
           "--k-count", "2"),  # k w overflows inside the closed form
          "numerical failure: NonFiniteAmplitudeError: amplitude 't' must be finite, "
          "got (nan+nanj)"),
+        (("hartman", *TINY_K, "--k0", "1e-306", "--N-max", "1000"),  # d arg t/dk / k = inf
+         "numerical failure: OverflowError: traversal time T_t is not finite at N=1"),
+        (("delay", *TINY_K, "--N", "3", "--k-min", "1e-306", "--k-max", "2e-306",
+          "--k-count", "2"),
+         "numerical failure: OverflowError: time delay tau_t is not finite at k=1e-306"),
+        (("hartman", "--cell", "piecewise:0.5:245000,0.5:245000,0.5:245000", "--period", "2",
+          "--k0", "1", "--N-max", "3"),  # the cell's t underflows to 0, so z = inf
+         "numerical failure: UndefinedAmplitudeError: cell transmission amplitude is below floor"),
     ], ids=[*(f"{c}-nan-amplitude" for c in ("cell", "bands", "hartman", "delay", "packet")),
             "chain-huge-k0", *(f"{c}-huge-period" for c in ("chain", "bands", "hartman", "packet")),
             "packet-narrow-sigma", "packet-huge-k0", "packet-overflowed-window",
             "chain-huge-position", "delay-huge-position", "chain-huge-last-position",
             "delay-displaced-huge-position",
-            "cell-huge-kw"])
+            "cell-huge-kw", "hartman-infinite-delay", "delay-infinite-delay",
+            "hartman-underflowed-t"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's would add stderr lines
     def test_one_line_diagnostic(self, capsys, args, expected):
         code, out, err = run_cli(capsys, *args)
         assert (code, out, err) == (2 if "config error" in expected else 3, "", expected + "\n")
+
+    def test_last_position_past_the_double_range_runs(self, capsys):
+        # x = (N - 1) a = 1e309 overflows, but the phases the recurrence
+        # forms, (2 k n) a, stay below 2.1e9
+        code, out, err = run_cli(capsys, "chain", "--cell", "delta:g=1e-310", "--period", "1e307",
+                                 "--k0", "1e-300", "--N-max", "101")
+        assert (code, err) == (0, "")
+        assert [row["N"] for row in parse_csv(out)] == [str(n) for n in range(1, 102)]
 
     @pytest.mark.parametrize("command, target", [("chain", "chain_amplitudes"),
                                                  ("hartman", "_hartman_delays")])

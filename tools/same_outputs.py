@@ -14,8 +14,9 @@ campaign command exits 0 with an empty stderr, every delay it tabulates is
 defined and every hartman k0 lies in a gap; ``PASSING`` holds commands that
 exit 0 on the paths the campaigns miss: a delay table with undefined cells
 (empty in CSV, null in JSON), a hartman scan at an in-band k0, whose
-warning column is filled, and the per-N chain table on a well and on a
-piecewise cell, which the campaigns run on delta combs alone.  ``FAILING``
+warning column is filled, and the per-N chain table and the hartman scan
+on a well and on a piecewise cell, which the campaigns run on delta combs
+alone.  ``FAILING``
 holds commands that exit 2 (a config error) or 3 (a contract violation), so
 that their exit codes and messages are compared too.
 
@@ -53,9 +54,11 @@ WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 
 # label and argv of commands that pass on paths no campaign command takes:
 # tau_t, tau_t_displaced and dtau_t undefined on 24 of 41 rows in a deep gap
-# while tau_l and tau_r are defined on all, an in-band hartman k0, and the
+# while tau_l and tau_r are defined on all, an in-band hartman k0, the
 # per-N chain table on a well in a gap (z = -1.011, where (t^(N))^2
-# underflows to 0 from N = 2316) and on a piecewise cell in a band
+# underflows to 0 from N = 2316) and on a piecewise cell in a band, and
+# hartman on the same well and k0 and on that piecewise cell in its second
+# gap (k0 = 3.3, z = -1.009, as bands reports)
 _MIXED_DELAY = ("delay", "--cell", "delta:g=5", "--period", "1", "--N", "1000",
                 "--k-min", "2.5", "--k-max", "4.5", "--k-count", "41", "--displaced")
 PASSING = (
@@ -67,6 +70,11 @@ PASSING = (
                                     "1", "--k0", "2.9", "--N-max", "3000")),
     ("per-N chain on a piecewise cell, json", (
         "chain", "--cell", "piecewise:0.3:2,0.2:-1,0.25:0.5", "--period", "1", "--k0", "2.0",
+        "--N-max", "2000", "--format", "json")),
+    ("hartman on a well, csv", ("hartman", "--cell", "barrier:V0=-1.5,w=0.5", "--period", "1",
+                                "--k0", "2.9", "--N-max", "3000")),
+    ("hartman on a piecewise cell, json", (
+        "hartman", "--cell", "piecewise:0.3:2,0.2:-1,0.25:0.5", "--period", "1", "--k0", "3.3",
         "--N-max", "2000", "--format", "json")),
 )
 
