@@ -202,8 +202,11 @@ def _transmission_phase_slopes(lattice: Lattice, k: WaveNumber, cell) -> np.ndar
     _check_inputs(lattice, k.k, abs(tc))
     a, tt, floor, g, r, dr = lattice.a, tc * tc, DENOMINATOR_FLOOR, g_c, rc, dr_c
     out = np.full(lattice.N, g.imag)  # before the phases: an N past memory fails at once
-    poss = np.exp(1j * position_phase(k.k, a, np.arange(1, lattice.N))).tolist()
-    for n, pos in zip(range(1, lattice.N), poss):
+    # e^{2ikna} one LANE_CHUNK block of n at a time, so that memory stays ~out's
+    blocks = (np.arange(start, min(start + LANE_CHUNK, lattice.N))
+              for start in range(1, lattice.N, LANE_CHUNK))
+    for n, pos in itertools.chain.from_iterable(
+            zip(ns.tolist(), np.exp(1j * position_phase(k.k, a, ns)).tolist()) for ns in blocks):
         lc_pos = lc * pos
         den = 1.0 - lc_pos * r
         if abs(den) < floor:

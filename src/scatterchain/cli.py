@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, csvtext
 from .analysis import (
     DEFAULT_EDGE_TOL,
     _delay_lanes,
@@ -461,6 +461,10 @@ _RUNNERS = {
 }
 
 
+# CSV tables of this many rows or more are built in numpy blocks (csvtext):
+# below it a block's fixed cost outweighs what its vectorised speller saves.
+_CSV_BLOCK_ROWS = 128
+
 # How json spells the non-finite floats and None that repr spells otherwise.
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null"}
 
@@ -502,7 +506,9 @@ def _cells(fmt: str, values, alone: bool, starts: Optional[list] = None):
     finite floats alone), NaN, Infinity, -Infinity and null for non-finite
     floats and None, json itself otherwise.  A float64 array is a column of
     plain floats, read in blocks (_blocks).  A column of runs that start at
-    starts spells each run's first value once and repeats it."""
+    starts spells each run's first value once and repeats it.  The block
+    renderer (_csv_column) spells the %.17g columns itself, with
+    csvtext.spell_17g: Python's %.17g text, byte for byte."""
     if starts is not None:
         heads = (values[starts].tolist() if isinstance(values, np.ndarray)
                  else [values[i] for i in starts])
@@ -532,15 +538,36 @@ def _cells(fmt: str, values, alone: bool, starts: Optional[list] = None):
     return "%s", map(json.dumps, values)
 
 
+def _csv_column(values, alone: bool, starts: Optional[list]):
+    # a column as csvtext.csv_rows reads it: plain floats as a float64 array,
+    # any other column as its cells' texts, spelled as _cells spells them
+    conversion, cells = _cells("csv", values, alone, starts)
+    if conversion == "%.17g":
+        return np.asarray(values, dtype=np.float64)
+    return cells if conversion == "%s" else map(conversion.__mod__, cells)
+
+
 def _render(meta: dict, table: _Table, fmt: str) -> str:
     """The table as text: the bytes of json.dumps({"meta": meta, "rows":
     rows}, indent=2) plus a newline, with one dict per row under the column
     keys, or RFC 4180 CSV with a header row and CRLF line ends, empty if no
     rows.  Each column, of JSON scalars, is spelled by the types of its
-    values; every row is filled in from one % template of their conversions."""
+    values (_cells).  A CSV table of _CSV_BLOCK_ROWS rows or more is
+    built in numpy blocks by csvtext.csv_rows, its plain floats spelled by
+    the vectorised exact %.17g there and its other columns as _cells spells
+    them.  Any other table, every JSON one included, and one whose text
+    holds a NUL or a non-ASCII character, is filled in row by row from one %
+    template of the columns' conversions.  Both give the same bytes."""
     if not table:
         return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
     alone = len(table.stored) == 1
+    if fmt == "csv":
+        head = ",".join(_csv_fields(table.stored, alone)) + "\r\n"
+        if len(table) >= _CSV_BLOCK_ROWS:
+            text = csvtext.csv_rows(head, [_csv_column(values, alone, table.runs.get(key))
+                                           for key, values in table.stored.items()], len(table))
+            if text is not None:
+                return text
     conversions, cells = zip(*(_cells(fmt, values, alone, table.runs.get(key))
                                for key, values in table.stored.items()))
     if fmt == "json":
@@ -550,7 +577,6 @@ def _render(meta: dict, table: _Table, fmt: str) -> str:
         head, template = frame + "[\n", "    {" + fields + "\n    }"
         sep, tail = ",\n", "\n  ]" + end + "\n"
     else:
-        head = ",".join(_csv_fields(table.stored, alone)) + "\r\n"
         template, sep, tail = ",".join(conversions), "\r\n", "\r\n"
     # one join builds the whole text: concatenating head and tail to it
     # afterwards would copy it, and raise the process's peak memory

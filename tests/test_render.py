@@ -4,13 +4,14 @@ json.dumps(indent=2) and of the per-cell CSV writer, on any table of scalars."""
 import json
 import math
 import struct
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scatterchain import cli
+from scatterchain import cli, csvtext
 from scatterchain.cli import _render, _Table, main
 from scatterchain.core import LANE_CHUNK
 from support import column_table, per_cell_csv, table_rows
@@ -280,3 +281,145 @@ def test_cli_json_is_its_own_json_dumps(capsys, args):
     out = capsys.readouterr().out
     document = json.loads(out)
     assert document["rows"] and json.dumps(document, indent=2) + "\n" == out
+
+
+def python_texts(values) -> bytes:
+    return "".join("%.17g\n" % v for v in values.tolist()).encode()
+
+
+def spelled_texts(values) -> bytes:
+    # spell_17g's fields, each ended by a newline, with their NULs dropped
+    fields = np.vstack([csvtext.spell_17g(values), np.full((1, values.size), ord("\n"), np.uint8)])
+    return fields.T.tobytes().translate(None, b"\0")
+
+
+def bits(patterns) -> np.ndarray:
+    return np.asarray(patterns, dtype=np.uint64).view(np.float64)
+
+
+def exact_ties(rng, count):
+    """Doubles that lie exactly halfway between two 17-digit decimals: x =
+    m / 2^(17 - E) for an odd m with 10^E <= x < 10^(E + 1), E = 0..15,
+    where the halving step of x is fine enough; their 18th digit is 5 and
+    the rest zero, as in 1000000000000000.25 and 1.00000762939453125."""
+    out = []
+    for e in range(16):
+        step = 2.0 ** (e - 17)
+        top = min(10.0 ** (e + 1), 2.0 ** (36 + e))  # where the doubles' spacing is <= step
+        whole = rng.uniform(10.0 ** e, top, count) // (2 * step) * (2 * step)
+        out.append(whole + step)
+    ties = np.concatenate(out)
+    assert all(Decimal(v).as_tuple().digits[-1:] == (5,) and len(Decimal(v).as_tuple().digits) == 18
+               for v in ties.tolist())
+    return ties
+
+
+@pytest.fixture
+def python_calls(monkeypatch):
+    """The values spell_17g leaves to Python's own %.17g, as a list per call."""
+    calls = []
+
+    def record(values):
+        calls.append(list(values))
+        return spell(values)
+
+    spell = csvtext._python
+    monkeypatch.setattr(csvtext, "_python", record)
+    return calls
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_speller_is_python_on_any_floats(values):
+    x = np.array(values)
+    assert spelled_texts(x) == python_texts(x)
+
+
+def test_speller_is_python_on_random_bit_patterns():
+    rng = np.random.default_rng(20260)
+    for _ in range(10):  # 10^6 patterns, 10^5 at a time to keep memory small
+        x = bits(rng.integers(0, 2 ** 64, 10 ** 5, dtype=np.uint64))
+        assert spelled_texts(x) == python_texts(x)
+
+
+def test_speller_is_python_where_its_rounding_is_hardest(python_calls):
+    rng = np.random.default_rng(17)
+    powers = np.array([10.0 ** e for e in range(-323, 309)])
+    near = [powers]
+    for direction in (0.0, math.inf):
+        x = powers
+        for _ in range(3):  # 1-3 units in the last place either side
+            x = np.nextafter(x, direction)
+            near.append(x)
+    subnormals = bits(rng.integers(1, 2 ** 52, 2000, dtype=np.uint64))
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, NAN_PAYLOAD,
+                         -NAN_PAYLOAD, 5e-324, -5e-324, 2.2250738585072014e-308, 1e250, 1e-250,
+                         1.7976931348623157e308, 1e16, 1e17, 99999999999999984.0, 1e-248])
+    ties = exact_ties(rng, 64)
+    x = np.concatenate([*near, -powers, subnormals, -subnormals, specials, ties, -ties,
+                        np.arange(-5000.0, 5000.0) / 128, 2.0 ** np.arange(-1074, 1024)])
+    assert spelled_texts(x) == python_texts(x)
+    left = np.concatenate([np.array(c) for c in python_calls])
+    assert np.isin(ties, left).all()  # every exact tie went to Python
+    assert np.isin(subnormals, left).all() and np.isnan(left).any()
+    assert not np.isin([0.0, 1.5, 1e16, 1e-248], left).any()  # the fast path spells these
+
+
+def assembly_table(n):
+    """Columns of every kind the block renderer reads, n rows: float arrays
+    with -0.0, inf and subnormals, one a strided real part; a float and a
+    string column of few runs; %d ints; floats with None; strings that need
+    CSV quoting; and a header that needs it too."""
+    i = np.arange(n)
+    values = np.resize([-0.0, math.inf, -math.inf, 5e-324, 1e-310, 0.1, -2.5e-5, 1e22, 3.0], n)
+    return {
+        "k": np.linspace(0.05, 6.0, n),
+        "edge, cases": values,
+        "strided": (np.exp(0.37j * i) * np.resize([1e-5, 7.0, -1e300, 0.0], n)).real,
+        "runs": np.where(i < n // 2, 0.25, -0.0),
+        "N": np.arange(1, n + 1),
+        "gaps": [None if j % 3 == 0 else j / 7.0 for j in range(n)],
+        "verdict": ["band" if j < n // 3 else "gap" for j in range(n)],
+        'say "hi"': [["band", "", "a,b", 'say "hi"', "x\r\ny"][j % 5] for j in range(n)],
+        "ints": (i * 7919 - 10 ** 6).tolist(),
+    }
+
+
+SIZES = sorted({0, 1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                *(csvtext.SPELL_CHUNK // 3 + d for d in (-1, 0, 1)), 3 * (csvtext.SPELL_CHUNK // 3) + 7})
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_blocks_are_the_per_cell_writer(n):
+    # 3 float arrays, so SPELL_CHUNK // 3 rows a block
+    columns = assembly_table(n)
+    table = _Table(columns)
+    assert {"runs", "verdict"} <= set(table.runs) or n < 2
+    as_lists = _Table({key: c.tolist() if isinstance(c, np.ndarray) else c
+                       for key, c in columns.items()})
+    rows = table_rows(table)
+    text = _render({}, table, "csv")
+    assert text == per_cell_csv(rows)
+    assert text == _render({}, as_lists, "csv")
+
+
+@pytest.mark.parametrize("n", [cli._CSV_BLOCK_ROWS, csvtext.SPELL_CHUNK + 1])
+def test_a_lone_float_column_in_blocks(n):
+    table = _Table({"x": np.resize(SPELLINGS, n)})
+    assert _render({}, table, "csv") == per_cell_csv(table_rows(table))
+
+
+@pytest.mark.parametrize("key, text", [("s", "\x00"), ("s", "é ü ñ"), ("s", "日本"), ("é", "a")])
+def test_text_the_blocks_cannot_carry_is_rendered_by_the_template(key, text):
+    n = cli._CSV_BLOCK_ROWS
+    table = _Table({"x": np.linspace(0.0, 1.0, n), key: ["a"] * (n - 1) + [text]})
+    head = f"x,{key}\r\n"
+    assert csvtext.csv_rows(head, [table.stored["x"], iter(table.stored[key])], n) is None
+    assert _render({}, table, "csv") == per_cell_csv(table_rows(table))
+
+
+def test_a_table_of_ordinary_doubles_leaves_nothing_to_python(python_calls):
+    n = cli._CSV_BLOCK_ROWS
+    table = _Table({"k": np.linspace(0.05, 6.0, n), "x": np.linspace(-1.0, 1.0, n) ** 3})
+    assert _render({}, table, "csv") == per_cell_csv(table_rows(table))
+    assert python_calls == []

@@ -13,10 +13,12 @@ working tree's campaign and lists, so they run the same argv lists.  Every
 campaign command exits 0 with an empty stderr, every delay it tabulates is
 defined and every hartman k0 lies in a gap; ``PASSING`` holds commands that
 exit 0 on the paths the campaigns miss: a delay table with undefined cells
-(empty in CSV, null in JSON), a hartman scan at an in-band k0, whose
-warning column is filled, and the per-N chain table and the hartman scan
-on a well and on a piecewise cell, which the campaigns run on delta combs
-alone.  ``FAILING``
+(empty in CSV, null in JSON), also past the row count from which CSV is
+built in blocks, a hartman scan at an in-band k0, whose warning column is
+filled, the per-N chain table and the hartman scan on a well and on a
+piecewise cell, which the campaigns run on delta combs alone, and a bands
+table holding zeros, and values below 1e-250 that the block speller leaves
+to Python.  ``FAILING``
 holds commands that exit 2 (a config error) or 3 (a contract violation), so
 that their exit codes and messages are compared too.
 
@@ -54,16 +56,21 @@ WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 
 # label and argv of commands that pass on paths no campaign command takes:
 # tau_t, tau_t_displaced and dtau_t undefined on 24 of 41 rows in a deep gap
-# while tau_l and tau_r are defined on all, an in-band hartman k0, the
-# per-N chain table on a well in a gap (z = -1.011, where (t^(N))^2
-# underflows to 0 from N = 2316) and on a piecewise cell in a band, and
-# hartman on the same well and k0 and on that piecewise cell in its second
-# gap (k0 = 3.3, z = -1.009, as bands reports)
+# while tau_l and tau_r are defined on all, and the same on 2000 rows, past
+# the row count from which CSV is built in blocks (cli._render), an
+# in-band hartman k0, the per-N chain table on a well in a gap (z = -1.011,
+# where (t^(N))^2 underflows to 0 from N = 2316) and on a piecewise cell in
+# a band, hartman on the same well and k0 and on that piecewise cell in its
+# second gap (k0 = 3.3, z = -1.009, as bands reports), and bands deep in the
+# gaps of a strong comb, whose T_N_max holds zeros and values below 1e-250
+# (down to 3.5e-323) that the block speller leaves to Python
 _MIXED_DELAY = ("delay", "--cell", "delta:g=5", "--period", "1", "--N", "1000",
                 "--k-min", "2.5", "--k-max", "4.5", "--k-count", "41", "--displaced")
+_LONG_MIXED_DELAY = tuple("2000" if arg == "41" else arg for arg in _MIXED_DELAY)
 PASSING = (
     ("undefined delays, csv", _MIXED_DELAY),
     ("undefined delays, json", (*_MIXED_DELAY, "--format", "json")),
+    ("undefined delays on 2000 rows, csv", _LONG_MIXED_DELAY),
     ("in-band hartman", ("hartman", "--cell", "delta:g=5", "--period", "1", "--k0", "2.5",
                          "--N-max", "50")),
     ("per-N chain on a well, csv", ("chain", "--cell", "barrier:V0=-1.5,w=0.5", "--period",
@@ -76,6 +83,9 @@ PASSING = (
     ("hartman on a piecewise cell, json", (
         "hartman", "--cell", "piecewise:0.3:2,0.2:-1,0.25:0.5", "--period", "1", "--k0", "3.3",
         "--N-max", "2000", "--format", "json")),
+    ("bands with subnormal T_N_max, csv", ("bands", "--cell", "delta:g=40", "--period", "1",
+                                           "--k-min", "0.05", "--k-max", "12", "--k-count",
+                                           "3000", "--N-max", "400")),
 )
 
 # label and argv of commands that fail: exit 2, then exit 3 twice (a
