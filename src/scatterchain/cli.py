@@ -291,39 +291,49 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {"command": cfg.command, "version": __version__, "config": config}
 
 
-def _run_starts(column) -> Optional[list]:
+def _run_starts(column: np.ndarray, defined: Optional[np.ndarray] = None) -> Optional[list]:
     """Where each run of values that spell the same starts in column, or None if
-    there are more than half as many runs as values: a run of an array holds one
-    bit pattern, a run of a list one object (so -0.0 is not 0.0, nor True 1)."""
-    if isinstance(column, np.ndarray):
+    there are more than half as many runs as values: a run holds one text or
+    int, or one float bit pattern (so -0.0 is not 0.0), or the cells that
+    defined leaves undefined, whatever values lie under it."""
+    if column.dtype == object:
+        change = column[1:] != column[:-1]
+    elif defined is None:
         bits = column.view(f"u{column.itemsize}")
         change = bits[1:] != bits[:-1]
-        if 2 * (np.count_nonzero(change) + 1) > len(column):
-            return None
-        return [0, *(np.flatnonzero(change) + 1).tolist()]
-    starts = [0, *itertools.compress(range(1, len(column)),
-                                     map(operator.is_not, column[1:], column))]
-    return starts if 2 * len(starts) <= len(column) else None
+    else:  # 0 under the mask, and a change wherever the mask changes
+        bits = np.where(defined, column.view(f"u{column.itemsize}"), 0)
+        change = (bits[1:] != bits[:-1]) | (defined[1:] != defined[:-1])
+    if 2 * (np.count_nonzero(change) + 1) > len(column):
+        return None
+    return [0, *(np.flatnonzero(change) + 1).tolist()]
 
 
 class _Table:
-    """Named columns; len() is the row count, and runs maps the columns of few
-    runs of values that spell the same to where their runs start.  stored
-    holds each column as the renderer reads it: a float64 array as given,
-    any other array as one tolist(), a list as given; columns is the same
-    table in plain Python scalars, built on each read."""
+    """Named columns, each a float64 array, an int array, a list of ASCII text
+    or a (float64 array, defined mask) pair; len() is the row count.  stored
+    holds each column's array (text as an object array), defined the mask of
+    each column with an undefined cell, and runs the run starts of each column
+    of few runs (_run_starts); columns is the table in plain Python values,
+    None where undefined, built on each read."""
 
     def __init__(self, columns: dict):
-        self.runs = {key: starts for key, c in columns.items() if (starts := _run_starts(c))}
-        self.stored = {key: c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64
-                       else c for key, c in columns.items()}
+        self.stored, self.defined = {}, {}
+        for key, column in columns.items():
+            if isinstance(column, tuple):
+                column, defined = column
+                if not defined.all():
+                    self.defined[key] = defined
+            self.stored[key] = np.array(column, object) if isinstance(column, list) else column
         lengths = {key: len(c) for key, c in self.stored.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
+        self.runs = {key: starts for key, c in self.stored.items()
+                     if (starts := _run_starts(c, self.defined.get(key)))}
 
     @property
     def columns(self) -> dict:
-        return {key: c.tolist() if isinstance(c, np.ndarray) else c
+        return {key: _defined(c, self.defined[key]) if key in self.defined else c.tolist()
                 for key, c in self.stored.items()}
 
     def __len__(self) -> int:
@@ -343,14 +353,9 @@ def _unitarity_column(cfg: ExperimentConfig, t, l, r, where) -> np.ndarray:
     return defect
 
 
-def _column(values: np.ndarray, defined: np.ndarray):
-    # values if every row is defined, else their list with None where not
-    return values if defined.all() else _defined(values, defined)
-
-
 def _amplitude_columns(cfg: ExperimentConfig, t, l, r, where) -> dict:
-    # core.phase_column of each amplitude, as its array where no entry is None
-    phases = {f"alpha_{x}": _column(principal_phase_array(z), np.abs(z) >= MODULUS_FLOOR)
+    # core.phase_column of each amplitude, as its array and defined mask
+    phases = {f"alpha_{x}": (principal_phase_array(z), np.abs(z) >= MODULUS_FLOOR)
               for x, z in zip("tlr", (t, l, r))}
     return {**phases, "unitarity_defect": _unitarity_column(cfg, t, l, r, where)}
 
@@ -404,11 +409,12 @@ def run_bands(cfg: ExperimentConfig):
 
 def run_hartman(cfg: ExperimentConfig):
     tau, times, warning = _hartman_delays(cfg.potential, cfg.period, WaveNumber(cfg.k0), cfg.n_max)
+    n = np.arange(1, cfg.n_max + 1)
     return _meta(cfg), _Table({
-        "N": np.arange(1, cfg.n_max + 1),
+        "N": n,
         "tau_t": tau,
         "T_t": times,
-        "increment": [None, *np.diff(times).tolist()],
+        "increment": (np.diff(times, prepend=times[:1]), n > 1),  # none before N = 1
         "warning": [warning] * cfg.n_max,
     })
 
@@ -417,12 +423,10 @@ def run_delay(cfg: ExperimentConfig):
     k_grid = cfg.k_grid()
     tables = _delay_lanes(cfg.potential, cfg.period, cfg.n, k_grid,
                           (0.0, cfg.period) if cfg.displaced else (0.0,))
-    columns = {"k": k_grid, **{f"tau_{x}": _column(*taus)
-                               for x, taus in zip("tlr", tables[0])}}
+    columns = {"k": k_grid, **{f"tau_{x}": taus for x, taus in zip("tlr", tables[0])}}
     if cfg.displaced:
-        columns.update({f"tau_{x}_displaced": _column(*taus)
-                        for x, taus in zip("tlr", tables[1])})
-        columns.update({f"dtau_{x}": _column(moved - base, ok & moved_ok)
+        columns.update({f"tau_{x}_displaced": taus for x, taus in zip("tlr", tables[1])})
+        columns.update({f"dtau_{x}": (moved - base, ok & moved_ok)
                         for x, (base, ok), (moved, moved_ok) in zip("tlr", *tables)})
     return _meta(cfg), _Table(columns)
 
@@ -484,11 +488,13 @@ def _csv_fields(texts, alone: bool):
             yield '""' if alone and not text else text
 
 
-def _blocks(column: np.ndarray):
-    # the array's values as Python floats, from one tolist() per LANE_CHUNK
-    # rows, so that at most one block of them is alive
+def _blocks(column: np.ndarray, defined: Optional[np.ndarray] = None):
+    # the array's values as Python scalars, None where not defined, from one
+    # tolist() per LANE_CHUNK rows, so that at most one block of them is alive
     return itertools.chain.from_iterable(
-        column[i:i + LANE_CHUNK].tolist() for i in range(0, len(column), LANE_CHUNK))
+        column[i:i + LANE_CHUNK].tolist() if defined is None
+        else _defined(column[i:i + LANE_CHUNK], defined[i:i + LANE_CHUNK])
+        for i in range(0, len(column), LANE_CHUNK))
 
 
 def _json_scalars(values):
@@ -496,54 +502,46 @@ def _json_scalars(values):
     return map(_JSON_SPELLING.get, *itertools.tee(map(repr, values)))
 
 
-def _cells(fmt: str, values, alone: bool, starts: Optional[list] = None):
-    """The conversion of a column in the row template, and the cells it fills.
-    The template spells a column of ints alone as %d, in both formats, and in
-    CSV one of plain floats as %.17g; any other CSV column goes in as %s,
-    spelled here with 17 digits for floats, "" for None and str otherwise,
-    quoted by _csv_fields.  In JSON every column is spelled as json.dumps
-    spells it: repr for plain floats and ints (by the template, as %r, for
-    finite floats alone), NaN, Infinity, -Infinity and null for non-finite
-    floats and None, json itself otherwise.  A float64 array is a column of
-    plain floats, read in blocks (_blocks).  A column of runs that start at
-    starts spells each run's first value once and repeats it.  The block
-    renderer (_csv_column) spells the %.17g columns itself, with
-    csvtext.spell_17g: Python's %.17g text, byte for byte."""
+def _cells(fmt: str, values: np.ndarray, defined: Optional[np.ndarray], alone: bool,
+           starts: Optional[list] = None):
+    """The conversion of a column in the row template, and the cells it fills,
+    by the column's dtype and mask: %d for ints in both formats; for floats
+    in CSV %.17g, or %s spelled here with 17 digits and an empty field where
+    undefined; in JSON as json.dumps spells them, %r where all are finite
+    and defined, else %s with json's NaN, Infinity, -Infinity and null; and
+    for text %s, quoted by _csv_fields or spelled by json.dumps.  Arrays are
+    read in blocks (_blocks).  A column of runs that start at starts spells
+    each run's first value once and repeats it.  The block renderer
+    (_csv_column) spells floats itself with csvtext.spell_17g: Python's
+    %.17g text, byte for byte."""
     if starts is not None:
-        heads = (values[starts].tolist() if isinstance(values, np.ndarray)
-                 else [values[i] for i in starts])
-        conversion, cells = _cells(fmt, heads, alone)
+        heads = None if defined is None else defined[starts]
+        conversion, cells = _cells(fmt, values[starts], heads, alone)
         texts = [conversion % (cell,) for cell in cells]
         lengths = map(operator.sub, [*starts[1:], len(values)], starts)
         return "%s", itertools.chain.from_iterable(map(itertools.repeat, texts, lengths))
-    if isinstance(values, np.ndarray):  # float64, the one array _Table keeps
-        if fmt == "csv":
-            return "%.17g", _blocks(values)
-        if np.isfinite(values).all():
-            return "%r", _blocks(values)
-        return "%s", _json_scalars(_blocks(values))
-    types = set(map(type, values))
-    if types == {int}:  # bool is a type of its own
-        return "%d", values
+    if values.dtype == object:
+        return "%s", _csv_fields(values, alone) if fmt == "csv" else map(json.dumps, values)
+    if values.dtype != np.float64:
+        return "%d", _blocks(values)
+    if defined is not None:
+        if fmt == "json":
+            return "%s", _json_scalars(_blocks(values, defined))
+        empty = '""' if alone else ""
+        return "%s", (empty if v is None else "%.17g" % v for v in _blocks(values, defined))
     if fmt == "csv":
-        if types == {float}:
-            return "%.17g", values
-        texts = ("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
-                 for v in values)
-        return "%s", _csv_fields(texts, alone)
-    if types == {float} and all(map(math.isfinite, values)):
-        return "%r", values
-    if types <= {float, int, type(None)}:
-        return "%s", _json_scalars(values)
-    return "%s", map(json.dumps, values)
+        return "%.17g", _blocks(values)
+    if np.isfinite(values).all():
+        return "%r", _blocks(values)
+    return "%s", _json_scalars(_blocks(values))
 
 
-def _csv_column(values, alone: bool, starts: Optional[list]):
-    # a column as csvtext.csv_rows reads it: plain floats as a float64 array,
-    # any other column as its cells' texts, spelled as _cells spells them
-    conversion, cells = _cells("csv", values, alone, starts)
-    if conversion == "%.17g":
-        return np.asarray(values, dtype=np.float64)
+def _csv_column(values: np.ndarray, defined, alone: bool, starts: Optional[list]):
+    # a column as csvtext.csv_rows reads it: floats not in runs as their
+    # (array, mask) pair, any other column as its texts, spelled by _cells
+    if starts is None and values.dtype == np.float64:
+        return values, defined
+    conversion, cells = _cells("csv", values, defined, alone, starts)
     return cells if conversion == "%s" else map(conversion.__mod__, cells)
 
 
@@ -551,25 +549,24 @@ def _render(meta: dict, table: _Table, fmt: str) -> str:
     """The table as text: the bytes of json.dumps({"meta": meta, "rows":
     rows}, indent=2) plus a newline, with one dict per row under the column
     keys, or RFC 4180 CSV with a header row and CRLF line ends, empty if no
-    rows.  Each column, of JSON scalars, is spelled by the types of its
-    values (_cells).  A CSV table of _CSV_BLOCK_ROWS rows or more is
-    built in numpy blocks by csvtext.csv_rows, its plain floats spelled by
-    the vectorised exact %.17g there and its other columns as _cells spells
-    them.  Any other table, every JSON one included, and one whose text
-    holds a NUL or a non-ASCII character, is filled in row by row from one %
-    template of the columns' conversions.  Both give the same bytes."""
+    rows; an undefined cell is null in JSON and empty in CSV.  Keys and
+    text are ASCII.  Each column is spelled by its dtype and mask (_cells).
+    A CSV table of _CSV_BLOCK_ROWS rows or more, but for a lone masked
+    float column (its empty fields are written ""), is built in numpy
+    blocks by csvtext.csv_rows, its floats spelled by the vectorised exact
+    %.17g.  Any other table, every JSON one included, is filled in row by
+    row from one % template of the columns' conversions: the same bytes."""
     if not table:
         return json.dumps({"meta": meta, "rows": []}, indent=2) + "\n" if fmt == "json" else ""
     alone = len(table.stored) == 1
     if fmt == "csv":
         head = ",".join(_csv_fields(table.stored, alone)) + "\r\n"
-        if len(table) >= _CSV_BLOCK_ROWS:
-            text = csvtext.csv_rows(head, [_csv_column(values, alone, table.runs.get(key))
-                                           for key, values in table.stored.items()], len(table))
-            if text is not None:
-                return text
-    conversions, cells = zip(*(_cells(fmt, values, alone, table.runs.get(key))
-                               for key, values in table.stored.items()))
+        if len(table) >= _CSV_BLOCK_ROWS and not (alone and table.defined):
+            return csvtext.csv_rows(head, [_csv_column(c, table.defined.get(key), alone,
+                                                       table.runs.get(key))
+                                           for key, c in table.stored.items()], len(table))
+    conversions, cells = zip(*(_cells(fmt, c, table.defined.get(key), alone, table.runs.get(key))
+                               for key, c in table.stored.items()))
     if fmt == "json":
         frame, end = json.dumps({"meta": meta, "rows": []}, indent=2).rsplit("[]", 1)
         fields = ",".join(f"\n      {json.dumps(key).replace('%', '%%')}: {conversion}"

@@ -195,39 +195,37 @@ def spell_17g(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _carried(text: str) -> bool:
-    # NUL bytes are dropped as padding, and the bytes are decoded as ASCII
-    return text.isascii() and "\0" not in text
-
-
-def csv_rows(head: str, columns: list, count: int) -> str | None:
-    """head followed by count CSV rows, each ended by CRLF, or None if head
-    or a text holds a NUL or a non-ASCII character, which the blocks cannot
-    carry.  A column is a float64 array, spelled by spell_17g, or an
-    iterator of the row's CSV fields as text.  Rows are built SPELL_CHUNK
-    doubles at a time, in one uint8 array of a block's rows; their bytes,
-    NULs dropped, go into one output array sized from the first block, and
-    the text is decoded from it once."""
-    if not _carried(head):
-        return None
-    floats = [c for c in columns if isinstance(c, np.ndarray)]
+def csv_rows(head: str, columns: list, count: int) -> str:
+    """head followed by count CSV rows, each ended by CRLF.  A column is a
+    (float64 array, defined mask or None) pair, spelled by spell_17g with an
+    empty field where the mask is False, whatever value lies there; or an
+    iterator of the rows' CSV fields as text.  head and the texts are ASCII
+    without NUL.  Rows are built SPELL_CHUNK doubles at a time, in one uint8
+    array of a block's rows; their bytes, NULs dropped, go into one output
+    array sized from the first block, and the text is decoded from it once."""
+    floats = [c for c in columns if isinstance(c, tuple)]
+    masked = any(defined is not None for _, defined in floats)
     rows = max(1, SPELL_CHUNK // max(1, len(floats)))
     text, used = np.frombuffer(head.encode(), np.uint8), len(head)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
         size = stop - start
         if floats:
-            spelled = spell_17g(np.concatenate([c[start:stop] for c in floats])).T
+            values = np.concatenate([c[start:stop] for c, _ in floats])
+            if masked:
+                undefined = ~np.concatenate([np.ones(size, bool) if d is None else d[start:stop]
+                                             for _, d in floats])
+                values[undefined] = 0.0  # so that no NaN or inf there goes to Python
+            spelled = spell_17g(values).T
+            if masked:
+                spelled[undefined] = 0  # all NUL: an empty field
         parts, position = [], 0
         for column in columns:
-            if isinstance(column, np.ndarray):
+            if isinstance(column, tuple):
                 parts.append(spelled[position:position + size])
                 position += size
                 continue
-            texts = list(itertools.islice(column, size))
-            if not _carried("".join(texts)):
-                return None
-            packed = np.array(texts, dtype="S")
+            packed = np.array(list(itertools.islice(column, size)), dtype="S")
             parts.append(packed.view(np.uint8).reshape(size, packed.itemsize))
         widths = [part.shape[1] for part in parts]
         width = sum(widths) + len(parts) + 1

@@ -7,8 +7,8 @@ form's inputs (z, rho), which the package's array forms must agree with to
 stated bounds, the closed form's kernel in one unplanned pass, the two
 chain recurrences and the transmission phase slopes one step at a time,
 which the package's must equal bit for bit, the CLI's
-per-cell CSV rendering, and the CLI's column table built from row dicts and
-read back into them."""
+per-cell CSV rendering, and the CLI's column table built from row dicts, in
+the column kinds its runners hand over, and read back into them."""
 
 import cmath
 import csv
@@ -359,10 +359,23 @@ def per_cell_csv(rows: list) -> str:
     return buffer.getvalue()
 
 
+def typed_column(values: list):
+    """values as the column kind a runner hands the CLI's table: text as a
+    list, ints as an int64 array, floats with None where undefined as a
+    float64 array with its defined mask (NaN under the mask)."""
+    if values and all(isinstance(v, str) for v in values):
+        return values
+    if values and all(type(v) is int for v in values):
+        return np.array(values, dtype=np.int64)
+    defined = np.array([v is not None for v in values], dtype=bool)
+    return np.array([math.nan if v is None else v for v in values], dtype=np.float64), defined
+
+
 def column_table(keys: list, rows: list) -> _Table:
-    """The CLI's column table of rows, dicts under keys; keys alone name the
-    columns of a table of no rows."""
-    return _Table({key: [row[key] for row in rows] for key in keys})
+    """The CLI's column table of rows, dicts under keys, each column of the
+    kind typed_column gives; keys alone name the columns of a table of no
+    rows."""
+    return _Table({key: typed_column([row[key] for row in rows]) for key in keys})
 
 
 def table_rows(table: _Table) -> list:

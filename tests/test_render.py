@@ -1,9 +1,13 @@
 """The CLI's table rendering: the typed-column renderer gives the bytes of
-json.dumps(indent=2) and of the per-cell CSV writer, on any table of scalars."""
+json.dumps(indent=2) and of the per-cell CSV writer, on any table of the
+column kinds the runners build: float64 and int64 arrays, float64 arrays
+with a defined mask, and ASCII text."""
 
 import json
 import math
 import struct
+import tracemalloc
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -14,20 +18,25 @@ from hypothesis import strategies as st
 from scatterchain import cli, csvtext
 from scatterchain.cli import _render, _Table, main
 from scatterchain.core import LANE_CHUNK
-from support import column_table, per_cell_csv, table_rows
+from support import column_table, per_cell_csv, table_rows, typed_column
 
 FLOATS = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
      -1.7976931348623157e308, 0.1, 1e16, 1e-7]
 )
-INTS = st.integers() | st.sampled_from([0, -1, 2**63, -(2**70)])
-TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
-    ['"', '\\', "\n", "\r\n", ",", "%s", "{}", "\x00\x1f\x7f", "é ü ñ", " ", "日本"]
+INTS = st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, 2**63 - 1, -(2**63)])
+# keys and text: ASCII without NUL, with the characters that need CSV
+# quoting, JSON escapes or care in the % template
+TEXT = st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=6) | st.sampled_from(
+    ['"', '\\', "\n", "\r\n", ",", "%s", "{}", "\x1f\x7f", " ", "100%"]
 )
-SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXT
-# one strategy per column: all floats, all ints, floats with gaps, bools,
-# strings, and anything at all
-COLUMNS = (FLOATS, INTS, st.none() | FLOATS, st.booleans(), TEXT, SCALARS)
+# meta is json.dumps' own, so its text is any text and its values any scalars
+META_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["\x00\x1f\x7f", "é ü ñ", " ", "日本"]
+)
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | META_TEXT
+# one strategy per column: floats, ints, floats with undefined cells, text
+COLUMNS = (FLOATS, INTS, st.none() | FLOATS, TEXT)
 
 
 @st.composite
@@ -36,24 +45,24 @@ def tables(draw):
     kinds = [draw(st.sampled_from(COLUMNS)) for _ in keys]
     count = draw(st.sampled_from([0, 1, 2, 7]))
     rows = [{key: draw(kind) for key, kind in zip(keys, kinds)} for _ in range(count)]
-    meta = {"command": draw(TEXT), "config": {draw(TEXT): draw(SCALARS)}}
+    meta = {"command": draw(META_TEXT), "config": {draw(META_TEXT): draw(SCALARS)}}
     return meta, keys, rows
 
 
 # Tables that pin the edge cases of the csv module's quoting, which the
 # renderer keeps itself, and of the % template: a lone empty header or cell
-# (written ""), the characters that force quoting and % signs in keys and
-# values, non-finite floats and None among floats, and a bool column next to
-# an int column (True stays True, not 1).  Random search finds the lone
-# empty header only by chance.
+# (written ""), a lone undefined cell (written "" too), the characters that
+# force quoting and % signs in keys and values, and non-finite floats and
+# undefined cells among floats.  Random search finds the lone empty header
+# only by chance.
 EDGE_TABLES = [
     ({}, [{"": 1.5}]),
     ({}, [{"": ""}, {"": "x"}]),
     ({}, [{"x": ""}]),
+    ({}, [{"x": None}, {"x": 1.5}]),
     ({"%": "%%s"}, [{"a,b": "c,d", 'say "hi"': 'a "b"', "cr\r": "x\ry", "lf\n": "x\ny",
                      "%": "%s", "%%": "100%%"}]),
     ({}, [{"x": math.nan, "y": None}, {"x": math.inf, "y": 1.0}, {"x": -math.inf, "y": None}]),
-    ({}, [{"flag": True, "n": 1}, {"flag": False, "n": 0}]),
 ]
 
 
@@ -91,7 +100,7 @@ def test_columns_of_floats_with_gaps():
 
 def test_columns_of_unequal_length_raise():
     with pytest.raises(ValueError, match="differ in length"):
-        _Table({"k": np.arange(3.0), "T": [0.5, 0.25]})
+        _Table({"k": np.arange(3.0), "T": np.array([0.5, 0.25])})
 
 
 def test_table_of_no_rows_renders_no_rows():
@@ -108,20 +117,17 @@ def test_table_of_no_rows_renders_no_rows():
     (np.array([0.0, 0.0, -0.0]), False),
     (np.full(3, math.nan), True),
     (np.array([math.nan, -math.nan, math.nan]), False),  # another bit pattern
-    (np.array([True, True, True]), True),
     (np.array([7, 7, 7]), True),
-    (["Band"] * 3, True),  # one object, as hartman's warning column
-    ([True, 1, True], False),  # equal, but spelled true and 1
-    ([1, True, 1.0], False),
-    ([math.nan, math.nan, math.nan], True),
-    ([None, None, None], True),
-    ([-0.0, 0.0, -0.0], False),
-], ids=["neg-zero", "neg-and-pos-zero", "pos-and-neg-zero", "nan", "nan-payloads", "bool",
-        "int", "one-str", "true-and-one", "one-true-float", "one-nan", "none", "zeros-list"])
+    (["Band"] * 3, True),  # hartman's warning column
+    ((np.full(3, math.nan), np.ones(3, bool)), True),  # a mask with no undefined cell
+    ((np.array([1.0, math.nan, -0.0]), np.zeros(3, bool)), True),  # whatever lies under it
+    ((np.array([-0.0, 0.0, 5.0]), np.array([True, True, False])), False),
+], ids=["neg-zero", "neg-and-pos-zero", "pos-and-neg-zero", "nan", "nan-payloads", "int",
+        "one-str", "one-nan", "none", "zeros-list"])
 def test_uniform_columns_are_spelled_once(values, uniform):
-    # a column spells its first value once when all its values are
-    # bit-identical (arrays) or one object (lists): never when they are
-    # merely equal
+    # a column spells its first value once when all its floats are
+    # bit-identical, its ints or texts equal, or all its cells undefined:
+    # never when floats are merely equal
     table = _Table({"x": values, "n": np.arange(3)})
     assert (table.runs.get("x") == [0]) == uniform and table.runs.get("n") != [0]
     rows = [{"x": x, "n": n} for x, n in zip(table.columns["x"], range(3))]
@@ -137,20 +143,20 @@ def test_a_lone_uniform_column_of_empty_text():
 
 # A quiet NaN with a payload: it spells NaN, but its bits are not math.nan's.
 NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
-# Pools of 2-3 values.  Most hold values that are equal or spelled alike
-# without being the same bits (-0.0 and 0.0, NaN payloads) or the same object
-# (True and 1), so a change between them must start a new run.
+# Pools of 2-3 values.  Most hold floats that are equal or spelled alike
+# without being the same bits (-0.0 and 0.0, NaN payloads), so a change
+# between them must start a new run; None is an undefined cell.
 POOLS = [
-    (-0.0, 0.0), (0.0, -0.0, 1.5), (math.nan, -math.nan, NAN_PAYLOAD), (True, 1),
-    (True, 1, 1.0), (False, True), (7, -1), (None, 0.5), (math.inf, 2.0, None), ("", "a,b"),
+    (-0.0, 0.0), (0.0, -0.0, 1.5), (math.nan, -math.nan, NAN_PAYLOAD), (7, -1), (None, 0.5),
+    (math.inf, 2.0, None), ("", "a,b"), ("x", "%s", '"'),
 ]
 
 
 @st.composite
 def run_tables(draw):
     """A table of 1-3 columns whose values come from one pool per column, in
-    runs of 1-6 equal draws, so that columns of few runs occur; a column of
-    floats, bools or ints alone is an array half the time."""
+    runs of 1-6 equal draws, so that columns of few runs occur, each of its
+    typed_column kind with any floats under its mask."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))
     count = draw(st.integers(0, 16))
     columns = {}
@@ -159,10 +165,12 @@ def run_tables(draw):
         values = []
         while len(values) < count:
             values += [draw(st.sampled_from(pool))] * draw(st.integers(1, 6))
-        values = values[:count]
-        if values and len(set(map(type, values))) == 1 and type(values[0]) in (float, bool, int):
-            values = np.array(values) if draw(st.booleans()) else values
-        columns[key] = values
+        column = typed_column(values[:count])
+        if isinstance(column, tuple):
+            floats, defined = column
+            under = np.array(draw(st.lists(FLOATS, min_size=count, max_size=count)))
+            floats[~defined] = under[~defined]
+        columns[key] = column
     return _Table(columns)
 
 
@@ -180,15 +188,20 @@ def test_columns_of_few_runs_render_as_json_dumps_and_the_per_cell_writer(table)
     (np.array([math.nan, math.nan, NAN_PAYLOAD, NAN_PAYLOAD, -math.nan, -math.nan]), [0, 2, 4]),
     (np.array([math.nan, -math.nan, math.nan, -math.nan]), None),  # 4 runs of 4 values
     (np.array([1.5, 1.5, 2.5, 2.5]), [0, 2]),  # 2 runs of 4: at most half as many
-    (np.array([True, True, False, False, False, False]), [0, 2]),
-    ([True, True, 1, 1, 1, True], [0, 2, 5]),
-    ([None, None, None, 0.5, None, None], [0, 3, 4]),
+    # undefined cells are one run, whatever lies under the mask
+    ((np.array([5.0, math.inf, math.nan, 0.5, 5e-324, -0.0]),
+      np.array([False, False, False, True, False, False])), [0, 3, 4]),
+    # a mask does not join -0.0 and 0.0
+    ((np.array([-0.0, -0.0, 0.0, 0.0, math.nan, 1.0]),
+      np.array([True, True, True, True, False, False])), [0, 2, 4]),
+    (np.array([3, 3, 3, -1, -1, 3]), [0, 3, 5]),
     (["", "", "", "", "x", "x"], [0, 4]),
-    ([1.0] * 2, [0]),
-    ([1.0], None),  # a run of one row is not half as many runs as rows
-    ([], None),
-], ids=["zeros", "nan-payloads", "alternating-nans", "two-of-four", "bools", "true-and-one",
-        "none-and-float", "empty-text", "pair", "single", "empty"])
+    ([s.lower() for s in ("BAND", "BAND", "GAP", "GAP")], [0, 2]),  # equal, not one object
+    (np.array([1.0] * 2), [0]),
+    (np.array([1.0]), None),  # a run of one row is not half as many runs as rows
+    (np.array([]), None),
+], ids=["zeros", "nan-payloads", "alternating-nans", "two-of-four", "none-and-float",
+        "masked-zeros", "ints", "empty-text", "text-by-value", "pair", "single", "empty"])
 def test_runs_start_where_the_spelling_or_object_changes(values, starts):
     table = _Table({"x": values})
     assert table.runs.get("x") == starts
@@ -200,6 +213,8 @@ def test_runs_start_where_the_spelling_or_object_changes(values, starts):
 SPELLINGS = [-0.0, NAN_PAYLOAD, math.inf, -math.inf, 5e-324, 1.1125369292536007e-308,
              1e-5, 1e-4, 1e16, 1e15, 0.1, -2.5]
 FINITE = [v for v in SPELLINGS if math.isfinite(v)]
+# Values that must not reach the output from under a mask.
+UNDER = [math.nan, math.inf, -math.inf, 5e-324, -0.0, NAN_PAYLOAD, 1e-310]
 
 
 def float_arrays(n):
@@ -223,16 +238,12 @@ def float_arrays(n):
 def test_float_arrays_render_as_their_lists(n):
     arrays = float_arrays(n)
     assert n < 2 or not arrays["strided"].flags.contiguous
-    columns = {**arrays, "N": np.arange(1, n + 1)}
-    table = _Table(columns)
-    as_lists = _Table({key: c.tolist() for key, c in columns.items()})
+    table = _Table({**arrays, "N": np.arange(1, n + 1)})
     assert all(isinstance(table.stored[key], np.ndarray) for key in arrays)
     assert "many_runs" not in table.runs
     if n > LANE_CHUNK + 2:
         assert table.runs["three_runs"] == [0, LANE_CHUNK - 2, LANE_CHUNK + 3]
     meta = {"command": "cell"}
-    for fmt in ("csv", "json"):
-        assert _render(meta, table, fmt) == _render(meta, as_lists, fmt)
     rows = table_rows(table)
     assert _render(meta, table, "json") == json.dumps({"meta": meta, "rows": rows},
                                                       indent=2) + "\n"
@@ -248,13 +259,14 @@ def test_a_lone_float_array():
 
 def test_a_gap_table_keeps_null_phases_beside_phase_arrays():
     # deep in a gap t underflows below MODULUS_FLOOR from N ~ 310 on, so
-    # alpha_t is a list with nulls, while l and r keep modulus ~1 and their
-    # phases stay arrays
+    # alpha_t has a defined mask, while l and r keep modulus ~1 and their
+    # phases are bare arrays
     argv = ["chain", "--cell", "delta:g=5", "--period", "1", "--k0", "1", "--N-max", "400"]
     meta, table = cli.run_chain(cli._resolve(cli.build_parser().parse_args(argv)))
-    assert isinstance(table.stored["alpha_t"], list)
-    assert table.stored["alpha_t"][-1] is None and table.stored["alpha_t"][0] is not None
-    assert all(isinstance(table.stored[f"alpha_{x}"], np.ndarray) for x in "lr")
+    assert all(isinstance(table.stored[f"alpha_{x}"], np.ndarray) for x in "tlr")
+    assert not table.defined["alpha_t"][-1] and table.defined["alpha_t"][0]
+    assert "alpha_l" not in table.defined and "alpha_r" not in table.defined
+    assert table.columns["alpha_t"][-1] is None
     rows = table_rows(table)
     text = _render(meta, table, "json")
     assert text == json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
@@ -368,8 +380,8 @@ def test_speller_is_python_where_its_rounding_is_hardest(python_calls):
 def assembly_table(n):
     """Columns of every kind the block renderer reads, n rows: float arrays
     with -0.0, inf and subnormals, one a strided real part; a float and a
-    string column of few runs; %d ints; floats with None; strings that need
-    CSV quoting; and a header that needs it too."""
+    text column of few runs; ints; floats with undefined cells; text that
+    needs CSV quoting; and a header that needs it too."""
     i = np.arange(n)
     values = np.resize([-0.0, math.inf, -math.inf, 5e-324, 1e-310, 0.1, -2.5e-5, 1e22, 3.0], n)
     return {
@@ -378,29 +390,31 @@ def assembly_table(n):
         "strided": (np.exp(0.37j * i) * np.resize([1e-5, 7.0, -1e300, 0.0], n)).real,
         "runs": np.where(i < n // 2, 0.25, -0.0),
         "N": np.arange(1, n + 1),
-        "gaps": [None if j % 3 == 0 else j / 7.0 for j in range(n)],
+        "gaps": (i / 7.0, i % 3 != 0),
         "verdict": ["band" if j < n // 3 else "gap" for j in range(n)],
         'say "hi"': [["band", "", "a,b", 'say "hi"', "x\r\ny"][j % 5] for j in range(n)],
-        "ints": (i * 7919 - 10 ** 6).tolist(),
+        "ints": i * 7919 - 10 ** 6,
     }
 
 
+# the block edges of tables of three and of four float columns
 SIZES = sorted({0, 1, cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
-                *(csvtext.SPELL_CHUNK // 3 + d for d in (-1, 0, 1)), 3 * (csvtext.SPELL_CHUNK // 3) + 7})
+                *(csvtext.SPELL_CHUNK // 3 + d for d in (-1, 0, 1)),
+                3 * (csvtext.SPELL_CHUNK // 3) + 7,
+                *(csvtext.SPELL_CHUNK // 4 + d for d in (-1, 0, 1))})
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_blocks_are_the_per_cell_writer(n):
-    # 3 float arrays, so SPELL_CHUNK // 3 rows a block
-    columns = assembly_table(n)
-    table = _Table(columns)
+def test_blocks_are_the_per_cell_writer(n, monkeypatch):
+    # 3 float arrays and a masked float column not in runs, so
+    # SPELL_CHUNK // 4 rows a block
+    table = _Table(assembly_table(n))
     assert {"runs", "verdict"} <= set(table.runs) or n < 2
-    as_lists = _Table({key: c.tolist() if isinstance(c, np.ndarray) else c
-                       for key, c in columns.items()})
     rows = table_rows(table)
     text = _render({}, table, "csv")
     assert text == per_cell_csv(rows)
-    assert text == _render({}, as_lists, "csv")
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", n + 1)  # the row template
+    assert _render({}, table, "csv") == text
 
 
 @pytest.mark.parametrize("n", [cli._CSV_BLOCK_ROWS, csvtext.SPELL_CHUNK + 1])
@@ -409,17 +423,108 @@ def test_a_lone_float_column_in_blocks(n):
     assert _render({}, table, "csv") == per_cell_csv(table_rows(table))
 
 
-@pytest.mark.parametrize("key, text", [("s", "\x00"), ("s", "é ü ñ"), ("s", "日本"), ("é", "a")])
-def test_text_the_blocks_cannot_carry_is_rendered_by_the_template(key, text):
-    n = cli._CSV_BLOCK_ROWS
-    table = _Table({"x": np.linspace(0.0, 1.0, n), key: ["a"] * (n - 1) + [text]})
-    head = f"x,{key}\r\n"
-    assert csvtext.csv_rows(head, [table.stored["x"], iter(table.stored[key])], n) is None
-    assert _render({}, table, "csv") == per_cell_csv(table_rows(table))
-
-
 def test_a_table_of_ordinary_doubles_leaves_nothing_to_python(python_calls):
+    # the blocks spell 0.0 in place of a value under a mask, so none of the
+    # NaN, infinities and subnormals there goes to Python's %.17g either
     n = cli._CSV_BLOCK_ROWS
-    table = _Table({"k": np.linspace(0.05, 6.0, n), "x": np.linspace(-1.0, 1.0, n) ** 3})
+    defined = np.arange(n) % 2 == 0
+    table = _Table({"k": np.linspace(0.05, 6.0, n), "x": np.linspace(-1.0, 1.0, n) ** 3,
+                    "y": (np.where(defined, np.linspace(2.0, 3.0, n), np.resize(UNDER, n)),
+                          defined)})
     assert _render({}, table, "csv") == per_cell_csv(table_rows(table))
     assert python_calls == []
+
+
+@pytest.fixture
+def strict():
+    """Every warning an error, with numpy's default floating-point error
+    handling, as under python -X dev -W error."""
+    with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+        warnings.simplefilter("error")
+        yield
+
+
+# The rows of a block of masked_table: SPELL_CHUNK doubles over four float columns.
+MASKED_BLOCK = csvtext.SPELL_CHUNK // 4
+
+
+def masked_table(n, under=None):
+    """Columns of n rows for the masked block path, four of them floats: k;
+    a column undefined next to the middle row, the first block edge and
+    LANE_CHUNK; one undefined on every row; one of the edge-case spellings,
+    undefined on every third row; ints; and text.  Under each mask lie the
+    values under, UNDER cycled by default."""
+    i = np.arange(n)
+    under = np.resize(UNDER if under is None else under, n)
+    edges = (abs(i - n // 2) <= 2) | (abs(i - MASKED_BLOCK) <= 2) | (abs(i - LANE_CHUNK) <= 2)
+    third = i % 3 == 0
+    return {
+        "k": np.linspace(0.05, 6.0, n),
+        "across": (np.where(edges, under, np.linspace(-1.0, 1.0, n) ** 3), ~edges),
+        "undefined": (under.copy(), np.zeros(n, bool)),
+        "spellings": (np.where(third, under, np.resize(SPELLINGS, n)), ~third),
+        "N": i + 1,
+        "verdict": ["gap" if j % 5 else "band" for j in range(n)],
+    }
+
+
+MASKED_SIZES = sorted({cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                       *(MASKED_BLOCK + d for d in (-1, 0, 1)), LANE_CHUNK + 3,
+                       3 * MASKED_BLOCK + 7})
+
+
+@pytest.mark.parametrize("n", MASKED_SIZES)
+def test_masked_floats_in_blocks_are_the_per_cell_writer(n, monkeypatch, strict):
+    table = _Table(masked_table(n))
+    assert set(table.defined) == {"across", "undefined", "spellings"}
+    assert table.runs["undefined"] == [0]  # one run of undefined cells
+    assert "across" not in table.runs and "spellings" not in table.runs
+    rows = table_rows(table)
+    assert rows[0]["undefined"] is None and rows[0]["spellings"] is None
+    text = _render({}, table, "csv")
+    assert text == per_cell_csv(rows)
+    assert _render({}, table, "json") == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
+    monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", n + 1)  # the row template
+    assert _render({}, table, "csv") == text
+
+
+@pytest.mark.parametrize("n", [cli._CSV_BLOCK_ROWS - 1, MASKED_BLOCK + 1, LANE_CHUNK + 3])
+def test_values_under_a_mask_change_no_byte(n, strict):
+    tables = [_Table(masked_table(n, under)) for under in (UNDER, [0.0], [-1.5, 2.5])]
+    for fmt in ("csv", "json"):
+        assert len({_render({}, table, fmt) for table in tables}) == 1
+
+
+@pytest.mark.parametrize("n", [cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
+                               csvtext.SPELL_CHUNK + 1])
+@pytest.mark.parametrize("runs", [False, True], ids=["spelled", "in-runs"])
+def test_a_lone_masked_column_writes_empty_fields_as_quotes(n, runs, strict):
+    # the csv module writes the one empty field of a row as "", so a lone
+    # masked column stays on the row template, whether its undefined cells
+    # are one long run, spelled once, or scattered
+    i = np.arange(n)
+    defined = i < n // 3 if runs else i % 3 != 0
+    table = _Table({"x": (np.where(defined, np.linspace(0.5, 1.5, n), np.resize(UNDER, n)),
+                          defined)})
+    assert ("x" in table.runs) == runs
+    text = _render({}, table, "csv")
+    assert text == per_cell_csv(table_rows(table))
+    assert '\r\n""\r\n' in text
+
+
+def test_hartman_table_holds_arrays_not_lists():
+    # tracemalloc size of the table at N = 5e4 (numpy 2.4.6): 5.71 MB while N
+    # and increment were Python lists, 2.97 MB as arrays and a defined mask
+    n_max = 50_000
+    argv = ["hartman", "--cell", "delta:g=5", "--period", "1", "--k0", "1.0",
+            "--N-max", str(n_max)]
+    cfg = cli._resolve(cli.build_parser().parse_args(argv))
+    tracemalloc.start()
+    try:
+        table = cli.run_hartman(cfg)[1]
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == n_max and "increment" in table.defined
+    assert size < 80 * n_max
+

@@ -18,7 +18,9 @@ built in blocks, a hartman scan at an in-band k0, whose warning column is
 filled, the per-N chain table and the hartman scan on a well and on a
 piecewise cell, which the campaigns run on delta combs alone, and a bands
 table holding zeros, and values below 1e-250 that the block speller leaves
-to Python.  ``FAILING``
+to Python, and the per-N chain table deep in a gap, whose alpha_t is
+undefined on its last rows, so that a masked run reaches the block path.
+``FAILING``
 holds commands that exit 2 (a config error) or 3 (a contract violation), so
 that their exit codes and messages are compared too.
 
@@ -63,10 +65,14 @@ WORKLOADS = ("grid_scan", "long_chain", "delay_sweep")
 # a band, hartman on the same well and k0 and on that piecewise cell in its
 # second gap (k0 = 3.3, z = -1.009, as bands reports), and bands deep in the
 # gaps of a strong comb, whose T_N_max holds zeros and values below 1e-250
-# (down to 3.5e-323) that the block speller leaves to Python
+# (down to 3.5e-323) that the block speller leaves to Python, and the per-N
+# chain table deep in a gap, alpha_t undefined (t below MODULUS_FLOOR) on
+# its last ~90 rows, in CSV (the masked block path) and JSON
 _MIXED_DELAY = ("delay", "--cell", "delta:g=5", "--period", "1", "--N", "1000",
                 "--k-min", "2.5", "--k-max", "4.5", "--k-count", "41", "--displaced")
 _LONG_MIXED_DELAY = tuple("2000" if arg == "41" else arg for arg in _MIXED_DELAY)
+_DEEP_GAP_CHAIN = ("chain", "--cell", "delta:g=5", "--period", "1", "--k0", "1",
+                   "--N-max", "400")
 PASSING = (
     ("undefined delays, csv", _MIXED_DELAY),
     ("undefined delays, json", (*_MIXED_DELAY, "--format", "json")),
@@ -86,6 +92,8 @@ PASSING = (
     ("bands with subnormal T_N_max, csv", ("bands", "--cell", "delta:g=40", "--period", "1",
                                            "--k-min", "0.05", "--k-max", "12", "--k-count",
                                            "3000", "--N-max", "400")),
+    ("per-N chain with undefined alpha_t, csv", _DEEP_GAP_CHAIN),
+    ("per-N chain with undefined alpha_t, json", (*_DEEP_GAP_CHAIN, "--format", "json")),
 )
 
 # label and argv of commands that fail: exit 2, then exit 3 twice (a
