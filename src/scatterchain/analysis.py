@@ -15,12 +15,12 @@ import numpy as np
 from .cells import Lattice, PotentialCell, cell_lanes
 from .chain import (
     ChainState,
-    _bloch_lanes,
     _ChebyshevPlan,
     _end_amplitudes,
     _transmission_phase_slopes,
     bloch_parameter,
     chain_end_amplitudes,
+    chebyshev_input_lanes,
 )
 from .core import (
     MODULUS_FLOOR,
@@ -306,7 +306,7 @@ def _hartman_delays(cell: PotentialCell, a: float, k: WaveNumber, n_max: int) ->
     N = 1..n_max as arrays from one evaluation of the cell, and its in-band note,
     "" at a gap k.  OverflowError names the first N where T_t is not finite."""
     cell_dk = cell_lanes(cell, [k.k], derivatives=True)
-    z = float(_bloch_lanes(k.k, cell_dk[0], a)[0])
+    z = float(chebyshev_input_lanes(k.k, cell_dk[0], a)[0][0])
     slopes = _transmission_phase_slopes(Lattice(cell, a, n_max), k, cell_dk)
     n = np.arange(1, n_max + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
@@ -330,7 +330,7 @@ def asymptotic_phase_fit(chain: ChainState) -> AsymptoticFit:
         raise ValueError(f"need N_max >= 16 for the fit, got {n_max}")
     k = chain.k
     a = chain.lattice.a
-    z = float(_bloch_lanes(k.k, chain.t[:1], a)[0])  # t^(1) is the cell's t
+    z = float(chebyshev_input_lanes(k.k, chain.t[:1], a)[0][0])  # t^(1) is the cell's t
     if band_class_lanes([z], DEFAULT_EDGE_TOL)[0] is BandClass.BAND:
         raise ValueError(f"k={k.k!r} is in a band (z={z:.6g}): phases do not converge")
     ka = k.k * a

@@ -85,11 +85,16 @@ def _vanished(n: int) -> ResonanceDivergenceError:
     return ResonanceDivergenceError(f"recurrence denominator vanished at n={n}; inputs corrupted")
 
 
+def _check_floor(t_mod) -> None:
+    """The one floor rule for the cell's t, given its |t| at every k."""
+    if np.any(t_mod < MODULUS_FLOOR):
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+
+
 def _check_inputs(lattice: Lattice, k, t_mod) -> None:
     """The one check in front of every chain recurrence, given the cell's |t| at k: not
     below MODULUS_FLOOR, then the last cell's e^{2ikna}, n = N - 1, a double."""
-    if np.any(t_mod < MODULUS_FLOOR):
-        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
+    _check_floor(t_mod)
     position_phase(k, lattice.a, lattice.N - 1)
 
 
@@ -250,29 +255,14 @@ def chain_amplitudes_addleft(lattice: Lattice, k: WaveNumber) -> ChainState:
 
 
 def bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
-    """z = cos(alpha_t + k a) / |t| of a single cell.
+    """z = cos(alpha_t + k a) / |t| of a single cell: a length-1 call of
+    chebyshev_input_lanes, so it raises as that does.
 
     |z| <= 1 marks a band of the infinite chain, |z| > 1 a gap with total
     reflection; for the delta comb z reduces to the Kronig-Penney dispersion
     cos(ka) + (g/k) sin(ka).
     """
-    if abs(s_cell.t) < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("transmission amplitude below floor: z undefined")
-    return float(_bloch_lanes(s_cell.k.k, *_lanes(s_cell.t), a)[0])
-
-
-def _bloch_lanes(k_values, t, a: float) -> np.ndarray:
-    # z = cos(alpha_t + k a) / |t| (+-inf at t = 0) in every lane of the complex array t;
-    # ValueError for a bad period, OverflowError names the first k where alpha_t + k a is inf
-    check_period(a)
-    with np.errstate(over="ignore"):
-        phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
-    overflow = ~np.isfinite(phase)
-    if overflow.any():
-        k = np.broadcast_to(k_values, phase.shape)[overflow][0]
-        raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
-    with np.errstate(divide="ignore"):
-        return np.cos(phase) / np.abs(t)
+    return float(chebyshev_input_lanes(s_cell.k.k, *_lanes(s_cell.t), a)[0][0])
 
 
 def chebyshev_closed_form(z, rho, N) -> tuple[np.ndarray, np.ndarray]:
@@ -385,15 +375,24 @@ class _ChebyshevPlan:
 def chebyshev_input_lanes(k_values, t, a: float) -> tuple[np.ndarray, np.ndarray]:
     """(z, rho) of a cell for the closed form at every wave number of
     k_values, given its transmission amplitudes t there as a complex array:
-    z = cos(alpha_t + ka)/|t| and rho = (1 - |t|^2)/|t|^2.
-    UndefinedAmplitudeError where |t|^2 underflows to 0; rho is inf where
-    it is subnormal."""
-    mod2 = np.abs(t) ** 2
-    if (mod2 == 0.0).any():
-        raise UndefinedAmplitudeError("transmission amplitude below floor")
-    z = _bloch_lanes(k_values, t, a)
+    z = cos(alpha_t + ka)/|t| and rho = (1 - |t|^2)/|t|^2, the one place z is
+    formed.  UndefinedAmplitudeError where |t| is below MODULUS_FLOOR (the
+    recurrences' rule), then ValueError for a bad period, then OverflowError at
+    the first k where alpha_t + ka is not finite.  rho is inf where |t|^2 is
+    subnormal or underflows to 0; the closed form then gives |t^(N)|^2 = 0."""
+    mod = np.abs(t)
+    _check_floor(mod)
+    check_period(a)
     with np.errstate(over="ignore"):
-        return z, (1.0 - mod2) / mod2
+        phase = principal_phase_array(t) + np.asarray(k_values, dtype=float) * a
+    overflow = ~np.isfinite(phase)
+    if overflow.any():
+        k = np.broadcast_to(k_values, phase.shape)[overflow][0]
+        raise OverflowError(f"alpha_t + k a is not finite at k={float(k)!r}, a={a!r}")
+    np.cos(phase, out=phase)  # z in phase's buffer: no temporary array
+    mod2 = mod ** 2
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.divide(phase, mod, out=phase), (1.0 - mod2) / mod2
 
 
 def chebyshev_transmission(s_cell: ScatteringMatrix, a: float, N: int) -> float:

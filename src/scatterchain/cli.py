@@ -4,7 +4,8 @@ Subcommands: cell | chain | bands | hartman | delay | packet.  Options come
 from an optional key=value config file plus flags; flags win.  Exit codes:
 0 success, 2 config error, 3 numerical-contract violation or arithmetic
 failure (overflow, non-finite amplitude, vanished denominator, amplitude
-below floor).
+below floor: a cell |t| below MODULUS_FLOOR fails every command but cell and
+delay --N 1 with "cell transmission amplitude is below floor").
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import re
 import sys
 from dataclasses import make_dataclass
@@ -291,11 +291,11 @@ def _meta(cfg: ExperimentConfig) -> dict:
     return {"command": cfg.command, "version": __version__, "config": config}
 
 
-def _run_starts(column: np.ndarray, defined: Optional[np.ndarray] = None) -> Optional[list]:
-    """Where each run of values that spell the same starts in column, or None if
-    there are more than half as many runs as values: a run holds one text or
-    int, or one float bit pattern (so -0.0 is not 0.0), or the cells that
-    defined leaves undefined, whatever values lie under it."""
+def _run_starts(column: np.ndarray, defined: Optional[np.ndarray] = None):
+    """Where each run of values that spell the same starts in column, as an int
+    array, or None if there are more than half as many runs as values: a run
+    holds one text or int, or one float bit pattern (so -0.0 is not 0.0), or
+    the cells that defined leaves undefined, whatever values lie under it."""
     if column.dtype == object:
         change = column[1:] != column[:-1]
     elif defined is None:
@@ -306,7 +306,7 @@ def _run_starts(column: np.ndarray, defined: Optional[np.ndarray] = None) -> Opt
         change = (bits[1:] != bits[:-1]) | (defined[1:] != defined[:-1])
     if 2 * (np.count_nonzero(change) + 1) > len(column):
         return None
-    return [0, *(np.flatnonzero(change) + 1).tolist()]
+    return np.append(0, np.flatnonzero(change) + 1)
 
 
 class _Table:
@@ -329,7 +329,7 @@ class _Table:
         if len(set(lengths.values())) > 1:
             raise ValueError(f"columns differ in length: {lengths}")
         self.runs = {key: starts for key, c in self.stored.items()
-                     if (starts := _run_starts(c, self.defined.get(key)))}
+                     if (starts := _run_starts(c, self.defined.get(key))) is not None}
 
     @property
     def columns(self) -> dict:
@@ -503,7 +503,7 @@ def _json_scalars(values):
 
 
 def _cells(fmt: str, values: np.ndarray, defined: Optional[np.ndarray], alone: bool,
-           starts: Optional[list] = None):
+           starts: Optional[np.ndarray] = None):
     """The conversion of a column in the row template, and the cells it fills,
     by the column's dtype and mask: %d for ints in both formats; for floats
     in CSV %.17g, or %s spelled here with 17 digits and an empty field where
@@ -518,7 +518,7 @@ def _cells(fmt: str, values: np.ndarray, defined: Optional[np.ndarray], alone: b
         heads = None if defined is None else defined[starts]
         conversion, cells = _cells(fmt, values[starts], heads, alone)
         texts = [conversion % (cell,) for cell in cells]
-        lengths = map(operator.sub, [*starts[1:], len(values)], starts)
+        lengths = np.diff(starts, append=len(values)).tolist()
         return "%s", itertools.chain.from_iterable(map(itertools.repeat, texts, lengths))
     if values.dtype == object:
         return "%s", _csv_fields(values, alone) if fmt == "csv" else map(json.dumps, values)
@@ -536,7 +536,7 @@ def _cells(fmt: str, values: np.ndarray, defined: Optional[np.ndarray], alone: b
     return "%s", _json_scalars(_blocks(values))
 
 
-def _csv_column(values: np.ndarray, defined, alone: bool, starts: Optional[list]):
+def _csv_column(values: np.ndarray, defined, alone: bool, starts: Optional[np.ndarray]):
     # a column as csvtext.csv_rows reads it: floats not in runs as their
     # (array, mask) pair, any other column as its texts, spelled by _cells
     if starts is None and values.dtype == np.float64:

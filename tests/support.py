@@ -195,7 +195,7 @@ def scalar_bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
     """z = cos(alpha_t + k a) / |t| of a single cell, in floats."""
     mod = abs(s_cell.t)
     if mod < MODULUS_FLOOR:
-        raise UndefinedAmplitudeError("transmission amplitude below floor: z undefined")
+        raise UndefinedAmplitudeError("cell transmission amplitude is below floor")
     phase = scalar_principal_phase(s_cell.t) + s_cell.k.k * a
     if not math.isfinite(phase):
         raise OverflowError(f"alpha_t + k a is not finite at k={s_cell.k.k!r}, a={a!r}")
@@ -204,11 +204,10 @@ def scalar_bloch_parameter(s_cell: ScatteringMatrix, a: float) -> float:
 
 def scalar_chebyshev_inputs(s_cell: ScatteringMatrix, a: float) -> tuple[float, float]:
     """(z, rho) of one cell for the closed form: z = cos(alpha_t + ka)/|t| and
-    rho = (1 - |t|^2)/|t|^2."""
+    rho = (1 - |t|^2)/|t|^2, inf where |t|^2 underflows to 0."""
     mod2 = abs(s_cell.t) ** 2
-    if mod2 == 0.0:
-        raise UndefinedAmplitudeError("transmission amplitude below floor")
-    return scalar_bloch_parameter(s_cell, a), (1.0 - mod2) / mod2
+    z = scalar_bloch_parameter(s_cell, a)
+    return z, math.inf if mod2 == 0.0 else (1.0 - mod2) / mod2
 
 
 # --- the chain recurrences, one step at a time -------------------------------
@@ -381,3 +380,8 @@ def column_table(keys: list, rows: list) -> _Table:
 def table_rows(table: _Table) -> list:
     """One dict per row of the CLI's column table, under its column keys."""
     return [dict(zip(table.columns, row)) for row in zip(*table.columns.values())]
+
+
+def run_starts(table: _Table) -> dict:
+    """The run starts of each column of the CLI's table that is in runs, as lists."""
+    return {key: starts.tolist() for key, starts in table.runs.items()}

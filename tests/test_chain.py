@@ -426,18 +426,19 @@ class TestBlochParameter:
         s = sc.ScatteringMatrix(t=0.0, l=1.0, r=1.0, k=K1)
         with pytest.raises(sc.UndefinedAmplitudeError) as info:
             sc.bloch_parameter(s, 1.0)
-        assert str(info.value) == "transmission amplitude below floor: z undefined"
+        assert str(info.value) == "cell transmission amplitude is below floor"
 
     @pytest.mark.parametrize("mod", [1e-200, 1e-170])
-    def test_tiny_t_has_z_but_no_closed_form(self, mod):
-        # above MODULUS_FLOOR z is defined, while |t|^2 underflows to 0 and
-        # leaves rho undefined
+    def test_tiny_t_has_z_and_a_closed_form_of_zero(self, mod):
+        # above MODULUS_FLOOR z is defined, while |t|^2 underflows to 0, so
+        # rho = inf and the closed form reads the gap's |t^(N)|^2 = 0
         s = sc.ScatteringMatrix(t=mod, l=1.0, r=1.0, k=K1)
-        z = sc.bloch_parameter(s, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = sc.bloch_parameter(s, 1.0)
+            transmissions = [sc.chebyshev_transmission(s, 1.0, n) for n in (1, 4)]
         assert abs(z - math.cos(1.0) / mod) <= 2 * EPS * abs(z) and math.isfinite(z)
-        with pytest.raises(sc.UndefinedAmplitudeError) as info:
-            sc.chebyshev_transmission(s, 1.0, 4)
-        assert str(info.value) == "transmission amplitude below floor"
+        assert transmissions == [0.0, 0.0]
 
     def test_phase_past_the_double_range_overflows(self):
         s = sc.cell_smatrix(sc.DeltaSpike(1.0), sc.WaveNumber(3.0))
@@ -487,13 +488,19 @@ class TestChebyshevInputLanes:
 
     @pytest.mark.parametrize("t_below", [0.0, 1e-301, 1e-170])
     def test_floor_condition_and_error(self, t_below):
-        # |t|^2 underflows to 0 below |t| ~ 1e-162, also above MODULUS_FLOOR
+        # |t| below MODULUS_FLOOR raises the recurrences' error; above it
+        # |t|^2 may still underflow to 0 (below |t| ~ 1e-162), and rho is inf
         k_values, t = np.array([0.5, 1.0]), np.array([0.6 + 0.1j, t_below])
+        if t_below >= sc.MODULUS_FLOOR:
+            z, rho = sc.chain.chebyshev_input_lanes(k_values, t, 1.0)
+            self.assert_near(zip(z.tolist(), rho.tolist()), self.scalar(k_values, t, 1.0))
+            assert rho[1] == math.inf
+            return
         with pytest.raises(sc.UndefinedAmplitudeError) as scalar:
             self.scalar(k_values, t, 1.0)
         with pytest.raises(sc.UndefinedAmplitudeError) as lanes:
             sc.chain.chebyshev_input_lanes(k_values, t, 1.0)
-        assert str(lanes.value) == str(scalar.value)
+        assert str(lanes.value) == str(scalar.value) == "cell transmission amplitude is below floor"
 
     def test_overflowing_rho_is_inf_without_a_warning(self):
         k_values, t = np.array([1.0]), np.array([1e-160 + 0j])  # |t|^2 is subnormal
@@ -701,6 +708,26 @@ class TestPeriodValidation:
         # a = 1e308 is a valid period; alpha_t + k a overflows at k = 2
         with pytest.raises(OverflowError, match="not finite at k=2.0"):
             sc.bloch_parameter(sc.cell_smatrix(COMB5, sc.WaveNumber(2.0)), 1e308)
+
+
+class TestCellFloor:
+    def test_every_route_gives_the_one_message(self):
+        # |t| ~ 5.6e-307 for this barrier at k = 1: each public route that
+        # needs the cell's t refuses it with the message of the one floor rule
+        cell, a, k = sc.RectBarrier(245000.0, 1.0), 1.0, sc.WaveNumber(1.0)
+        s_cell, lattice, k_values = sc.cell_smatrix(cell, k), sc.Lattice(cell, a, 3), [1.0, 0.9]
+        calls = (lambda: sc.bloch_parameter(s_cell, a),
+                 lambda: sc.band_classify(s_cell, a),
+                 lambda: sc.chebyshev_transmission(s_cell, a, 4),
+                 lambda: sc.transmission_profile(cell, a, np.array([1, 4]), np.array(k_values)),
+                 *(functools.partial(route, lattice) for route in gated_routes(k_values)),
+                 lambda: sc.delay_scan(cell, a, 3, k_values))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(sc.UndefinedAmplitudeError) as info:
+                    call()
+            assert str(info.value) == "cell transmission amplitude is below floor"
 
 
 class TestChebyshevTransmission:

@@ -1185,6 +1185,55 @@ class TestUnrepresentableInputs:
             main(["chain", "--cell", "delta:g=1", "--period", "1", "--N", "3", *self.GRID])
 
 
+class TestCellFloor:
+    """One floor rule for the cell's t.  At barrier:V0=245000,w=1, k = 1,
+    |t| = 5.6e-307 is below MODULUS_FLOOR, and every command that needs the
+    cell's t exits 3 with one message; at V0=106000, |t| = 9.4e-203 is above
+    it although |t|^2 underflows to 0, and every command tabulates."""
+
+    BELOW, ABOVE = "barrier:V0=245000,w=1", "barrier:V0=106000,w=1"
+    GRID = ("--k-min", "1", "--k-max", "1.001", "--k-count", "2")
+    GATED = {
+        "bands": ("bands", *GRID, "--N-max", "8"),
+        "chain-N": ("chain", "--N", "3", *GRID),
+        "chain-N-max": ("chain", "--k0", "1", "--N-max", "4"),
+        "hartman": ("hartman", "--k0", "1", "--N-max", "4"),
+        "delay-N-3": ("delay", "--N", "3", *GRID),
+        "packet": ("packet", "--k0", "1", "--sigma", "0.01", "--N-max", "4"),
+    }
+    UNGATED = {"cell": ("cell", *GRID), "delay-N-1": ("delay", "--N", "1", *GRID)}
+
+    @pytest.mark.parametrize("name", GATED)
+    @pytest.mark.filterwarnings("error")
+    def test_below_the_floor_one_message(self, capsys, name):
+        code, out, err = run_cli(capsys, *self.GATED[name], "--cell", self.BELOW, "--period", "1")
+        assert (code, out, err) == (3, "", "numerical failure: UndefinedAmplitudeError: "
+                                           "cell transmission amplitude is below floor\n")
+
+    @staticmethod
+    def assert_tabulates(capsys, args, cell):
+        code, out, err = run_cli(capsys, *args, "--cell", cell, "--period", "1")
+        assert (code, err) == (0, "") and out
+
+    @pytest.mark.parametrize("name", [*GATED, *UNGATED])
+    @pytest.mark.filterwarnings("error")
+    def test_above_the_floor_every_command_tabulates(self, capsys, name):
+        self.assert_tabulates(capsys, {**self.GATED, **self.UNGATED}[name], self.ABOVE)
+
+    @pytest.mark.parametrize("name", UNGATED)
+    @pytest.mark.filterwarnings("error")
+    def test_below_the_floor_cell_and_one_cell_delays_tabulate(self, capsys, name):
+        self.assert_tabulates(capsys, self.UNGATED[name], self.BELOW)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bands_reads_a_gap_where_the_cell_square_underflows(self, capsys):
+        code, out, err = run_cli(capsys, *self.GATED["bands"], "--cell", self.ABOVE,
+                                 "--period", "1")
+        rows = parse_csv(out)
+        assert (code, err) == (0, "") and len(rows) == 2
+        assert all(row["verdict"] == "Gap" and float(row["T_N_max"]) == 0.0 for row in rows)
+
+
 def test_package_version_matches_project_metadata():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)

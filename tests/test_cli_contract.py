@@ -11,7 +11,7 @@ import pytest
 
 from scatterchain import cli
 import scatterchain as sc
-from support import per_cell_csv, table_rows
+from support import per_cell_csv, run_starts, table_rows
 
 
 def flag(key):
@@ -595,4 +595,5 @@ def test_table_length_is_the_rendered_row_count(run_id):
 def test_repeated_columns_are_spelled_once(run_id, repeated):
     # k0 on every row of the per-N chain table, N on every row of the per-k
     # one, and hartman's one warning: each column's value is spelled once
-    assert {key for key, starts in run_table(run_id)[1].runs.items() if starts == [0]} == repeated
+    starts = run_starts(run_table(run_id)[1])
+    assert {key for key, column_starts in starts.items() if column_starts == [0]} == repeated

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scatterchain import cli, csvtext
 from scatterchain.cli import _render, _Table, main
 from scatterchain.core import LANE_CHUNK
-from support import column_table, per_cell_csv, table_rows, typed_column
+from support import column_table, per_cell_csv, run_starts, table_rows, typed_column
 
 FLOATS = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308,
@@ -129,7 +129,7 @@ def test_uniform_columns_are_spelled_once(values, uniform):
     # bit-identical, its ints or texts equal, or all its cells undefined:
     # never when floats are merely equal
     table = _Table({"x": values, "n": np.arange(3)})
-    assert (table.runs.get("x") == [0]) == uniform and table.runs.get("n") != [0]
+    assert (run_starts(table).get("x") == [0]) == uniform and "n" not in table.runs
     rows = [{"x": x, "n": n} for x, n in zip(table.columns["x"], range(3))]
     assert _render({}, table, "json") == json.dumps({"meta": {}, "rows": rows}, indent=2) + "\n"
     assert _render({}, table, "csv") == per_cell_csv(rows)
@@ -137,7 +137,7 @@ def test_uniform_columns_are_spelled_once(values, uniform):
 
 def test_a_lone_uniform_column_of_empty_text():
     table = _Table({"": ["", "", ""]})
-    assert table.runs == {"": [0]}
+    assert run_starts(table) == {"": [0]}
     assert _render({}, table, "csv") == '""\r\n""\r\n""\r\n""\r\n'
 
 
@@ -204,7 +204,8 @@ def test_columns_of_few_runs_render_as_json_dumps_and_the_per_cell_writer(table)
         "masked-zeros", "ints", "empty-text", "text-by-value", "pair", "single", "empty"])
 def test_runs_start_where_the_spelling_or_object_changes(values, starts):
     table = _Table({"x": values})
-    assert table.runs.get("x") == starts
+    assert run_starts(table).get("x") == starts
+    assert all(s.dtype == np.intp for s in table.runs.values())  # int arrays, not lists
 
 
 # Floats whose spellings are edge cases: -0.0, a NaN payload, the
@@ -242,7 +243,7 @@ def test_float_arrays_render_as_their_lists(n):
     assert all(isinstance(table.stored[key], np.ndarray) for key in arrays)
     assert "many_runs" not in table.runs
     if n > LANE_CHUNK + 2:
-        assert table.runs["three_runs"] == [0, LANE_CHUNK - 2, LANE_CHUNK + 3]
+        assert run_starts(table)["three_runs"] == [0, LANE_CHUNK - 2, LANE_CHUNK + 3]
     meta = {"command": "cell"}
     rows = table_rows(table)
     assert _render(meta, table, "json") == json.dumps({"meta": meta, "rows": rows},
@@ -477,7 +478,7 @@ MASKED_SIZES = sorted({cli._CSV_BLOCK_ROWS - 1, cli._CSV_BLOCK_ROWS,
 def test_masked_floats_in_blocks_are_the_per_cell_writer(n, monkeypatch, strict):
     table = _Table(masked_table(n))
     assert set(table.defined) == {"across", "undefined", "spellings"}
-    assert table.runs["undefined"] == [0]  # one run of undefined cells
+    assert run_starts(table)["undefined"] == [0]  # one run of undefined cells
     assert "across" not in table.runs and "spellings" not in table.runs
     rows = table_rows(table)
     assert rows[0]["undefined"] is None and rows[0]["spellings"] is None
@@ -527,4 +528,23 @@ def test_hartman_table_holds_arrays_not_lists():
         tracemalloc.stop()
     assert len(table) == n_max and "increment" in table.defined
     assert size < 80 * n_max
+
+
+def test_run_starts_take_eight_bytes_a_run():
+    # the saturated T_t of this scan falls into 23 189 runs, so its run starts
+    # took ~0.9 MB as a list of Python ints; as an int array they take 8 bytes
+    # each (tracemalloc size 186 kB of a table rebuilt over the stored columns)
+    argv = ["hartman", "--cell", "delta:g=5", "--period", "1", "--k0", "1.0",
+            "--N-max", "50000"]
+    table = cli.run_hartman(cli._resolve(cli.build_parser().parse_args(argv)))[1]
+    columns = {key: (c, table.defined[key]) if key in table.defined else c
+               for key, c in table.stored.items()}
+    tracemalloc.start()
+    try:
+        runs = _Table(columns).runs
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(runs["T_t"]) == 23_189 and run_starts(table) == run_starts(_Table(columns))
+    assert size < 9 * sum(len(starts) for starts in runs.values())
 
